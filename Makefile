@@ -5,6 +5,8 @@
 #   make test-faults    fault-injection and supervision suite, race-enabled
 #                       and repeated to shake out nondeterminism
 #   make lint           kmlint static analyzer suite (with -audit-ignores)
+#   make loc            non-test, non-comment, non-blank Go lines in
+#                       internal/core + internal/transport
 #   make bench-hotpath  rerun the wire hot-path benchmarks and refresh the
 #                       "current" section of BENCH_hotpath.json
 #   make bench-udt      rerun the UDT data-path benchmarks and refresh the
@@ -29,13 +31,13 @@ FAULT_PKGS = ./internal/faults/ ./internal/transport/ ./internal/core/ ./interna
 FAULT_RUN  = 'Fault|Supervis|Fallback|Overflow|PeerDeath|Revival|Stall|Blackhole|Backoff|Status|StopThenRestart'
 
 RECV_PKGS = ./internal/transport/ ./internal/core/ ./internal/vnet/
-RECV_RUN  = 'RecvOrder|DecodeStage|VNodeFanin'
+RECV_RUN  = 'RecvOrder|DecodeStage|LaneStage|VNodeFanin'
 
 QOS_PKGS = ./internal/transport/ ./internal/core/ ./internal/data/
 QOS_RUN  = 'QoS'
 QOS_OUT  = BENCH_qos.out
 
-.PHONY: check test test-faults test-recv test-qos build vet lint bench bench-hotpath bench-udt bench-shard bench-fanin bench-qos sim-campaign soak soak-smoke
+.PHONY: check test test-faults test-recv test-qos build vet lint loc bench bench-hotpath bench-udt bench-shard bench-fanin bench-qos sim-campaign soak soak-smoke
 
 check:
 	$(GO) vet ./... && $(GO) run ./cmd/kmlint -audit-ignores ./... && $(GO) build ./... && $(GO) test -race ./...
@@ -57,6 +59,12 @@ vet:
 # run with its audited reason printed.
 lint:
 	$(GO) run ./cmd/kmlint -audit-ignores ./...
+
+# loc prints the size metric simplification PRs are held to: Go lines in
+# the two packages every message crosses, tests, comment-only lines and
+# blank lines excluded.
+loc:
+	@ls internal/core/*.go internal/transport/*.go | grep -v _test | xargs cat | grep -v '^\s*//' | grep -v '^\s*$$' | wc -l
 
 bench-hotpath:
 	$(GO) test -bench WirePath -run '^$$' -benchmem $(HOTPATH_PKGS) | tee $(HOTPATH_OUT)
@@ -80,8 +88,8 @@ bench-shard:
 # bench-fanin reruns the fan-in scaling benchmarks (BenchmarkFaninReceive /
 # BenchmarkFaninReceiveNetwork) and refreshes the "current" section of
 # BENCH_fanin.json; the frozen "baseline" section holds the numbers from
-# before the striped inbound registry + parallel decode stage. The
-# benchmarks sweep GOMAXPROCS 1/4/NumCPU themselves.
+# before the parallel decode stage. The benchmarks sweep GOMAXPROCS
+# 1/4/NumCPU themselves.
 bench-fanin:
 	$(GO) test -bench FaninReceive -run '^$$' -benchmem $(FANIN_PKGS) | tee $(FANIN_OUT)
 	$(GO) run ./cmd/benchjson -label current -out BENCH_fanin.json < $(FANIN_OUT)
@@ -148,7 +156,8 @@ soak-smoke:
 	@rm -f ./kmsoak.bin soak-plan-a.txt soak-plan-b.txt
 
 # test-recv runs the receive-path property suite (per-peer inbound FIFO,
-# at-most-once delivery, zero-leak teardown) race-enabled and repeated.
+# at-most-once delivery, zero-leak teardown) and the socket-free suite of
+# the generic lane stage both directions share, race-enabled and repeated.
 test-recv:
 	$(GO) test -race -count=3 -run $(RECV_RUN) $(RECV_PKGS)
 

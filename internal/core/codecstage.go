@@ -1,44 +1,29 @@
 package core
 
-// The parallel codec stage lifts encode (serialise + optional compress) —
-// the dominant per-message CPU cost on the send path — off the Network
-// component's single thread onto a bounded worker pool, the same move the
-// Kompics paper makes with multi-core component scheduling [5] and Netty
-// with its multi-loop EventLoopGroup. Correctness constraints, preserved
-// exactly:
-//
-//   - FIFO per peer: payloads reach Endpoint.Send in the order sendMsg
-//     submitted them for that (protocol, destination) — a per-destination
-//     sequencer holds each encoded result until every earlier message to
-//     the same peer has been released. Different peers release
-//     independently, so one slow encode never head-of-line-blocks the
-//     fan-out.
-//   - At-most-once notify: every submitted job resolves exactly once —
-//     through Endpoint.Send's notify contract, through an encode error, or
-//     through the stage failing its backlog on close.
-//   - Buffer ownership: encode draws from bufpool; ownership passes to
-//     Endpoint.Send on release, or the buffer is recycled here when the
-//     release path dies first (endpoint stopped).
+// The codec stage is the send-side instantiation of the ordered lane
+// stage (lanestage.go): work is encode (serialise + optional compress),
+// the dominant per-message CPU cost on the send path; a lane is one
+// (protocol, destination); release hands the payload to Endpoint.SendQoS,
+// so payloads reach the transport in the order sendMsg submitted them for
+// that peer. Every job resolves its notify exactly once — through the
+// endpoint's notify contract, through an encode error, or through the
+// stage abandoning it on close.
 //
 // Local same-host reflection never enters the stage: sendMsg keeps it
 // synchronous on the component thread (§III-B).
 
 import (
 	"errors"
-	"sync"
 
 	"github.com/kompics/kompicsmessaging-go/internal/bufpool"
-	"github.com/kompics/kompicsmessaging-go/internal/kompics"
 )
 
 // errNetworkStopped fails sends whose encode or release raced the network
 // component stopping.
 var errNetworkStopped = errors.New("core: network stopped")
 
-// codecJob is one message's trip through the stage. A job is appended to
-// its peer lane on the component thread, encoded on a worker (or inline
-// when the stage is saturated), and released by whichever goroutine
-// completes the lane's head.
+// codecJob is one outgoing message: what sendMsg decided on the component
+// thread, plus the encode result.
 type codecJob struct {
 	msg   Msg
 	proto Transport
@@ -48,157 +33,46 @@ type codecJob struct {
 	qos  QoS
 	id   uint64
 	want bool
-	lane *peerLane
 
-	// Set under lane.mu when the encode (or failure) completes.
+	// payload is drawn from bufpool by encode; ownership passes to
+	// Endpoint.SendQoS on release.
 	payload []byte
 	err     error
-	done    bool
 }
 
-// peerLane is the per-destination sequencer: jobs in submission order,
-// released from the head only when done. One lane exists per (protocol,
-// destination) for the stage's lifetime, mirroring the transport's
-// conservative channel retention.
-type peerLane struct {
-	mu sync.Mutex //kmlint:guarded
-	// jobs is the pending FIFO; head release pops index 0 of the window
-	// [next:]. The slice is compacted when fully drained.
-	jobs []*codecJob
-	// draining serialises release: exactly one goroutine pops ready heads
-	// at a time, so ep.Send sees submission order even though workers
-	// finish out of order.
-	draining bool
-}
-
-// laneKey identifies a sequencer lane. dest is the final socket address
-// (UDT port shift already applied by sendMsg).
-type laneKey struct {
-	proto Transport
-	dest  string
-}
-
-// codecStage owns the worker pool and the lane table. One stage lives per
-// Network start (like the Endpoint, it is single-use).
+// codecStage is created in OnStart and closed first in OnStop/OnKill, on
+// the component thread, before the endpoint closes — so jobs already
+// encoded still reach Endpoint.SendQoS and fail through its ErrClosed
+// path.
 type codecStage struct {
 	n     *Network
-	pool  *kompics.WorkPool[*codecJob]
-	limit int
-
-	mu     sync.Mutex //kmlint:guarded
-	lanes  map[laneKey]*peerLane
-	closed bool
-	// inflight counts submitted-but-unreleased jobs; at limit, encode
-	// degrades to inline on the component thread (still sequenced), which
-	// bounds the pool's queue without blocking the component.
-	inflight int
+	lanes *laneStage[codecJob]
 }
 
-func newCodecStage(n *Network, workers, limit int) *codecStage {
-	st := &codecStage{
-		n:     n,
-		limit: limit,
-		lanes: make(map[laneKey]*peerLane),
-	}
-	st.pool = kompics.NewWorkPool(workers, st.runJob)
+func newCodecStage(n *Network) *codecStage {
+	st := &codecStage{n: n}
+	st.lanes = newLaneStage(n.stageLimit, st.encode, st.send, st.fail)
 	return st
 }
 
 // submit sequences one outgoing message. Called only from the Network
-// component thread, so lane append order IS sendMsg order.
+// component thread, so lane order IS sendMsg order; at the inflight bound
+// the component thread encodes inline — backpressure, not blocking.
 func (st *codecStage) submit(msg Msg, proto Transport, dest string, qos QoS, id uint64, want bool) {
-	job := &codecJob{msg: msg, proto: proto, dest: dest, qos: qos, id: id, want: want}
-	key := laneKey{proto: proto, dest: dest}
-	st.mu.Lock()
-	if st.closed {
-		st.mu.Unlock()
-		st.n.notify(id, want, errNetworkStopped)
-		return
-	}
-	lane := st.lanes[key]
-	if lane == nil {
-		lane = &peerLane{}
-		st.lanes[key] = lane
-	}
-	saturated := st.inflight >= st.limit
-	st.inflight++
-	st.mu.Unlock()
-
-	job.lane = lane
-	lane.mu.Lock()
-	lane.jobs = append(lane.jobs, job)
-	lane.mu.Unlock()
-
-	if saturated {
-		// Backpressure: encode here on the component thread. The job still
-		// rides the sequencer, so per-peer order holds even against
-		// in-flight worker encodes for the same lane.
-		st.runJob(job)
-		return
-	}
-	if !st.pool.Submit(job) {
-		st.finish(job, nil, errNetworkStopped)
-	}
+	st.lanes.submit(laneKey{proto: proto, addr: dest},
+		codecJob{msg: msg, proto: proto, dest: dest, qos: qos, id: id, want: want})
 }
 
-// runJob encodes one job and releases every ready lane head. It is the
-// WorkPool run function (always requeue=false) and doubles as the inline
-// saturation path.
-func (st *codecStage) runJob(job *codecJob) bool {
-	payload, err := st.n.encode(job.msg)
-	st.finish(job, payload, err)
-	return false
+func (st *codecStage) close() { st.lanes.close() }
+
+func (st *codecStage) encode(j *codecJob) {
+	j.payload, j.err = st.n.encode(j.msg)
 }
 
-// finish marks a job resolved and drains its lane.
-func (st *codecStage) finish(job *codecJob, payload []byte, err error) {
-	lane := job.lane
-	lane.mu.Lock()
-	job.payload, job.err, job.done = payload, err, true
-	lane.mu.Unlock()
-	st.drain(lane)
-}
-
-// drain releases the lane's done head-run in submission order. The
-// draining flag makes the release section single-threaded per lane without
-// holding lane.mu across ep.Send.
-func (st *codecStage) drain(lane *peerLane) {
-	lane.mu.Lock()
-	if lane.draining {
-		lane.mu.Unlock()
-		return
-	}
-	lane.draining = true
-	for {
-		var ready []*codecJob
-		for len(lane.jobs) > 0 && lane.jobs[0].done {
-			ready = append(ready, lane.jobs[0])
-			lane.jobs = lane.jobs[1:]
-		}
-		if len(lane.jobs) == 0 && cap(lane.jobs) > 0 {
-			lane.jobs = nil // unpin the drained backing array
-		}
-		if len(ready) == 0 {
-			lane.draining = false
-			lane.mu.Unlock()
-			return
-		}
-		lane.mu.Unlock()
-		for _, j := range ready {
-			st.release(j)
-		}
-		lane.mu.Lock()
-	}
-}
-
-// release resolves one sequenced job: hand the payload to the endpoint
-// (ownership transfers; its notify fires exactly once), or surface the
-// encode/shutdown error.
-func (st *codecStage) release(j *codecJob) {
+// send hands an encoded payload to the endpoint (ownership transfers; its
+// notify fires exactly once), or surfaces the encode error.
+func (st *codecStage) send(j *codecJob) {
 	n := st.n
-	st.mu.Lock()
-	st.inflight--
-	st.mu.Unlock()
 	if j.err != nil {
 		n.notify(j.id, j.want, j.err)
 		return
@@ -217,34 +91,6 @@ func (st *codecStage) release(j *codecJob) {
 	ep.SendQoS(j.proto, j.dest, j.payload, j.qos, cb)
 }
 
-// close stops the workers and fails the unencoded backlog. Runs on the
-// component thread (OnStop/OnKill) before the endpoint closes, so jobs
-// already encoded still reach Endpoint.Send and fail through its ErrClosed
-// path — exactly-once either way.
-func (st *codecStage) close() {
-	st.mu.Lock()
-	if st.closed {
-		st.mu.Unlock()
-		return
-	}
-	st.closed = true
-	lanes := make([]*peerLane, 0, len(st.lanes))
-	for _, l := range st.lanes {
-		lanes = append(lanes, l)
-	}
-	st.mu.Unlock()
-
-	// Workers finish their current encodes (marking jobs done) and exit;
-	// queued-but-unstarted jobs stay pending in their lanes.
-	st.pool.Close()
-	for _, lane := range lanes {
-		lane.mu.Lock()
-		for _, j := range lane.jobs {
-			if !j.done {
-				j.err, j.done = errNetworkStopped, true
-			}
-		}
-		lane.mu.Unlock()
-		st.drain(lane)
-	}
+func (st *codecStage) fail(j *codecJob) {
+	st.n.notify(j.id, j.want, errNetworkStopped)
 }

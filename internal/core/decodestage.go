@@ -1,261 +1,75 @@
 package core
 
-// The parallel decode stage is the inbound mirror of the codec stage
-// (codecstage.go): it lifts decodeWire (decompress + decode) — the
-// dominant per-message CPU cost on the receive path — off the transport
-// read goroutines and the Network component's single thread onto a
-// bounded worker pool. Before this stage existed, every inbound frame
-// was decoded inline on its connection's read goroutine and the decoded
-// message then funneled through the one component thread; with it, a
-// frame from peer A is never blocked by decode work for peer B.
-// Correctness constraints, preserved exactly:
+// The decode stage is the receive-side instantiation of the ordered lane
+// stage (lanestage.go): work is decodeWire (decompress + decode), the
+// dominant per-message CPU cost on the receive path; a lane is one
+// (protocol, peer) origin; release hands the message into component
+// context, so messages reach the component in the order their frames
+// arrived from that peer, and a frame from peer A never waits behind
+// decode work for peer B.
 //
-//   - FIFO per peer: messages reach the component (via SelfTrigger) in
-//     the order their frames arrived for that (protocol, peer) — a
-//     per-origin sequencer holds each decoded message until every
-//     earlier frame from the same peer has been released. Different
-//     peers release independently, so one slow decompress never
-//     head-of-line-blocks the fan-in.
-//   - At-most-once delivery: every submitted frame resolves exactly
-//     once — as a delivered message, a logged decode error, or a
-//     silently dropped empty payload; the stage failing its backlog on
-//     close delivers nothing twice.
-//   - Buffer ownership: the pooled payload arrives owned by the stage
-//     (transport's deliver contract), passes to decodeWire — which
-//     consumes it — on a worker, or is recycled by the close path when
-//     the frame never reaches a decoder. No path leaks a buffer.
-//
-// Backpressure: at the inflight bound the submitting read goroutine
-// decodes inline. The frame still rides its lane, so order holds, and
-// the stall is confined to that one connection — which is exactly the
-// flow control a stream transport wants.
+// Buffer ownership: the pooled payload arrives owned by the stage
+// (transport's OnMessage contract) and passes to decodeWire, which
+// consumes it; a frame that never reaches a decoder is recycled by drop.
+// No path leaks a buffer.
 
 import (
-	"sync"
-
 	"github.com/kompics/kompicsmessaging-go/internal/bufpool"
-	"github.com/kompics/kompicsmessaging-go/internal/kompics"
 	"github.com/kompics/kompicsmessaging-go/internal/transport"
 )
 
-// decodeJob is one inbound frame's trip through the stage. A job is
-// appended to its origin lane by the submitting transport goroutine,
-// decoded on a worker (or inline when the stage is saturated), and
-// released by whichever goroutine completes the lane's head.
+// decodeJob is one inbound frame: the owned wire payload, then the decode
+// result.
 type decodeJob struct {
-	lane *recvLane
-
-	// payload is owned by the job until decodeWire consumes it (or the
-	// close path recycles it); all three result fields are set under
-	// lane.mu when the decode (or failure) completes.
 	payload []byte
 	msg     Msg
 	err     error
-	done    bool
 }
 
-// recvLane is the per-origin sequencer: jobs in frame-arrival order,
-// released from the head only when done. One lane exists per (protocol,
-// peer) for the stage's lifetime, mirroring the send side's peerLane.
-type recvLane struct {
-	mu sync.Mutex //kmlint:guarded
-	// jobs is the pending FIFO; head release pops index 0. The slice is
-	// compacted when fully drained.
-	jobs []*decodeJob
-	// draining serialises release: exactly one goroutine pops ready
-	// heads at a time, so SelfTrigger sees arrival order even though
-	// workers finish out of order.
-	draining bool
-}
-
-// decodeStage owns the worker pool and the lane table. One stage lives
-// per Network start, created together with the Endpoint whose OnMessage
-// feeds it (like the Endpoint, it is single-use).
+// decodeStage is created together with the Endpoint whose OnMessage feeds
+// it and closed last in OnStop/OnKill, after the endpoint — the read
+// loops are gone by then, so nothing submits during the teardown.
 type decodeStage struct {
 	n     *Network
-	pool  *kompics.WorkPool[*decodeJob]
-	limit int
-
-	mu sync.Mutex //kmlint:guarded
-	// lanes is keyed by laneKey with dest carrying the peer address —
-	// the same key shape the codec stage uses for destinations.
-	lanes  map[laneKey]*recvLane
-	closed bool
-	// inflight counts submitted-but-unreleased jobs; at limit, decode
-	// degrades to inline on the submitting read goroutine (still
-	// sequenced), which bounds the pool's queue while stalling only the
-	// saturating connection.
-	inflight int
+	lanes *laneStage[decodeJob]
 }
 
-func newDecodeStage(n *Network, workers, limit int) *decodeStage {
-	st := &decodeStage{
-		n:     n,
-		limit: limit,
-		lanes: make(map[laneKey]*recvLane),
-	}
-	st.pool = kompics.NewWorkPool(workers, st.runJob)
+func newDecodeStage(n *Network) *decodeStage {
+	st := &decodeStage{n: n}
+	st.lanes = newLaneStage(n.stageLimit, st.decode, st.deliver, st.drop)
 	return st
 }
 
 // submit sequences one inbound frame. It is the transport endpoint's
 // OnMessage callback: ownership of the pooled payload passes to the
 // stage here. Frames sharing a From arrive from one read goroutine, so
-// lane append order IS wire order.
+// lane order IS wire order; at the inflight bound that goroutine decodes
+// inline, which stalls only the saturating connection — the flow control
+// a stream transport wants.
 func (st *decodeStage) submit(from transport.From, payload []byte) {
-	job := &decodeJob{payload: payload}
-	key := laneKey{proto: from.Proto, dest: from.Peer}
-	st.mu.Lock()
-	if st.closed {
-		st.mu.Unlock()
-		bufpool.Put(payload)
-		return
-	}
-	lane := st.lanes[key]
-	if lane == nil {
-		lane = &recvLane{}
-		st.lanes[key] = lane
-	}
-	saturated := st.inflight >= st.limit
-	st.inflight++
-	st.mu.Unlock()
-
-	job.lane = lane
-	lane.mu.Lock()
-	lane.jobs = append(lane.jobs, job)
-	lane.mu.Unlock()
-
-	if saturated {
-		// Backpressure: decode here on the connection's read goroutine.
-		// The job still rides the sequencer, so per-peer order holds
-		// even against in-flight worker decodes for the same lane.
-		st.runJob(job)
-		return
-	}
-	if !st.pool.Submit(job) {
-		// The stage closed between the closed check and the submit; the
-		// close path may already have drained this lane, so fail the
-		// job ourselves (idempotently, under lane.mu) and re-drain.
-		st.failUndone(job)
-	}
+	st.lanes.submit(laneKey{proto: from.Proto, addr: from.Peer}, decodeJob{payload: payload})
 }
 
-// runJob decodes one job and releases every ready lane head. It is the
-// WorkPool run function (always requeue=false) and doubles as the
-// inline saturation path. decodeWire consumes the payload buffer on
-// every outcome.
-func (st *decodeStage) runJob(job *decodeJob) bool {
-	msg, err := st.n.decodeWire(job.payload)
-	lane := job.lane
-	lane.mu.Lock()
-	job.payload = nil
-	job.msg, job.err, job.done = msg, err, true
-	lane.mu.Unlock()
-	st.drain(lane)
-	return false
+func (st *decodeStage) close() { st.lanes.close() }
+
+func (st *decodeStage) decode(j *decodeJob) {
+	j.msg, j.err = st.n.decodeWire(j.payload)
+	j.payload = nil
 }
 
-// failUndone resolves a job that will never reach a decoder: its pooled
-// payload is recycled and the lane re-drained. Safe against a
-// concurrent close() marking the same job, because both mark under
-// lane.mu and only the first marker recycles the buffer.
-func (st *decodeStage) failUndone(job *decodeJob) {
-	lane := job.lane
-	lane.mu.Lock()
-	if !job.done {
-		bufpool.Put(job.payload)
-		job.payload = nil
-		job.err, job.done = errNetworkStopped, true
-	}
-	lane.mu.Unlock()
-	st.drain(lane)
-}
-
-// drain releases the lane's done head-run in arrival order. The
-// draining flag makes the release section single-threaded per lane
-// without holding lane.mu across SelfTrigger.
-func (st *decodeStage) drain(lane *recvLane) {
-	lane.mu.Lock()
-	if lane.draining {
-		lane.mu.Unlock()
-		return
-	}
-	lane.draining = true
-	for {
-		var ready []*decodeJob
-		for len(lane.jobs) > 0 && lane.jobs[0].done {
-			ready = append(ready, lane.jobs[0])
-			lane.jobs = lane.jobs[1:]
-		}
-		if len(lane.jobs) == 0 && cap(lane.jobs) > 0 {
-			lane.jobs = nil // unpin the drained backing array
-		}
-		if len(ready) == 0 {
-			lane.draining = false
-			lane.mu.Unlock()
-			return
-		}
-		lane.mu.Unlock()
-		for _, j := range ready {
-			st.release(j)
-		}
-		lane.mu.Lock()
-	}
-}
-
-// release resolves one sequenced job: hand the decoded message into
-// component context (SelfTrigger is goroutine-safe and a no-op on a
-// halted component), or surface the decode error. Empty payloads decode
-// to (nil, nil) and are silently ignored, as before the stage existed.
-func (st *decodeStage) release(j *decodeJob) {
-	st.mu.Lock()
-	st.inflight--
-	st.mu.Unlock()
+// deliver hands a decoded message into component context (SelfTrigger is
+// goroutine-safe and a no-op on a halted component), or logs the decode
+// error. Empty payloads decode to (nil, nil) and are silently ignored.
+func (st *decodeStage) deliver(j *decodeJob) {
 	if j.err != nil {
-		if j.err != errNetworkStopped {
-			st.n.cfg.Logger.Warn("core: dropping inbound message", "err", j.err)
-		}
+		st.n.cfg.Logger.Warn("core: dropping inbound message", "err", j.err)
 		return
 	}
-	if j.msg == nil {
-		return
+	if j.msg != nil {
+		st.n.comp.SelfTrigger(inbound{msg: j.msg})
 	}
-	st.n.comp.SelfTrigger(inbound{msg: j.msg})
 }
 
-// close stops the workers and fails the undecoded backlog, recycling its
-// pooled payloads. Runs on the component thread (OnStop/OnKill) after
-// the endpoint closes — the read loops are gone, so no new submissions
-// race the teardown (a straggler that lost the Submit race resolves
-// itself through failUndone). Jobs already decoded still release; their
-// SelfTrigger lands in a halting component's mailbox or is dropped
-// there, never delivered twice.
-func (st *decodeStage) close() {
-	st.mu.Lock()
-	if st.closed {
-		st.mu.Unlock()
-		return
-	}
-	st.closed = true
-	lanes := make([]*recvLane, 0, len(st.lanes))
-	for _, l := range st.lanes {
-		lanes = append(lanes, l)
-	}
-	st.mu.Unlock()
-
-	// Workers finish their current decodes (marking jobs done) and
-	// exit; queued-but-unstarted jobs stay pending in their lanes.
-	st.pool.Close()
-	for _, lane := range lanes {
-		lane.mu.Lock()
-		for _, j := range lane.jobs {
-			if !j.done {
-				bufpool.Put(j.payload)
-				j.payload = nil
-				j.err, j.done = errNetworkStopped, true
-			}
-		}
-		lane.mu.Unlock()
-		st.drain(lane)
-	}
+func (st *decodeStage) drop(j *decodeJob) {
+	bufpool.Put(j.payload)
 }

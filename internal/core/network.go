@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"runtime"
 	"sync"
 
 	"github.com/kompics/kompicsmessaging-go/internal/bufpool"
@@ -75,25 +74,6 @@ type NetworkConfig struct {
 	// ListenAddr port + offset (default 1; raw UDP and UDT cannot share
 	// one UDP port).
 	UDTPortOffset int
-	// CodecWorkers sizes the parallel encode stage that serialises and
-	// compresses outgoing wire messages off the component thread (default
-	// GOMAXPROCS). Per-peer send order is preserved regardless of the
-	// worker count.
-	CodecWorkers int
-	// CodecInflight bounds encode jobs submitted but not yet handed to the
-	// transport (default 256). At the bound the component thread encodes
-	// inline instead of queueing further — backpressure, not blocking.
-	CodecInflight int
-	// DecodeWorkers sizes the parallel decode stage that decompresses and
-	// decodes inbound wire payloads off the transport read goroutines
-	// (default GOMAXPROCS). Per-(protocol, peer) arrival order is
-	// preserved regardless of the worker count.
-	DecodeWorkers int
-	// DecodeInflight bounds inbound frames submitted but not yet released
-	// to the component (default 256). At the bound the submitting read
-	// goroutine decodes inline — backpressure confined to the saturating
-	// connection.
-	DecodeInflight int
 	// Transport tunes the underlying endpoint (UDT config, frame limit).
 	Transport transport.Config
 	// Metrics, when set, receives this network's runtime metrics: status
@@ -125,6 +105,9 @@ type Network struct {
 	comp       *kompics.Component
 	ctx        *kompics.Context
 	epsMu      sync.Mutex // guards ep swaps across restarts
+	// stageLimit is the inflight bound both lane stages are built with at
+	// the next start (stageInflight; tests shrink it).
+	stageLimit int
 	// stage is the parallel codec stage; accessed only on the component
 	// thread (created in OnStart, torn down in OnStop/OnKill, consulted in
 	// sendMsg), so it needs no lock of its own.
@@ -162,22 +145,14 @@ func NewNetwork(cfg NetworkConfig) (*Network, error) {
 	if cfg.UDTPortOffset == 0 {
 		cfg.UDTPortOffset = 1
 	}
-	if cfg.CodecWorkers <= 0 {
-		cfg.CodecWorkers = runtime.GOMAXPROCS(0)
-	}
-	if cfg.CodecInflight <= 0 {
-		cfg.CodecInflight = 256
-	}
-	if cfg.DecodeWorkers <= 0 {
-		cfg.DecodeWorkers = runtime.GOMAXPROCS(0)
-	}
-	if cfg.DecodeInflight <= 0 {
-		cfg.DecodeInflight = 256
-	}
 	if cfg.Transport.Clock == nil {
 		cfg.Transport.Clock = clock.Real{}
 	}
-	return &Network{cfg: cfg, warnLimit: stats.NewLogLimiter(cfg.Transport.Clock, warnBurst, warnRefillPerSec)}, nil
+	return &Network{
+		cfg:        cfg,
+		stageLimit: stageInflight,
+		warnLimit:  stats.NewLogLimiter(cfg.Transport.Clock, warnBurst, warnRefillPerSec),
+	}, nil
 }
 
 // Port returns the provided network port, for wiring after Create.
@@ -230,13 +205,17 @@ func (n *Network) Init(ctx *kompics.Context) {
 		n.tcfg.Protocols = n.cfg.Protocols
 	}
 	n.tcfg.Logger = n.cfg.Logger
-	n.tcfg.OnMessage = n.onWirePayload
 	// Supervision events are raised on transport goroutines; hop into
 	// component context before publishing them on the status port.
 	n.tcfg.OnStatus = func(ev transport.StatusEvent) {
 		n.comp.SelfTrigger(statusInbound{ev: ev})
 	}
-	if _, err := transport.NewEndpoint(n.tcfg); err != nil {
+	// Reject a bad transport config at Create instead of faulting the
+	// component at Start. Live endpoints get their OnMessage from the
+	// decode stage built with them; this one never receives.
+	probe := n.tcfg
+	probe.OnMessage = func(transport.From, []byte) {}
+	if _, err := transport.NewEndpoint(probe); err != nil {
 		panic(fmt.Sprintf("core: invalid transport config: %v", err))
 	}
 
@@ -265,7 +244,7 @@ func (n *Network) Init(ctx *kompics.Context) {
 	// inbound frames to exactly this start's stage, with no lock or
 	// indirection on the per-frame path.
 	ctx.OnStart(func() {
-		dst := newDecodeStage(n, n.cfg.DecodeWorkers, n.cfg.DecodeInflight)
+		dst := newDecodeStage(n)
 		tcfg := n.tcfg
 		tcfg.OnMessage = dst.submit
 		ep, err := transport.NewEndpoint(tcfg)
@@ -279,7 +258,7 @@ func (n *Network) Init(ctx *kompics.Context) {
 		}
 		n.setEndpoint(ep)
 		n.dstage = dst
-		n.stage = newCodecStage(n, n.cfg.CodecWorkers, n.cfg.CodecInflight)
+		n.stage = newCodecStage(n)
 	})
 	stop := func() {
 		// Codec stage first: its close waits for in-flight encodes, whose
@@ -344,6 +323,13 @@ func (n *Network) sendMsg(msg Msg, notifyID uint64, wantNotify bool) {
 	// header's QoS annotation to the transport's queue policy.
 	n.stage.submit(msg, proto, dest, HeaderQoS(hdr), notifyID, wantNotify)
 }
+
+// The token bucket throttling notify's warn: warnBurst lines at once,
+// refilled at warnRefillPerSec.
+const (
+	warnBurst        = 10
+	warnRefillPerSec = 1
+)
 
 // notify resolves one send: a NotifyResp on the port when the sender
 // asked for one, otherwise a rate-limited warn on failure (a dead peer
@@ -429,23 +415,6 @@ func (n *Network) compress(raw []byte) ([]byte, bool) {
 		bufpool.Put(dst)
 	}
 	return out, true
-}
-
-// onWirePayload decodes one inbound frame inline and hands the message
-// into component context. It is the stage-less fallback kept for the
-// config the Init-time validation endpoint sees (and for fuzzing the
-// decode path directly); live endpoints deliver through the decode
-// stage's submit instead.
-func (n *Network) onWirePayload(_ transport.From, payload []byte) {
-	msg, err := n.decodeWire(payload)
-	if err != nil {
-		n.cfg.Logger.Warn("core: dropping inbound message", "err", err)
-		return
-	}
-	if msg == nil {
-		return
-	}
-	n.comp.SelfTrigger(inbound{msg: msg})
 }
 
 // wireReaderPool recycles the bytes.Reader each inbound decode reads

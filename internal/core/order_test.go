@@ -13,8 +13,8 @@ import (
 // TestCodecStageOrderProperty is the per-peer FIFO + exactly-once-notify
 // property test for the parallel codec stage: concurrent producers publish
 // interleaved NotifyReqs to K peers through one Network, whose encode runs
-// on several workers with a deliberately tight inflight bound (so both the
-// pooled and the inline-saturation encode paths are exercised). Every peer
+// on the stage's workers with a deliberately tight inflight bound (so both
+// the pooled and the inline-saturation encode paths are exercised). Every peer
 // must observe its stream in submission order, and every request ID must
 // produce exactly one NotifyResp. Run under -race -count=3 in CI.
 func TestCodecStageOrderProperty(t *testing.T) {
@@ -28,17 +28,13 @@ func TestCodecStageOrderProperty(t *testing.T) {
 		receivers[i] = startNode(t, ports[i])
 	}
 
-	// Sender with a parallel stage wider than the single component thread
-	// and an inflight bound far below the offered load.
+	// Sender with an inflight bound far below the offered load.
 	self := MustParseAddress(fmt.Sprintf("127.0.0.1:%d", ports[peers]))
-	netDef, err := NewNetwork(NetworkConfig{
-		Self:          self,
-		CodecWorkers:  4,
-		CodecInflight: 16,
-	})
+	netDef, err := NewNetwork(NetworkConfig{Self: self})
 	if err != nil {
 		t.Fatal(err)
 	}
+	netDef.stageLimit = 16
 	sys := kompics.NewSystem()
 	t.Cleanup(sys.Shutdown)
 	netComp := sys.Create(netDef)

@@ -27,20 +27,17 @@ func coreLeakCheck(t *testing.T) {
 	})
 }
 
-// startDecodeNode builds a receiver whose decode stage runs several
-// workers against a deliberately tight inflight bound, so both the
-// pooled and the inline-saturation decode paths are exercised.
+// startDecodeNode builds a receiver whose decode stage runs against a
+// deliberately tight inflight bound, so both the pooled and the
+// inline-saturation decode paths are exercised.
 func startDecodeNode(t *testing.T, port int) *node {
 	t.Helper()
 	self := MustParseAddress(fmt.Sprintf("127.0.0.1:%d", port))
-	netDef, err := NewNetwork(NetworkConfig{
-		Self:           self,
-		DecodeWorkers:  4,
-		DecodeInflight: 8,
-	})
+	netDef, err := NewNetwork(NetworkConfig{Self: self})
 	if err != nil {
 		t.Fatal(err)
 	}
+	netDef.stageLimit = 8
 	sys := kompics.NewSystem()
 	t.Cleanup(sys.Shutdown)
 	netComp := sys.Create(netDef)
@@ -64,8 +61,8 @@ func decodePayload(seq uint32) []byte {
 
 // TestDecodeStageRecvOrderProperty is the per-peer FIFO property test for
 // the parallel decode stage: N sender nodes blast interleaved messages at
-// ONE receiver whose decode runs on 4 workers behind an inflight bound of
-// 8. Every sender's stream must reach the receiving application in
+// ONE receiver whose decode runs on the stage's workers behind an inflight
+// bound of 8. Every sender's stream must reach the receiving application in
 // submission order even though frames decode concurrently and out of
 // order, and (coreLeakCheck) no pooled buffer may leak across the
 // transport→stage→component handoff. Run under -race -count=3 in CI.

@@ -11,8 +11,8 @@ import (
 // "Sharded send path"): in a struct whose sync.Mutex/RWMutex field is
 // marked with a //kmlint:guarded comment, every map, slice, or channel
 // field declared after the mutex is guarded by it — the convention the
-// transport's sendShard, the codec stage's peerLane, and the endpoint's
-// inbound table all declare. Any read or write of a guarded field in code
+// transport's sendShard, core's generic lane stage, and the endpoint's
+// inbound set all declare. Any read or write of a guarded field in code
 // where that receiver's mutex is not held is flagged.
 //
 // The marker is opt-in on purpose: mutex-then-container is also the shape
@@ -348,7 +348,10 @@ func (ss *shardScan) checkExpr(e ast.Expr, held map[string]bool) {
 		if !ok {
 			return true
 		}
-		mu, guardedField := ss.guarded[v]
+		// Inside a generic type's methods the receiver is an instantiation,
+		// whose field objects are copies; the marker was read off the
+		// declaration.
+		mu, guardedField := ss.guarded[v.Origin()]
 		if !guardedField {
 			return true
 		}

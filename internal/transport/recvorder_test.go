@@ -4,11 +4,14 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/kompics/kompicsmessaging-go/internal/bufpool"
+	"github.com/kompics/kompicsmessaging-go/internal/codec"
 	"github.com/kompics/kompicsmessaging-go/internal/wire"
 )
 
@@ -54,12 +57,11 @@ func (c *faninCollector) snapshot() map[From][]uint32 {
 }
 
 // TestRecvOrderPropertyFanin is the per-peer inbound FIFO property test
-// for the striped inbound registry: N concurrent sender endpoints blast
-// randomized-size messages at ONE receiver, whose inbound connections
-// land in different shards. Every origin must observe its own sequence
-// numbers contiguously from 0 in arrival order, the registry's
-// accounting must match, and (leakCheck) no pooled buffer may leak. Run
-// under -race -count=3 in CI.
+// for the receive path: N concurrent sender endpoints blast
+// randomized-size messages at ONE receiver over N inbound connections.
+// Every origin must observe its own sequence numbers contiguously from 0
+// in arrival order, the inbound set's accounting must match, and
+// (leakCheck) no pooled buffer may leak. Run under -race -count=3 in CI.
 func TestRecvOrderPropertyFanin(t *testing.T) {
 	leakCheck(t)
 	const (
@@ -104,12 +106,14 @@ func TestRecvOrderPropertyFanin(t *testing.T) {
 	var notified sync.WaitGroup
 	var mu sync.Mutex
 	var sendErrs []error
+	var sentBytes atomic.Uint64
 	for i, ep := range eps {
 		notified.Add(perPeer)
 		go func(i int, ep *Endpoint) {
 			rng := rand.New(rand.NewSource(int64(i)))
 			for seq := uint32(0); seq < perPeer; seq++ {
 				buf := bufpool.Get(8 + rng.Intn(256))
+				sentBytes.Add(uint64(len(buf)))
 				binary.BigEndian.PutUint32(buf, seq)
 				binary.BigEndian.PutUint32(buf[4:], uint32(i))
 				s := seq
@@ -139,7 +143,6 @@ func TestRecvOrderPropertyFanin(t *testing.T) {
 	if len(got) != senders {
 		t.Fatalf("received from %d origins, want %d", len(got), senders)
 	}
-	totalFrames := uint64(0)
 	for from, seqs := range got {
 		if from.Proto != wire.TCP {
 			t.Fatalf("origin %v: unexpected protocol", from)
@@ -152,34 +155,20 @@ func TestRecvOrderPropertyFanin(t *testing.T) {
 				t.Fatalf("origin %v position %d: got seq %d, want %d — per-peer inbound FIFO violated", from, j, s, j)
 			}
 		}
-		// Registry accounting: one live connection per origin, every
-		// frame counted, no deaths while the peer is alive.
-		conns, frames, bytes := recv.InboundStats(from.Proto, from.Peer)
-		if conns != 1 || frames != perPeer || bytes == 0 {
-			t.Fatalf("origin %v stats: conns=%d frames=%d bytes=%d, want 1/%d/>0", from, conns, frames, bytes, perPeer)
-		}
-		if d := recv.InboundDeaths(from.Proto, from.Peer); d != 0 {
-			t.Fatalf("origin %v: %d premature deaths", from, d)
-		}
-		totalFrames += frames
 	}
-	if totalFrames != senders*perPeer {
-		t.Fatalf("registry counted %d frames, want %d", totalFrames, senders*perPeer)
-	}
-	if n := recv.NumInbound(); n != senders {
-		t.Fatalf("NumInbound = %d, want %d", n, senders)
+	// Inbound accounting: one live connection per origin, every frame and
+	// byte counted, no deaths while the peers are alive.
+	want := InboundSummary{Conns: senders, Frames: senders * perPeer, Bytes: sentBytes.Load()}
+	if tot := recv.InboundTotals(); tot != want {
+		t.Fatalf("InboundTotals = %+v, want %+v", tot, want)
 	}
 
 	// Closing one sender is a remote close from the receiver's point of
-	// view: its connection deregisters and counts as a peer death.
+	// view: its connection leaves the set and counts as a peer death.
 	eps[0].Close()
-	waitForCond(t, "peer death accounted", func() bool { return recv.NumInbound() == senders-1 })
-	deaths := uint64(0)
-	for from := range got {
-		deaths += recv.InboundDeaths(from.Proto, from.Peer)
-	}
-	if deaths != 1 {
-		t.Fatalf("recorded %d inbound deaths after one sender closed, want 1", deaths)
+	waitForCond(t, "peer death accounted", func() bool { return recv.InboundTotals().Conns == senders-1 })
+	if d := recv.InboundTotals().Deaths; d != 1 {
+		t.Fatalf("recorded %d inbound deaths after one sender closed, want 1", d)
 	}
 }
 
@@ -200,7 +189,7 @@ func waitForCond(t *testing.T, what string, cond func() bool) {
 // delivered must still be in order, every send must resolve its notify
 // exactly once (success or error), and — the leakCheck teardown — no
 // pooled buffer may be left outstanding after both sides close. This is
-// the zero-leak half of the inbound-registry property suite.
+// the zero-leak half of the receive-path property suite.
 func TestRecvOrderTeardownNoLeak(t *testing.T) {
 	leakCheck(t)
 	const (
@@ -259,8 +248,8 @@ func TestRecvOrderTeardownNoLeak(t *testing.T) {
 	// Cut the receiver once the fan-in is demonstrably flowing.
 	waitForCond(t, "mid-stream traffic", func() bool { return col.total() >= senders*perPeer/4 })
 	recv.Close()
-	if n := recv.NumInbound(); n != 0 {
-		t.Fatalf("NumInbound = %d after Close, want 0", n)
+	if n := recv.InboundTotals().Conns; n != 0 {
+		t.Fatalf("%d inbound connections registered after Close, want 0", n)
 	}
 
 	// Exactly-once: every send resolves, delivered or failed, or this
@@ -275,5 +264,47 @@ func TestRecvOrderTeardownNoLeak(t *testing.T) {
 	}
 	for _, ep := range eps {
 		ep.Close()
+	}
+}
+
+// TestRecvOrderDeathsAcrossReconnects is the regression test for the
+// per-peer death map that grew by one key per dead connection: 1 000
+// connect / one frame / close cycles, each from a fresh ephemeral
+// address, must leave no connection registered and exactly 1 000 deaths
+// in the one counter that replaced the map.
+func TestRecvOrderDeathsAcrossReconnects(t *testing.T) {
+	leakCheck(t)
+	const cycles = 1000
+	col := newFaninCollector()
+	recv, err := NewEndpoint(Config{
+		ListenAddr: "127.0.0.1:0",
+		Protocols:  []wire.Transport{wire.TCP},
+		OnMessage:  col.onMessage,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := recv.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(recv.Close)
+
+	frame := codec.AppendFrame(nil, []byte{0, 0, 0, 0})
+	for i := 0; i < cycles; i++ {
+		conn, err := net.Dial("tcp", recv.Addr(wire.TCP))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write(frame); err != nil {
+			t.Fatal(err)
+		}
+		conn.Close()
+	}
+	want := InboundSummary{Deaths: cycles}
+	waitForCond(t, "every connection dead and deregistered", func() bool {
+		return recv.InboundTotals() == want
+	})
+	if n := col.total(); n != cycles {
+		t.Fatalf("delivered %d of %d frames", n, cycles)
 	}
 }

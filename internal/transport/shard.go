@@ -61,25 +61,18 @@ func shardCount(procs int) int {
 	return c
 }
 
-// shardIndex hashes a (proto, peer-or-dest) key with FNV-1a; both the
-// outgoing and the inbound registries mask it down to their stripe
-// counts.
-func shardIndex(proto wire.Transport, key string) uint32 {
+// shardFor hashes (proto, dest) onto a stripe with FNV-1a.
+func (e *Endpoint) shardFor(proto wire.Transport, dest string) *sendShard {
 	const (
 		offset32 = 2166136261
 		prime32  = 16777619
 	)
 	h := uint32(offset32)
 	h = (h ^ uint32(proto)) * prime32
-	for i := 0; i < len(key); i++ {
-		h = (h ^ uint32(key[i])) * prime32
+	for i := 0; i < len(dest); i++ {
+		h = (h ^ uint32(dest[i])) * prime32
 	}
-	return h
-}
-
-// shardFor hashes (proto, dest) onto a stripe with FNV-1a.
-func (e *Endpoint) shardFor(proto wire.Transport, dest string) *sendShard {
-	return e.shards[shardIndex(proto, dest)&uint32(len(e.shards)-1)]
+	return e.shards[h&uint32(len(e.shards)-1)]
 }
 
 // jitter draws from the shard's seeded PRNG.

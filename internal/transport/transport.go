@@ -177,9 +177,8 @@ func (c Config) withDefaults() Config {
 // The outgoing registry is striped across sendShards (see shard.go): all
 // per-peer state — channel, fallback entry, backoff PRNG — lives in the
 // shard its (protocol, destination) key hashes to, so operations on
-// different peers never contend. The inbound registry is striped the
-// same way across recvShards (see inshard.go), so accept, per-connection
-// accounting, and teardown scale with the connection count.
+// different peers never contend. Inbound connections live in one
+// unstriped set (see inbound.go).
 type Endpoint struct {
 	cfg Config
 
@@ -191,9 +190,7 @@ type Endpoint struct {
 	// after NewEndpoint and its length is a power of two.
 	shards []*sendShard
 
-	// recvShards hold the inbound connection registry (inshard.go);
-	// immutable after NewEndpoint, power-of-two length.
-	recvShards []*recvShard
+	inbound inboundSet
 
 	// closing flips exactly once; shard closed flags (set in index order
 	// by Close) are what gate the send path.
@@ -230,10 +227,10 @@ func NewEndpoint(cfg Config) (*Endpoint, error) {
 	}
 	cfg = cfg.withDefaults()
 	return &Endpoint{
-		cfg:        cfg,
-		shards:     newSendShards(cfg.BackoffSeed),
-		recvShards: newRecvShards(),
-		dropWarn:   stats.NewLogLimiter(cfg.Clock, dropWarnBurst, dropWarnRefillPerSec),
+		cfg:      cfg,
+		shards:   newSendShards(cfg.BackoffSeed),
+		inbound:  inboundSet{conns: make(map[*inConn]struct{})},
+		dropWarn: stats.NewLogLimiter(cfg.Clock, dropWarnBurst, dropWarnRefillPerSec),
 	}, nil
 }
 
@@ -278,11 +275,11 @@ func (e *Endpoint) Addr(proto wire.Transport) string {
 }
 
 // Close tears down listeners and channels. Pending notifications fail with
-// ErrClosed. Both registries quiesce shard by shard in index order — every
-// outgoing shard is marked closed (no new channels, sends fail) before any
-// channel is torn down, then every inbound shard likewise before its
-// connections are closed — so shutdown stays deterministic regardless of
-// which peers were active.
+// ErrClosed. The outgoing registry quiesces shard by shard in index order —
+// every shard is marked closed (no new channels, sends fail) before any
+// channel is torn down — and the inbound set refuses registrations before
+// its connections are closed, so shutdown stays deterministic regardless
+// of which peers were active.
 func (e *Endpoint) Close() {
 	if !e.closing.CompareAndSwap(false, true) {
 		return
@@ -298,7 +295,7 @@ func (e *Endpoint) Close() {
 		s.mu.Unlock()
 	}
 
-	e.closeInbound()
+	e.inbound.closeAll()
 
 	if e.tcpLn != nil {
 		e.tcpLn.Close()
@@ -424,21 +421,7 @@ func (e *Endpoint) startTCP() error {
 		return err
 	}
 	e.tcpLn = ln
-	e.wg.Add(1)
-	go func() {
-		defer e.wg.Done()
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			e.wg.Add(1)
-			go func() {
-				defer e.wg.Done()
-				e.readFrames(wire.TCP, conn)
-			}()
-		}
-	}()
+	e.serve(wire.TCP, ln.Accept)
 	return nil
 }
 
@@ -452,22 +435,28 @@ func (e *Endpoint) startUDT() error {
 		return err
 	}
 	e.udtLn = ln
+	e.serve(wire.UDT, ln.Accept)
+	return nil
+}
+
+// serve runs a stream listener's accept loop: each accepted connection
+// gets its own read goroutine, until accept fails (the listener closed).
+func (e *Endpoint) serve(proto wire.Transport, accept func() (net.Conn, error)) {
 	e.wg.Add(1)
 	go func() {
 		defer e.wg.Done()
 		for {
-			conn, err := ln.Accept()
+			conn, err := accept()
 			if err != nil {
 				return
 			}
 			e.wg.Add(1)
 			go func() {
 				defer e.wg.Done()
-				e.readFrames(wire.UDT, conn)
+				e.readFrames(proto, conn)
 			}()
 		}
 	}()
-	return nil
 }
 
 func (e *Endpoint) startUDP() error {
@@ -530,18 +519,16 @@ func (e *Endpoint) deliver(from From, payload []byte) {
 
 // readFrames pumps length-prefixed frames from an inbound stream
 // connection to the message callback until the stream ends or the
-// endpoint closes. The connection lives in its peer's stripe of the
-// inbound registry for its whole life, so registration, per-frame
-// accounting, and teardown of connections from different peers never
-// contend.
+// endpoint closes. The connection is in the inbound set for its whole
+// life; per-frame accounting is on its own atomics.
 func (e *Endpoint) readFrames(proto wire.Transport, conn net.Conn) {
-	ic, ok := e.registerInbound(proto, conn)
+	ic, ok := e.inbound.add(proto, conn)
 	if !ok {
 		conn.Close()
 		return
 	}
 	defer func() {
-		e.dropInbound(ic)
+		e.inbound.remove(ic)
 		conn.Close()
 	}()
 	for {

@@ -13,10 +13,9 @@ import (
 )
 
 // TestVNodeFaninAcrossDecodeStage audits the vnet layer against the
-// parallel receive path: M sender hosts fan in to one receiver whose
-// decode stage runs several workers behind a tight inflight bound, and
-// whose two vnodes share every inbound connection's decode lane (the
-// lane key is the origin socket, not the vnode ID). Each (sender, vnode)
+// parallel receive path: M sender hosts fan in to one receiver whose two
+// vnodes share every inbound connection's decode lane (the lane key is
+// the origin socket, not the vnode ID). Each (sender, vnode)
 // stream must arrive in submission order even while frames from
 // different senders decode concurrently. Run under -race in CI.
 func TestVNodeFaninAcrossDecodeStage(t *testing.T) {
@@ -29,10 +28,9 @@ func TestVNodeFaninAcrossDecodeStage(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	mkNet := func(port int, cfg core.NetworkConfig) (*core.Network, *kompics.System) {
-		cfg.Self = core.MustParseAddress(fmt.Sprintf("127.0.0.1:%d", port))
-		cfg.Registry = reg
-		netDef, err := core.NewNetwork(cfg)
+	mkNet := func(port int) (*core.Network, *kompics.System) {
+		self := core.MustParseAddress(fmt.Sprintf("127.0.0.1:%d", port))
+		netDef, err := core.NewNetwork(core.NetworkConfig{Self: self, Registry: reg})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -51,10 +49,7 @@ func TestVNodeFaninAcrossDecodeStage(t *testing.T) {
 	}
 
 	recvPort := freeTestPort(t)
-	recvNet, recvSys := mkNet(recvPort, core.NetworkConfig{
-		DecodeWorkers:  4,
-		DecodeInflight: 8,
-	})
+	recvNet, recvSys := mkNet(recvPort)
 	vA, vB := &vnodeApp{}, &vnodeApp{}
 	aComp, bComp := recvSys.Create(vA), recvSys.Create(vB)
 	kompics.MustConnect(recvNet.Port(), vA.port,
@@ -68,7 +63,7 @@ func TestVNodeFaninAcrossDecodeStage(t *testing.T) {
 	srcs := make([]core.BasicAddress, senders)
 	for i := 0; i < senders; i++ {
 		port := freeTestPort(t)
-		sendNet, sendSys := mkNet(port, core.NetworkConfig{CodecWorkers: 2})
+		sendNet, sendSys := mkNet(port)
 		app := &vnodeApp{}
 		comp := sendSys.Create(app)
 		kompics.MustConnect(sendNet.Port(), app.port)

@@ -16,7 +16,7 @@ import (
 // parallel send path: two vnodes behind one remote endpoint share a codec
 // lane (the lane key is the host socket, not the vnode ID), so interleaved
 // traffic to both vnodes must arrive in per-vnode submission order even
-// while encode runs on multiple workers. Run under -race in CI.
+// while encode runs on the stage's workers. Run under -race in CI.
 func TestVNodeOrderAcrossCodecStage(t *testing.T) {
 	const perVNode = 120
 	reg := core.NewRegistry()
@@ -24,13 +24,9 @@ func TestVNodeOrderAcrossCodecStage(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	mkNet := func(port int, workers int) (*core.Network, *kompics.System) {
+	mkNet := func(port int) (*core.Network, *kompics.System) {
 		self := core.MustParseAddress(fmt.Sprintf("127.0.0.1:%d", port))
-		netDef, err := core.NewNetwork(core.NetworkConfig{
-			Self:         self,
-			Registry:     reg,
-			CodecWorkers: workers,
-		})
+		netDef, err := core.NewNetwork(core.NetworkConfig{Self: self, Registry: reg})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -49,8 +45,8 @@ func TestVNodeOrderAcrossCodecStage(t *testing.T) {
 	}
 
 	sendPort, recvPort := freeTestPort(t), freeTestPort(t)
-	sendNet, sendSys := mkNet(sendPort, 4)
-	recvNet, recvSys := mkNet(recvPort, 1)
+	sendNet, sendSys := mkNet(sendPort)
+	recvNet, recvSys := mkNet(recvPort)
 
 	sender := &vnodeApp{}
 	sendComp := sendSys.Create(sender)
