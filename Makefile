@@ -22,8 +22,6 @@ GO ?= go
 HOTPATH_PKGS = ./internal/core/ ./internal/transport/
 HOTPATH_OUT  = BENCH_hotpath.out
 UDT_OUT      = BENCH_udt.out
-SHARD_PKGS   = ./internal/transport/ ./internal/core/
-SHARD_OUT    = BENCH_shard.out
 FANIN_PKGS   = ./internal/transport/ ./internal/core/
 FANIN_OUT    = BENCH_fanin.out
 
@@ -37,7 +35,7 @@ QOS_PKGS = ./internal/transport/ ./internal/core/ ./internal/data/
 QOS_RUN  = 'QoS'
 QOS_OUT  = BENCH_qos.out
 
-.PHONY: check test test-faults test-recv test-qos build vet lint loc bench bench-hotpath bench-udt bench-shard bench-fanin bench-qos sim-campaign soak soak-smoke
+.PHONY: check test test-faults test-recv test-qos build vet lint loc bench bench-hotpath bench-udt bench-fanin bench-qos sim-campaign soak soak-smoke
 
 check:
 	$(GO) vet ./... && $(GO) run ./cmd/kmlint -audit-ignores ./... && $(GO) build ./... && $(GO) test -race ./...
@@ -75,15 +73,6 @@ bench-udt:
 	$(GO) test -bench UDT -run '^$$' -benchmem -benchtime 2s . | tee $(UDT_OUT)
 	$(GO) run ./cmd/benchjson -label current -out BENCH_udt.json < $(UDT_OUT)
 	@rm -f $(UDT_OUT)
-
-# bench-shard reruns the fan-out scaling benchmarks (BenchmarkFanoutSend /
-# BenchmarkFanoutSendNetwork) and refreshes the "current" section of
-# BENCH_shard.json; the frozen "baseline" section holds the pre-sharding
-# numbers. The benchmarks sweep GOMAXPROCS 1/4/NumCPU themselves.
-bench-shard:
-	$(GO) test -bench FanoutSend -run '^$$' -benchmem $(SHARD_PKGS) | tee $(SHARD_OUT)
-	$(GO) run ./cmd/benchjson -label current -out BENCH_shard.json < $(SHARD_OUT)
-	@rm -f $(SHARD_OUT)
 
 # bench-fanin reruns the fan-in scaling benchmarks (BenchmarkFaninReceive /
 # BenchmarkFaninReceiveNetwork) and refreshes the "current" section of

@@ -15,11 +15,11 @@ package core
 import (
 	"errors"
 
-	"github.com/kompics/kompicsmessaging-go/internal/bufpool"
+	"github.com/kompics/kompicsmessaging-go/internal/transport"
 )
 
-// errNetworkStopped fails sends whose encode or release raced the network
-// component stopping.
+// errNetworkStopped fails sends the codec stage abandoned because the
+// network component stopped before their encode ran.
 var errNetworkStopped = errors.New("core: network stopped")
 
 // codecJob is one outgoing message: what sendMsg decided on the component
@@ -40,17 +40,18 @@ type codecJob struct {
 	err     error
 }
 
-// codecStage is created in OnStart and closed first in OnStop/OnKill, on
-// the component thread, before the endpoint closes — so jobs already
-// encoded still reach Endpoint.SendQoS and fail through its ErrClosed
-// path.
+// codecStage is created in OnStart, bound to that start's endpoint the
+// way the decode stage is, and closed first in OnStop/OnKill, on the
+// component thread, before the endpoint closes — so jobs already encoded
+// still reach Endpoint.SendQoS and fail through its ErrClosed path.
 type codecStage struct {
 	n     *Network
+	ep    *transport.Endpoint
 	lanes *laneStage[codecJob]
 }
 
-func newCodecStage(n *Network) *codecStage {
-	st := &codecStage{n: n}
+func newCodecStage(n *Network, ep *transport.Endpoint) *codecStage {
+	st := &codecStage{n: n, ep: ep}
 	st.lanes = newLaneStage(n.stageLimit, st.encode, st.send, st.fail)
 	return st
 }
@@ -77,18 +78,12 @@ func (st *codecStage) send(j *codecJob) {
 		n.notify(j.id, j.want, j.err)
 		return
 	}
-	ep := n.endpoint()
-	if ep == nil {
-		bufpool.Put(j.payload)
-		n.notify(j.id, j.want, errNetworkStopped)
-		return
-	}
 	var cb func(error)
 	if j.want {
 		id := j.id
 		cb = func(err error) { n.comp.SelfTrigger(sendOutcome{id: id, err: err}) }
 	}
-	ep.SendQoS(j.proto, j.dest, j.payload, j.qos, cb)
+	st.ep.SendQoS(j.proto, j.dest, j.payload, j.qos, cb)
 }
 
 func (st *codecStage) fail(j *codecJob) {

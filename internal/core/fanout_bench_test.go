@@ -8,10 +8,10 @@ package core
 // stage (serialise + optional compress) that the parallel codec stage
 // lifts off the component thread. Run via
 //
-//	make bench-shard
+//	go test -bench FanoutSendNetwork -run '^$' -benchmem ./internal/core/
 //
 // The payload is incompressible so flate cannot flatter throughput; the
-// procs=N sub-name keeps -cpu 1,4,… runs distinct in BENCH_shard.json.
+// procs=N sub-name keeps each GOMAXPROCS level distinct.
 
 import (
 	"fmt"
@@ -193,7 +193,7 @@ func fanoutProcs() []int {
 // BenchmarkFanoutSendNetwork measures component-level fan-out throughput
 // (1 op = 1 message end to end: mailbox → encode → transport → decode).
 // GOMAXPROCS is set per sub-benchmark (instead of -cpu) so each level
-// keeps a distinct name in BENCH_shard.json.
+// keeps a distinct name.
 func BenchmarkFanoutSendNetwork(b *testing.B) {
 	for _, tc := range []struct {
 		name string

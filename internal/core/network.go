@@ -69,11 +69,6 @@ type NetworkConfig struct {
 	// Compressor wraps wire payloads (default flate, mirroring the
 	// paper's default-on Snappy handler). Use codec.Noop to disable.
 	Compressor codec.Compressor
-	// UDTPortOffset is added to a destination address's port for UDT
-	// traffic, matching the listener-side convention that UDT binds at
-	// ListenAddr port + offset (default 1; raw UDP and UDT cannot share
-	// one UDP port).
-	UDTPortOffset int
 	// Transport tunes the underlying endpoint (UDT config, frame limit).
 	Transport transport.Config
 	// Metrics, when set, receives this network's runtime metrics: status
@@ -142,9 +137,6 @@ func NewNetwork(cfg NetworkConfig) (*Network, error) {
 	if cfg.Logger == nil {
 		cfg.Logger = slog.Default()
 	}
-	if cfg.UDTPortOffset == 0 {
-		cfg.UDTPortOffset = 1
-	}
 	if cfg.Transport.Clock == nil {
 		cfg.Transport.Clock = clock.Real{}
 	}
@@ -200,7 +192,6 @@ func (n *Network) Init(ctx *kompics.Context) {
 
 	n.tcfg = n.cfg.Transport
 	n.tcfg.ListenAddr = n.cfg.ListenAddr
-	n.tcfg.UDTPortOffset = n.cfg.UDTPortOffset
 	if len(n.cfg.Protocols) > 0 {
 		n.tcfg.Protocols = n.cfg.Protocols
 	}
@@ -258,7 +249,7 @@ func (n *Network) Init(ctx *kompics.Context) {
 		}
 		n.setEndpoint(ep)
 		n.dstage = dst
-		n.stage = newCodecStage(n)
+		n.stage = newCodecStage(n, ep)
 	})
 	stop := func() {
 		// Codec stage first: its close waits for in-flight encodes, whose
@@ -307,7 +298,7 @@ func (n *Network) sendMsg(msg Msg, notifyID uint64, wantNotify bool) {
 	}
 	dest := dst.AsSocket()
 	if proto == UDT {
-		shifted, err := transport.OffsetPort(dest, n.cfg.UDTPortOffset)
+		shifted, err := transport.OffsetPort(dest, transport.UDTPortOffset)
 		if err != nil {
 			n.notify(notifyID, wantNotify, err)
 			return

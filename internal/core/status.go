@@ -12,7 +12,8 @@ import (
 // channel lifecycle (up, down, redial-with-backoff, transport fallback)
 // instead of discovering outages through failed notifies. Addresses in
 // the events are wire-level "host:port" destinations as transport sees
-// them — for UDT channels that includes the UDTPortOffset shift.
+// them — for UDT channels that includes the transport.UDTPortOffset
+// shift.
 var NetworkStatusPort = kompics.NewPortType("NetworkStatus").
 	Indication(ChannelUp{}).
 	Indication(ChannelDown{}).

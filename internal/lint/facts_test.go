@@ -91,11 +91,11 @@ func TestInferredTransferFacts(t *testing.T) {
 	}
 
 	// Read-only parameters must stay non-transfer, or bufleak would
-	// treat every helper call as a release: shardFor only hashes and
-	// indexes with dest, storing nothing.
-	shardFor := methodFact(t, facts, pkgs["internal/transport"], "Endpoint", "shardFor")
-	if shardFor.TransferParams[1] {
-		t.Error("Endpoint.shardFor: dest parameter inferred as transfer; inference is over-tainting")
+	// treat every helper call as a release: findChannel only indexes the
+	// registry with dest, storing nothing.
+	find := methodFact(t, facts, pkgs["internal/transport"], "Endpoint", "findChannel")
+	if find.TransferParams[1] {
+		t.Error("Endpoint.findChannel: dest parameter inferred as transfer; inference is over-tainting")
 	}
 }
 

@@ -12,8 +12,8 @@ import (
 //
 //   - A cycle through distinct classes: some goroutine can hold A wanting
 //     B while another holds B wanting A. The canonical clean patterns are
-//     sequential acquisition (fallbackToTCP locks each sendShard, then
-//     releases it, before touching the next) and deferred-unlock getters
+//     sequential acquisition (fallbackToTCP locks the registry, then
+//     releases it, before touching a channel) and deferred-unlock getters
 //     whose critical section ends before the caller takes its next lock —
 //     neither produces an edge.
 //   - Same-class (stripe) nesting: shard[j].mu acquired while shard[i].mu

@@ -7,12 +7,12 @@ import (
 	"strings"
 )
 
-// ShardLock enforces the striped-registry locking contract (DESIGN.md
-// "Sharded send path"): in a struct whose sync.Mutex/RWMutex field is
-// marked with a //kmlint:guarded comment, every map, slice, or channel
-// field declared after the mutex is guarded by it — the convention the
-// transport's sendShard, core's generic lane stage, and the endpoint's
-// inbound set all declare. Any read or write of a guarded field in code
+// ShardLock enforces the guarded-registry locking contract (DESIGN.md
+// "The outgoing channel registry"): in a struct whose sync.Mutex/RWMutex
+// field is marked with a //kmlint:guarded comment, every map, slice, or
+// channel field declared after the mutex is guarded by it — the
+// convention the transport's outgoing registry, core's generic lane
+// stage, and the endpoint's inbound set all declare. Any read or write of a guarded field in code
 // where that receiver's mutex is not held is flagged.
 //
 // The marker is opt-in on purpose: mutex-then-container is also the shape

@@ -167,7 +167,7 @@ func TestOutChannelDrainOnClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := newOutChannel(ep, ep.shardFor(wire.TCP, "127.0.0.1:1"), chanKey{proto: wire.TCP, dest: "127.0.0.1:1"})
+	c := newOutChannel(ep, chanKey{proto: wire.TCP, dest: "127.0.0.1:1"})
 
 	var mu sync.Mutex
 	var errs []error

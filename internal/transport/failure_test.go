@@ -282,7 +282,7 @@ func TestManyChannelsManyPeers(t *testing.T) {
 			}
 		}
 	}
-	if n := epA.numChannels(); n != peers {
+	if n := epA.QueueStats().Channels; n != peers {
 		t.Fatalf("registry has %d channels, want %d", n, peers)
 	}
 }

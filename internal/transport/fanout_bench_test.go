@@ -2,16 +2,16 @@ package transport
 
 // Fan-out benchmark for the send path: N receiver endpoints on real
 // loopback TCP sockets, GOMAXPROCS sender goroutines pushing messages
-// round-robin through ONE sender endpoint. This is the workload the
-// sharded registry targets — many peers behind a single endpoint (§II-B)
-// with concurrent producers — so it measures registry/queue contention,
-// not socket bandwidth (payloads are small). Run via
+// round-robin through ONE sender endpoint — many peers behind a single
+// endpoint (§II-B) with concurrent producers, so it measures contention
+// on the outgoing registry and channel queues, not socket bandwidth
+// (payloads are small). It is the evidence a striped registry would have
+// to win on (DESIGN.md §12). Run via
 //
-//	make bench-shard
+//	go test -bench FanoutSend -run '^$' -benchmem ./internal/transport/
 //
-// which records GOMAXPROCS 1, 4 and NumCPU sections into BENCH_shard.json.
-// The procs=N sub-name keeps the three -cpu runs distinct after benchjson
-// trims the -GOMAXPROCS suffix.
+// The benchmark sweeps GOMAXPROCS 1, 4 and NumCPU itself; the procs=N
+// sub-name keeps each level distinct.
 
 import (
 	"fmt"
@@ -122,7 +122,7 @@ func fanoutProcs() []int {
 // BenchmarkFanoutSend measures msgs/sec (1 op = 1 message) through one
 // endpoint to N loopback TCP peers with concurrent producers. GOMAXPROCS
 // is set per sub-benchmark (instead of -cpu) so each level keeps a
-// distinct name in BENCH_shard.json.
+// distinct name.
 func BenchmarkFanoutSend(b *testing.B) {
 	for _, peers := range []int{1, 16} {
 		for _, procs := range fanoutProcs() {

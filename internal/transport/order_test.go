@@ -34,19 +34,19 @@ func (c *seqCollector) count() int {
 	return len(c.seqs)
 }
 
-// TestSendOrderPropertyAcrossShards is the per-peer FIFO property test for
-// the striped registry: concurrent producers blast interleaved sends at K
-// peers (whose channels land in different shards), and every peer must
-// observe its own messages in submission order with exactly one notify per
-// send. Run under -race -count=3 in CI.
-func TestSendOrderPropertyAcrossShards(t *testing.T) {
+// TestSendOrderPropertyManyPeers is the per-peer FIFO property test for
+// the outgoing registry: concurrent producers blast interleaved sends at
+// K peers through the one registry mutex, and every peer must observe its
+// own messages in submission order with exactly one notify per send. Run
+// under -race -count=3 in CI.
+func TestSendOrderPropertyManyPeers(t *testing.T) {
 	leakCheck(t)
 	const (
 		peers   = 6
 		perPeer = 200
 	)
 	// One receiver endpoint per peer so each (proto, dest) key is a
-	// distinct shard entry on the sender.
+	// distinct registry entry on the sender.
 	recv := make([]*seqCollector, peers)
 	dests := make([]string, peers)
 	for i := range recv {
@@ -80,7 +80,7 @@ func TestSendOrderPropertyAcrossShards(t *testing.T) {
 	t.Cleanup(sender.Close)
 
 	// Each producer goroutine owns two peers, so per-peer submission order
-	// is that producer's program order while the shards themselves see
+	// is that producer's program order while the registry itself sees
 	// concurrent traffic.
 	var notified sync.WaitGroup
 	var mu sync.Mutex

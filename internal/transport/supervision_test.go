@@ -1,12 +1,16 @@
 package transport
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"github.com/kompics/kompicsmessaging-go/internal/bufpool"
 	"github.com/kompics/kompicsmessaging-go/internal/clock"
 	"github.com/kompics/kompicsmessaging-go/internal/faults"
 	"github.com/kompics/kompicsmessaging-go/internal/wire"
@@ -165,6 +169,119 @@ func TestUDTFallbackToTCP(t *testing.T) {
 	}
 }
 
+// TestUDTFallbackKeepsOrderUnderLoad streams numbered messages from
+// several producers at one UDT destination whose dial is refused, so the
+// channel degrades to TCP while sends are in flight. The messages queued
+// on the UDT channel must reach the TCP channel before any later send to
+// that destination: the receiver sees every producer's sequence in order,
+// each send notifies exactly once, and no buffer leaks.
+func TestUDTFallbackKeepsOrderUnderLoad(t *testing.T) {
+	leakCheck(t)
+	const (
+		producers = 4
+		perProd   = 300
+	)
+	inj := faults.New(1)
+	inj.Add(faults.Spec{Op: faults.OpDial, Action: faults.Refuse, Proto: wire.UDT})
+
+	port := pickFreePort(t)
+	var mu sync.Mutex
+	got := make([][]uint32, producers)
+	epB, err := NewEndpoint(Config{
+		ListenAddr: fmt.Sprintf("127.0.0.1:%d", port),
+		Protocols:  []wire.Transport{wire.TCP},
+		OnMessage: func(_ From, p []byte) {
+			prod, seq := binary.BigEndian.Uint32(p), binary.BigEndian.Uint32(p[4:])
+			bufpool.Put(p)
+			mu.Lock()
+			got[prod] = append(got[prod], seq)
+			mu.Unlock()
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := epB.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer epB.Close()
+
+	epA, err := NewEndpoint(Config{
+		ListenAddr:      "127.0.0.1:0",
+		OnMessage:       func(_ From, p []byte) { bufpool.Put(p) },
+		Faults:          inj,
+		MaxDialAttempts: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := epA.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer epA.Close()
+
+	udtAddr := fmt.Sprintf("127.0.0.1:%d", port+1)
+	var notified sync.WaitGroup
+	var failed, dups atomic.Int32
+	seen := make([]atomic.Bool, producers*perProd)
+	var wg sync.WaitGroup
+	for p := 0; p < producers; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			for seq := 0; seq < perProd; seq++ {
+				buf := bufpool.Get(8)
+				binary.BigEndian.PutUint32(buf, uint32(p))
+				binary.BigEndian.PutUint32(buf[4:], uint32(seq))
+				notified.Add(1)
+				epA.Send(wire.UDT, udtAddr, buf, func(err error) {
+					if err != nil {
+						failed.Add(1)
+					}
+					if seen[p*perProd+seq].Swap(true) {
+						dups.Add(1)
+					}
+					notified.Done()
+				})
+			}
+		}(p)
+	}
+	wg.Wait()
+	notified.Wait()
+	if n := failed.Load(); n != 0 {
+		t.Fatalf("%d sends failed across the fallback", n)
+	}
+
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		mu.Lock()
+		n := 0
+		for _, seqs := range got {
+			n += len(seqs)
+		}
+		mu.Unlock()
+		if n == producers*perProd {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("received %d of %d messages", n, producers*perProd)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if n := dups.Load(); n != 0 {
+		t.Fatalf("%d sends notified more than once", n)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for p, seqs := range got {
+		for i, s := range seqs {
+			if s != uint32(i) {
+				t.Fatalf("producer %d position %d: got seq %d — fallback reordered the stream", p, i, s)
+			}
+		}
+	}
+}
+
 // TestStalledWriteReleases parks an established channel's write on a
 // stall rule and confirms removing the rule lets the message through
 // unharmed — the injector's third failure mode next to refuse and reset.
@@ -271,9 +388,11 @@ func TestBlackholeUDPOneShot(t *testing.T) {
 
 // TestBackoffDelayCapsAndJitters checks the backoff policy directly:
 // doubling from the base, clamped at the max, jittered within [d/2, d),
-// and reproducible for a fixed seed.
+// and reproducible for a fixed seed — whatever GOMAXPROCS the endpoint
+// was built under and whichever other channels it already holds.
 func TestBackoffDelayCapsAndJitters(t *testing.T) {
-	mk := func() *outChannel {
+	mk := func(procs int, others ...string) *outChannel {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		ep, err := NewEndpoint(Config{
 			ListenAddr:       "127.0.0.1:0",
 			OnMessage:        func(From, []byte) {},
@@ -284,9 +403,15 @@ func TestBackoffDelayCapsAndJitters(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return newOutChannel(ep, ep.shardFor(wire.TCP, "x"), chanKey{proto: wire.TCP, dest: "x"})
+		ep.reg.mu.Lock()
+		for _, dest := range others {
+			key := chanKey{proto: wire.TCP, dest: dest}
+			ep.reg.channels[key] = newOutChannel(ep, key)
+		}
+		ep.reg.mu.Unlock()
+		return newOutChannel(ep, chanKey{proto: wire.TCP, dest: "z"})
 	}
-	c1, c2 := mk(), mk()
+	c1, c2 := mk(1), mk(16, "x", "y", "10.0.0.1:7000")
 	var prev time.Duration
 	for attempt := 1; attempt <= 6; attempt++ {
 		full := 100 * time.Millisecond << (attempt - 1)

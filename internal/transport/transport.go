@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math/rand"
 	"net"
 	"net/netip"
 	"strconv"
@@ -53,6 +54,14 @@ var (
 // room for middleware headers.
 const maxUDPPayload = 63 << 10
 
+// UDTPortOffset is the wire convention for UDT: a node's UDT listener
+// binds its listen port + UDTPortOffset, because raw UDP and UDT (which
+// runs over UDP) cannot share one UDP port. Dialers shift UDT
+// destinations by the same offset, and UDT→TCP fallback un-shifts it.
+// Port 0 (ephemeral; tests query Addr for the real binding) is never
+// shifted.
+const UDTPortOffset = 1
+
 // Config parameterises an Endpoint.
 type Config struct {
 	// ListenAddr is the base "host:port" to bind. The same port number
@@ -65,13 +74,6 @@ type Config struct {
 	MaxFrame int
 	// DialTimeout bounds outgoing connection establishment (default 5 s).
 	DialTimeout time.Duration
-	// UDTPortOffset shifts the UDT listener's port relative to
-	// ListenAddr, because raw UDP and UDT (which runs over UDP) cannot
-	// share one UDP port (default 1). Ignored when the listen port is 0
-	// (ephemeral; tests query Addr for the real binding). Dialers apply
-	// the same convention to destinations themselves — core.Network does
-	// so with its own UDTPortOffset setting.
-	UDTPortOffset int
 	// UDT tunes the UDT transport.
 	UDT udt.Config
 	// MaxPendingPerPeer bounds the messages queued per (protocol,
@@ -96,8 +98,6 @@ type Config struct {
 	// BackoffSeed seeds the jitter PRNG so supervision timing replays
 	// deterministically (default 1).
 	BackoffSeed int64
-	// DisableFallback turns off UDT→TCP degradation after dial give-up.
-	DisableFallback bool
 	// Clock schedules redial backoff (default clock.Real). Tests inject
 	// clock.Virtual to script outage/recovery without real waiting.
 	Clock clock.Clock
@@ -141,9 +141,6 @@ func (c Config) withDefaults() Config {
 	if c.DialTimeout <= 0 {
 		c.DialTimeout = 5 * time.Second
 	}
-	if c.UDTPortOffset == 0 {
-		c.UDTPortOffset = 1
-	}
 	if c.MaxPendingPerPeer <= 0 {
 		c.MaxPendingPerPeer = 4096
 	}
@@ -174,11 +171,9 @@ func (c Config) withDefaults() Config {
 // Endpoint owns this host's listeners and outgoing channels. One Endpoint
 // backs one wire.Network component.
 //
-// The outgoing registry is striped across sendShards (see shard.go): all
-// per-peer state — channel, fallback entry, backoff PRNG — lives in the
-// shard its (protocol, destination) key hashes to, so operations on
-// different peers never contend. Inbound connections live in one
-// unstriped set (see inbound.go).
+// Outgoing channels, UDT→TCP fallback entries and the backoff PRNG live
+// in one mutex-guarded registry (see registry.go); inbound connections
+// live in one set (see inbound.go).
 type Endpoint struct {
 	cfg Config
 
@@ -186,15 +181,8 @@ type Endpoint struct {
 	udtLn   *udt.Listener
 	udpSock *net.UDPConn
 
-	// shards hold the outgoing channel registry; the slice is immutable
-	// after NewEndpoint and its length is a power of two.
-	shards []*sendShard
-
+	reg     registry
 	inbound inboundSet
-
-	// closing flips exactly once; shard closed flags (set in index order
-	// by Close) are what gate the send path.
-	closing atomic.Bool
 
 	// dropCounts aggregates queue-policy drops per (class, reason);
 	// written by the channels' drop path, read by DropStats.
@@ -227,8 +215,12 @@ func NewEndpoint(cfg Config) (*Endpoint, error) {
 	}
 	cfg = cfg.withDefaults()
 	return &Endpoint{
-		cfg:      cfg,
-		shards:   newSendShards(cfg.BackoffSeed),
+		cfg: cfg,
+		reg: registry{
+			channels:  make(map[chanKey]*outChannel),
+			fallbacks: make(map[string]string),
+			rng:       rand.New(rand.NewSource(cfg.BackoffSeed)),
+		},
 		inbound:  inboundSet{conns: make(map[*inConn]struct{})},
 		dropWarn: stats.NewLogLimiter(cfg.Clock, dropWarnBurst, dropWarnRefillPerSec),
 	}, nil
@@ -274,26 +266,25 @@ func (e *Endpoint) Addr(proto wire.Transport) string {
 	return ""
 }
 
-// Close tears down listeners and channels. Pending notifications fail with
-// ErrClosed. The outgoing registry quiesces shard by shard in index order —
-// every shard is marked closed (no new channels, sends fail) before any
-// channel is torn down — and the inbound set refuses registrations before
-// its connections are closed, so shutdown stays deterministic regardless
-// of which peers were active.
+// Close tears down listeners and channels; it is idempotent. Pending
+// notifications fail with ErrClosed. The outgoing registry is marked
+// closed (no new channels, sends fail) before any channel is torn down,
+// and the inbound set refuses registrations before its connections are
+// closed, so shutdown stays deterministic regardless of which peers were
+// active.
 func (e *Endpoint) Close() {
-	if !e.closing.CompareAndSwap(false, true) {
+	e.reg.mu.Lock()
+	if e.reg.closed {
+		e.reg.mu.Unlock()
 		return
 	}
-	var chans []*outChannel
-	for _, s := range e.shards {
-		s.mu.Lock()
-		s.closed = true
-		for _, c := range s.channels {
-			chans = append(chans, c)
-		}
-		s.channels = map[chanKey]*outChannel{}
-		s.mu.Unlock()
+	e.reg.closed = true
+	chans := make([]*outChannel, 0, len(e.reg.channels))
+	for _, c := range e.reg.channels {
+		chans = append(chans, c)
 	}
+	e.reg.channels = map[chanKey]*outChannel{}
+	e.reg.mu.Unlock()
 
 	e.inbound.closeAll()
 
@@ -345,42 +336,30 @@ func (e *Endpoint) SendQoS(proto wire.Transport, dest string, payload []byte, qo
 		fail(fmt.Errorf("%w: %d bytes over %v", ErrTooLarge, len(payload), proto))
 		return
 	}
-	s := e.shardFor(proto, dest)
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
+	e.reg.mu.Lock()
+	if e.reg.closed {
+		e.reg.mu.Unlock()
 		fail(ErrClosed)
 		return
 	}
 	if proto == wire.UDT {
-		if tcpDest, ok := s.fallbacks[dest]; ok {
-			// The TCP replacement hashes to its own shard; drop this one
-			// and re-enter there.
-			s.mu.Unlock()
+		if tcpDest, ok := e.reg.fallbacks[dest]; ok {
 			proto, dest = wire.TCP, tcpDest
-			s = e.shardFor(proto, dest)
-			s.mu.Lock()
-			if s.closed {
-				s.mu.Unlock()
-				fail(ErrClosed)
-				return
-			}
 		}
 	}
-	ch := e.channelLocked(s, proto, dest)
-	s.mu.Unlock()
+	ch := e.channelLocked(proto, dest)
+	e.reg.mu.Unlock()
 	ch.enqueue(outMsg{payload: payload, qos: qos, notify: notify})
 }
 
 // channelLocked returns the out-channel for (proto, dest), creating it
-// (and its run goroutine) on first use. Caller holds s.mu, the shard
-// (proto, dest) hashes to.
-func (e *Endpoint) channelLocked(s *sendShard, proto wire.Transport, dest string) *outChannel {
+// (and its run goroutine) on first use. Caller holds e.reg.mu.
+func (e *Endpoint) channelLocked(proto wire.Transport, dest string) *outChannel {
 	key := chanKey{proto: proto, dest: dest}
-	ch, ok := s.channels[key]
+	ch, ok := e.reg.channels[key]
 	if !ok {
-		ch = newOutChannel(e, s, key)
-		s.channels[key] = ch
+		ch = newOutChannel(e, key)
+		e.reg.channels[key] = ch
 		e.wg.Add(1)
 		go func() {
 			defer e.wg.Done()
@@ -405,12 +384,12 @@ func (e *Endpoint) ChannelState(proto wire.Transport, dest string) (ChannelState
 
 // dropChannel removes a failed channel so the next Send redials.
 func (c *outChannel) dropChannel() {
-	s := c.shard
-	s.mu.Lock()
-	if s.channels[c.key] == c {
-		delete(s.channels, c.key)
+	r := &c.ep.reg
+	r.mu.Lock()
+	if r.channels[c.key] == c {
+		delete(r.channels, c.key)
 	}
-	s.mu.Unlock()
+	r.mu.Unlock()
 }
 
 // --- listeners -----------------------------------------------------------------
@@ -426,7 +405,7 @@ func (e *Endpoint) startTCP() error {
 }
 
 func (e *Endpoint) startUDT() error {
-	addr, err := OffsetPort(e.cfg.ListenAddr, e.cfg.UDTPortOffset)
+	addr, err := OffsetPort(e.cfg.ListenAddr, UDTPortOffset)
 	if err != nil {
 		return err
 	}
@@ -579,11 +558,8 @@ const maxIdleQueueCap = 1024
 // as possible (Netty-style flush batching), preserving per-message notify
 // order.
 type outChannel struct {
-	ep *Endpoint
-	// shard is the registry stripe this channel's key hashes to; the
-	// channel deregisters itself there (give-up, fallback).
-	shard *sendShard
-	key   chanKey
+	ep  *Endpoint
+	key chanKey
 
 	// udpAddr caches the resolved destination for datagram sends from the
 	// shared listening socket; written once by run's dial, read only by
@@ -610,12 +586,15 @@ type outChannel struct {
 	redialWake bool
 	// redirect, when set on a closed channel, forwards late enqueues
 	// instead of failing them (used by UDT→TCP fallback so sends racing
-	// the switchover are not lost).
+	// the switchover are not lost). moving is set while fallbackToTCP
+	// hands the old queue across; late enqueues wait it out so they land
+	// behind that queue.
 	redirect *outChannel
+	moving   bool
 }
 
-func newOutChannel(ep *Endpoint, shard *sendShard, key chanKey) *outChannel {
-	c := &outChannel{ep: ep, shard: shard, key: key, state: StateConnecting}
+func newOutChannel(ep *Endpoint, key chanKey) *outChannel {
+	c := &outChannel{ep: ep, key: key, state: StateConnecting}
 	c.pq = ep.cfg.QueuePolicy.NewQueue(ep.cfg.MaxPendingPerPeer)
 	c.timed = ep.cfg.QueuePolicy.NeedsTime()
 	c.cond = sync.NewCond(&c.mu)
@@ -632,6 +611,9 @@ func (c *outChannel) enqueue(m outMsg) {
 		now = c.ep.cfg.Clock.Now().UnixNano()
 	}
 	c.mu.Lock()
+	for c.moving {
+		c.cond.Wait()
+	}
 	if c.closed {
 		redir, err := c.redirect, c.err
 		c.mu.Unlock()
@@ -677,61 +659,49 @@ func (c *outChannel) enqueue(m outMsg) {
 //
 // Under a timed policy the queue is run through Expire first, so a
 // message that out-waited its deadline — including across an outage's
-// redial backoff — is shed here instead of written. The timestamp is
-// read between two critical sections (same clock lock-order constraint
-// as enqueue); that is safe because only this goroutine drains, so the
-// queue can only have grown in between.
+// redial backoff — is shed here instead of written; the casualties are
+// released outside mu and the queue is looked at again. The timestamp is
+// read with mu released (same clock lock-order constraint as enqueue);
+// that is safe because only this goroutine drains, so the queue can only
+// have grown in between. The default policy never reads the clock.
 func (c *outChannel) nextBatch() ([]outMsg, bool) {
-	if !c.timed {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		for len(c.queue) == 0 && !c.closed {
-			c.cond.Wait()
-		}
-		if c.closed {
-			return nil, false
-		}
-		c.drainLocked()
-		return c.batch, true
-	}
+	c.mu.Lock()
 	for {
-		c.mu.Lock()
 		for len(c.queue) == 0 && !c.closed {
 			c.cond.Wait()
 		}
 		if c.closed {
 			c.mu.Unlock()
 			return nil, false
+		}
+		if !c.timed {
+			break
 		}
 		c.mu.Unlock()
 		now := c.ep.cfg.Clock.Now().UnixNano()
 		c.mu.Lock()
 		if c.closed {
-			c.mu.Unlock()
-			return nil, false
+			continue
 		}
 		q, expired := c.pq.Expire(c.queue, now)
 		c.queue = q
+		if len(expired) == 0 {
+			break
+		}
 		// Expired is policy scratch, valid only under mu (a concurrent
 		// Push may reuse it): copy before unlocking. Expiry sweeps are
 		// off the happy path, so the allocation is acceptable.
-		var drops []dropped
-		if len(expired) > 0 {
-			drops = append(drops, expired...)
-		}
+		drops := append([]dropped(nil), expired...)
 		if len(c.queue) == 0 {
-			// Everything queued had expired; release the casualties and
-			// go back to waiting for live messages.
 			c.pq.Drained()
-			c.mu.Unlock()
-			c.dropMsgs(drops)
-			continue
 		}
-		c.drainLocked()
 		c.mu.Unlock()
 		c.dropMsgs(drops)
-		return c.batch, true
+		c.mu.Lock()
 	}
+	c.drainLocked()
+	c.mu.Unlock()
+	return c.batch, true
 }
 
 // drainLocked moves the whole queue into the batch scratch and resets the
@@ -862,7 +832,7 @@ func (c *outChannel) run() {
 				return // endpoint closed the channel while it waited
 			}
 			// Attempts exhausted: degrade UDT to TCP, or give up.
-			if c.key.proto == wire.UDT && !c.ep.cfg.DisableFallback && c.ep.fallbackToTCP(c, err) {
+			if c.key.proto == wire.UDT && c.ep.fallbackToTCP(c, err) {
 				return
 			}
 			c.dropChannel()
@@ -969,7 +939,7 @@ func (c *outChannel) backoffDelay(attempt int) time.Duration {
 	if half <= 0 {
 		return d
 	}
-	return half + c.shard.jitter(half)
+	return half + c.ep.reg.jitter(half)
 }
 
 // fallbackToTCP reroutes a UDT channel whose dial attempts are
@@ -980,54 +950,52 @@ func (c *outChannel) backoffDelay(attempt int) time.Duration {
 // destination follow until the endpoint restarts. Returns false when no
 // fallback is possible (endpoint closed, or unparseable destination).
 //
-// The fallback entry lives in the UDT key's shard; the TCP channel lives
-// in its own. The two shards are locked one after the other, never
-// nested, so no cross-shard lock order exists. A Send that reads the
-// fallback entry before the TCP channel exists simply creates it.
+// Per-destination FIFO holds across the switch: the UDT channel stays
+// registered, and the fallback entry unpublished, until its queue sits
+// in the TCP channel, and enqueues that reach the closed UDT channel
+// meanwhile wait for the move before following the redirect. The
+// registry and channel mutexes are taken one after the other, never
+// nested.
 func (e *Endpoint) fallbackToTCP(c *outChannel, dialErr error) bool {
-	tcpDest, err := OffsetPort(c.key.dest, -e.cfg.UDTPortOffset)
+	tcpDest, err := OffsetPort(c.key.dest, -UDTPortOffset)
 	if err != nil {
 		return false
 	}
-	us := c.shard
-	us.mu.Lock()
-	if us.closed {
-		us.mu.Unlock()
-		return false
-	}
-	if us.channels[c.key] == c {
-		delete(us.channels, c.key)
-	}
-	us.fallbacks[c.key.dest] = tcpDest
-	us.mu.Unlock()
-
-	ts := e.shardFor(wire.TCP, tcpDest)
-	ts.mu.Lock()
-	if ts.closed {
-		// Endpoint shut down between the two shard sections; the caller
-		// fails the queue, which is where a closing endpoint ends up
-		// anyway.
-		ts.mu.Unlock()
-		return false
-	}
-	tcp := e.channelLocked(ts, wire.TCP, tcpDest)
-	ts.mu.Unlock()
-
+	// Announce the switch before the TCP channel exists, so its first Up
+	// cannot overtake the Fallback event.
 	c.setState(StateDraining)
 	c.emit(StatusEvent{Kind: StatusFallback, To: wire.TCP, ToDest: tcpDest, Err: dialErr})
+	e.reg.mu.Lock()
+	if e.reg.closed {
+		e.reg.mu.Unlock()
+		return false
+	}
+	tcp := e.channelLocked(wire.TCP, tcpDest)
+	e.reg.mu.Unlock()
 	c.mu.Lock()
 	c.closed = true
 	c.err = ErrClosed
 	c.redirect = tcp
+	c.moving = true
 	pending := c.queue
 	c.queue = nil
 	c.pq.Drained()
 	c.state = StateDown
 	c.mu.Unlock()
-	c.cond.Broadcast()
 	for _, m := range pending {
 		tcp.enqueue(m)
 	}
+	c.mu.Lock()
+	c.moving = false
+	c.mu.Unlock()
+	c.cond.Broadcast()
+
+	e.reg.mu.Lock()
+	if e.reg.channels[c.key] == c {
+		delete(e.reg.channels, c.key)
+	}
+	e.reg.fallbacks[c.key.dest] = tcpDest
+	e.reg.mu.Unlock()
 	return true
 }
 

@@ -170,7 +170,7 @@ func TestChannelReuse(t *testing.T) {
 		a.Send(wire.TCP, b.Addr(wire.TCP), pooled(string(rune(i))), nil)
 	}
 	waitCount(t, cb, 5)
-	if nchan := a.numChannels(); nchan != 1 {
+	if nchan := a.QueueStats().Channels; nchan != 1 {
 		t.Fatalf("5 sends created %d channels, want 1", nchan)
 	}
 }
