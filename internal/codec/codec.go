@@ -13,6 +13,7 @@
 package codec
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -171,6 +172,23 @@ func readSmall(r io.Reader, p []byte) error {
 	case *bytes.Buffer:
 		n, _ := cr.Read(p)
 		return fullReadErr(n, len(p))
+	case *bufio.Reader:
+		// Peek fills the buffer until len(p) bytes are there or the
+		// stream fails; bufio.Reader.Read would hand p to the underlying
+		// reader and make it escape.
+		b, err := cr.Peek(len(p))
+		n := copy(p, b)
+		cr.Discard(n)
+		switch {
+		case n == len(p):
+			return nil
+		case err != io.EOF:
+			return err
+		case n == 0:
+			return io.EOF
+		default:
+			return io.ErrUnexpectedEOF
+		}
 	}
 	a, err := readSmallSlow(r, len(p))
 	copy(p, a[:])

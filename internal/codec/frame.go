@@ -1,6 +1,7 @@
 package codec
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -76,10 +77,28 @@ func WriteFrameVectored(w io.Writer, payload []byte, maxFrame int) (int, error) 
 	return int(n), err
 }
 
+// readBufSize is the read buffer NewFrameReader puts in front of a stream.
+// One read(2) fills it with as many frames as the socket holds, instead of
+// two reads per frame on the bare connection.
+const readBufSize = 32 << 10
+
+// NewFrameReader wraps an inbound stream in the read buffer ReadFrame cuts
+// frames out of. Headers and small payloads are copied out of the buffer;
+// once the rest of a payload is at least readBufSize, bufio reads it
+// straight into the payload's pooled buffer, so a large frame passes
+// through the read buffer for at most one buffer's worth of copying.
+//
+// Worth it only where each Read is a syscall: a reader that is itself a
+// userspace copy (udt.Conn) gains nothing and pays an extra copy.
+func NewFrameReader(r io.Reader) *bufio.Reader {
+	return bufio.NewReaderSize(r, readBufSize)
+}
+
 // ReadFrame reads one length-prefixed frame into a buffer drawn from
 // bufpool. io.EOF is returned unchanged when the stream ends cleanly
 // between frames; a stream that ends mid-header or mid-payload yields
-// io.ErrUnexpectedEOF.
+// io.ErrUnexpectedEOF. An oversized length fails with ErrFrameTooLarge
+// before any payload byte is read.
 //
 // Ownership: the returned buffer belongs to the caller, who should return
 // it with bufpool.Put once the payload has been consumed (dropping it is

@@ -1,9 +1,15 @@
 package codec
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"io"
 	"testing"
 	"testing/quick"
+
+	"github.com/kompics/kompicsmessaging-go/internal/bufpool"
 )
 
 // TestPropertyDecodeNeverPanicsOnGarbage feeds arbitrary bytes through
@@ -21,7 +27,6 @@ func TestPropertyDecodeNeverPanicsOnGarbage(t *testing.T) {
 			}
 		}()
 		_, _ = reg.Decode(bytes.NewReader(b))
-		_, _ = ReadFrame(bytes.NewReader(b), 0)
 		_, _ = ReadBytes(bytes.NewReader(b))
 		_, _ = ReadString(bytes.NewReader(b))
 		_, _ = ReadUvarint(bytes.NewReader(b))
@@ -33,4 +38,55 @@ func TestPropertyDecodeNeverPanicsOnGarbage(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// fuzzMaxFrame keeps the fuzzer's frame limit small, so oversized lengths
+// are common and legal payloads are still larger than its read buffer.
+const fuzzMaxFrame = 64
+
+// FuzzReadFrame feeds arbitrary bytes — a peer controls every one of them
+// — through ReadFrame behind a minimal bufio.Reader, so payloads cross the
+// buffer edge and the direct-read path. ReadFrame must not panic, must
+// never return a payload over the limit, and the payloads it returns,
+// framed again, must reproduce exactly the prefix it consumed. Where it
+// stops must match the error: io.EOF at the very end, ErrFrameTooLarge at
+// an oversized length, io.ErrUnexpectedEOF at a cut-short frame.
+// The seed corpus is in testdata/fuzz/FuzzReadFrame.
+func FuzzReadFrame(f *testing.F) {
+	f.Fuzz(func(t *testing.T, b []byte) {
+		r := bufio.NewReaderSize(bytes.NewReader(b), 16)
+		var reframed []byte
+		var err error
+		for {
+			var p []byte
+			if p, err = ReadFrame(r, fuzzMaxFrame); err != nil {
+				break
+			}
+			if len(p) > fuzzMaxFrame {
+				t.Fatalf("payload of %d B over the %d B limit", len(p), fuzzMaxFrame)
+			}
+			reframed = AppendFrame(reframed, p)
+			bufpool.Put(p)
+		}
+		if !bytes.HasPrefix(b, reframed) {
+			t.Fatalf("re-framed payloads are not a prefix of the input")
+		}
+		rest := b[len(reframed):]
+		switch {
+		case err == io.EOF:
+			if len(rest) != 0 {
+				t.Fatalf("io.EOF with %d bytes unread", len(rest))
+			}
+		case errors.Is(err, ErrFrameTooLarge):
+			if len(rest) < FrameHeaderLen || binary.BigEndian.Uint32(rest) <= fuzzMaxFrame {
+				t.Fatalf("ErrFrameTooLarge on a legal or missing header % x", rest[:min(len(rest), FrameHeaderLen)])
+			}
+		case err == io.ErrUnexpectedEOF:
+			if len(rest) >= FrameHeaderLen && len(rest)-FrameHeaderLen >= int(binary.BigEndian.Uint32(rest)) {
+				t.Fatalf("io.ErrUnexpectedEOF on a complete frame")
+			}
+		default:
+			t.Fatalf("unexpected error %v", err)
+		}
+	})
 }

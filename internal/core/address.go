@@ -16,6 +16,8 @@ type Address interface {
 	// Port returns the endpoint's port.
 	Port() int
 	// AsSocket renders the address as ip:port for dialing and listening.
+	// It must depend on IP and Port alone: the Network caches the
+	// rendering per (IP, port).
 	AsSocket() string
 	// SameHostAs reports whether other designates the same network host
 	// (IP and port), ignoring any higher-level identity. The Network

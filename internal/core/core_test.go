@@ -2,9 +2,12 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"net"
 	"testing"
 	"testing/quick"
+
+	"github.com/kompics/kompicsmessaging-go/internal/transport"
 )
 
 // --- Transport -----------------------------------------------------------------
@@ -37,6 +40,69 @@ func TestTransportStringAndPredicates(t *testing.T) {
 }
 
 // --- Address ---------------------------------------------------------------------
+
+// hostnameAddress has no IP form: the network formats it per message.
+type hostnameAddress struct{ host string }
+
+func (a hostnameAddress) IP() net.IP                { return nil }
+func (a hostnameAddress) Port() int                 { return 7000 }
+func (a hostnameAddress) AsSocket() string          { return a.host + ":7000" }
+func (a hostnameAddress) SameHostAs(o Address) bool { return false }
+
+// TestWireDestCache checks the per-destination wire string cache: cached
+// strings equal AsSocket's (UDT's shifted by transport.UDTPortOffset), a
+// hit allocates nothing, an address without an IP form is never cached,
+// and the cache stays bounded.
+func TestWireDestCache(t *testing.T) {
+	n, err := NewNetwork(NetworkConfig{Self: MustParseAddress("127.0.0.1:1")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	addrs := []Address{
+		MustParseAddress("10.0.0.1:5000"),
+		NewAddress(net.ParseIP("10.0.0.1"), 5000), // 16-byte form, same key
+		MustParseAddress("[::1]:7000"),
+		MustParseAddress("10.0.0.2:0"), // ephemeral: no UDT shift
+	}
+	for _, a := range addrs {
+		for _, proto := range []Transport{TCP, UDP, UDT} {
+			want := a.AsSocket()
+			if proto == UDT && a.Port() != 0 {
+				want = net.JoinHostPort(a.IP().String(), fmt.Sprint(a.Port()+transport.UDTPortOffset))
+			}
+			for pass := 0; pass < 2; pass++ { // miss, then hit
+				got, err := n.wireDest(a, proto)
+				if err != nil || got != want {
+					t.Fatalf("wireDest(%v, %v) pass %d = %q, %v; want %q", a, proto, pass, got, err, want)
+				}
+			}
+		}
+	}
+	if got, want := len(n.dests), 3*(len(addrs)-1); got != want {
+		t.Fatalf("cache holds %d entries, want %d", got, want)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { n.wireDest(addrs[0], UDT) }); allocs != 0 {
+		t.Fatalf("cached wireDest allocates %v times", allocs)
+	}
+
+	host := hostnameAddress{host: "node.example"}
+	if got, err := n.wireDest(host, TCP); err != nil || got != host.AsSocket() {
+		t.Fatalf("hostname address over TCP = %q, %v", got, err)
+	}
+	if got, err := n.wireDest(host, UDT); err != nil || got != "node.example:"+fmt.Sprint(7000+transport.UDTPortOffset) {
+		t.Fatalf("hostname address over UDT = %q, %v", got, err)
+	}
+	if got, want := len(n.dests), 3*(len(addrs)-1); got != want {
+		t.Fatalf("hostname address was cached: %d entries, want %d", got, want)
+	}
+
+	for i := 0; i <= maxDestCache; i++ {
+		n.wireDest(NewAddress(net.IPv4(10, 1, byte(i>>8), byte(i)), 4000), TCP)
+	}
+	if len(n.dests) > maxDestCache {
+		t.Fatalf("cache grew to %d entries, bound %d", len(n.dests), maxDestCache)
+	}
+}
 
 func TestParseAddress(t *testing.T) {
 	a, err := ParseAddress("127.0.0.1:8080")

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"math"
+	"net/netip"
 	"sync"
 
 	"github.com/kompics/kompicsmessaging-go/internal/bufpool"
@@ -115,7 +117,22 @@ type Network struct {
 	dstage *decodeStage
 	// warnLimit throttles the dropping-unsendable-message warn.
 	warnLimit *stats.LogLimiter
+	// dests caches each destination's wire string (wireDest); touched only
+	// on the component thread, so it needs no lock.
+	dests map[destKey]string
 }
+
+// destKey identifies a cached wire destination: an address's IP and port,
+// and the protocol, which decides the port offset.
+type destKey struct {
+	addr  netip.AddrPort
+	proto Transport
+}
+
+// maxDestCache bounds the destination cache; past it the cache resets,
+// trading one formatting per destination for a bounded footprint under
+// address churn (the same shape as transport's UDP peer cache).
+const maxDestCache = 1 << 14
 
 var _ kompics.Definition = (*Network)(nil)
 
@@ -296,14 +313,10 @@ func (n *Network) sendMsg(msg Msg, notifyID uint64, wantNotify bool) {
 			fmt.Errorf("core: cannot send %v message without a DATA interceptor", proto))
 		return
 	}
-	dest := dst.AsSocket()
-	if proto == UDT {
-		shifted, err := transport.OffsetPort(dest, transport.UDTPortOffset)
-		if err != nil {
-			n.notify(notifyID, wantNotify, err)
-			return
-		}
-		dest = shifted
+	dest, err := n.wireDest(dst, proto)
+	if err != nil {
+		n.notify(notifyID, wantNotify, err)
+		return
 	}
 	if n.stage == nil {
 		n.notify(notifyID, wantNotify, errors.New("core: network not started"))
@@ -313,6 +326,42 @@ func (n *Network) sendMsg(msg Msg, notifyID uint64, wantNotify bool) {
 	// Endpoint.SendQoS in per-(proto, dest) submission order, carrying the
 	// header's QoS annotation to the transport's queue policy.
 	n.stage.submit(msg, proto, dest, HeaderQoS(hdr), notifyID, wantNotify)
+}
+
+// wireDest returns the transport's destination string for dst over proto:
+// its socket address, shifted to the UDT listener's port for UDT.
+// Formatting it costs several allocations (and UDT a parse on top), so
+// addresses with an IP form are cached per (ip:port, proto); Address
+// requires AsSocket to be rendered from IP and port alone. An address
+// without an IP form is formatted every time.
+func (n *Network) wireDest(dst Address, proto Transport) (string, error) {
+	ip, ok := netip.AddrFromSlice(dst.IP())
+	port := dst.Port()
+	if !ok || port < 0 || port > math.MaxUint16 {
+		return formatDest(dst, proto)
+	}
+	key := destKey{netip.AddrPortFrom(ip.Unmap(), uint16(port)), proto}
+	if dest, ok := n.dests[key]; ok {
+		return dest, nil
+	}
+	dest, err := formatDest(dst, proto)
+	if err != nil {
+		return "", err
+	}
+	if n.dests == nil || len(n.dests) >= maxDestCache {
+		n.dests = make(map[destKey]string)
+	}
+	n.dests[key] = dest
+	return dest, nil
+}
+
+// formatDest renders dst's wire destination for proto from scratch.
+func formatDest(dst Address, proto Transport) (string, error) {
+	dest := dst.AsSocket()
+	if proto == UDT {
+		return transport.OffsetPort(dest, transport.UDTPortOffset)
+	}
+	return dest, nil
 }
 
 // The token bucket throttling notify's warn: warnBurst lines at once,

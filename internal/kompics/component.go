@@ -49,8 +49,8 @@ type Component struct {
 	self    *Port // loopback for thread-safe self-triggering
 
 	mu        sync.Mutex
-	controlq  []queuedEvent // control events take priority and bypass gating
-	mailbox   []queuedEvent
+	controlq  ring[queuedEvent] // control events take priority and bypass gating
+	mailbox   ring[queuedEvent]
 	scheduled bool
 	started   bool
 	halted    bool
@@ -90,9 +90,9 @@ func (c *Component) enqueue(p *Port, e Event) {
 		return
 	}
 	if p == c.control {
-		c.controlq = append(c.controlq, queuedEvent{port: p, event: e})
+		c.controlq.push(queuedEvent{port: p, event: e})
 	} else {
-		c.mailbox = append(c.mailbox, queuedEvent{port: p, event: e})
+		c.mailbox.push(queuedEvent{port: p, event: e})
 	}
 	schedule := !c.scheduled
 	if schedule {
@@ -111,18 +111,14 @@ func (c *Component) enqueue(p *Port, e Event) {
 func (c *Component) next() (queuedEvent, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if len(c.controlq) > 0 {
-		qe := c.controlq[0]
-		c.controlq = c.controlq[1:]
-		return qe, true
+	if c.controlq.n > 0 {
+		return c.controlq.pop(), true
 	}
 	if !c.started || c.halted {
 		return queuedEvent{}, false
 	}
-	if len(c.mailbox) > 0 {
-		qe := c.mailbox[0]
-		c.mailbox = c.mailbox[1:]
-		return qe, true
+	if c.mailbox.n > 0 {
+		return c.mailbox.pop(), true
 	}
 	return queuedEvent{}, false
 }
@@ -140,7 +136,7 @@ func (c *Component) execute(max int) bool {
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	runnable := len(c.controlq) > 0 || (c.started && !c.halted && len(c.mailbox) > 0)
+	runnable := c.controlq.n > 0 || (c.started && !c.halted && c.mailbox.n > 0)
 	if !runnable {
 		c.scheduled = false
 	}
@@ -220,8 +216,8 @@ func (c *Component) fault(r interface{}, during Event) {
 func (c *Component) halt() {
 	c.mu.Lock()
 	c.halted = true
-	c.mailbox = nil
-	c.controlq = nil
+	c.mailbox = ring[queuedEvent]{}
+	c.controlq = ring[queuedEvent]{}
 	c.mu.Unlock()
 }
 

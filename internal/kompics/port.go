@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"sync"
+	"sync/atomic"
 )
 
 // PortType is the "service specification" of a port: it declares which
@@ -96,8 +97,11 @@ type Port struct {
 	ptype    *PortType
 	provided bool
 
+	// channels is a copy-on-write list: publish loads it without a lock
+	// or a copy; addChannel/removeChannel build a new list under mu and
+	// swap it in.
 	mu       sync.Mutex
-	channels []*Channel
+	channels atomic.Pointer[[]*Channel]
 }
 
 // Type returns the port's PortType.
@@ -125,31 +129,33 @@ func (p *Port) incoming() Direction {
 	return Indication
 }
 
+// connected returns the current channel list. Callers must not modify it.
+func (p *Port) connected() []*Channel {
+	if cs := p.channels.Load(); cs != nil {
+		return *cs
+	}
+	return nil
+}
+
 func (p *Port) addChannel(c *Channel) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.channels = append(p.channels, c)
+	old := p.connected()
+	next := append(old[:len(old):len(old)], c) // capped: always a fresh array
+	p.channels.Store(&next)
 }
 
 func (p *Port) removeChannel(c *Channel) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for i, ch := range p.channels {
+	old := p.connected()
+	for i, ch := range old {
 		if ch == c {
-			p.channels = append(p.channels[:i], p.channels[i+1:]...)
+			next := append(old[:i:i], old[i+1:]...)
+			p.channels.Store(&next)
 			return
 		}
 	}
-}
-
-// snapshotChannels returns a copy of the channel list for lock-free
-// publication.
-func (p *Port) snapshotChannels() []*Channel {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make([]*Channel, len(p.channels))
-	copy(out, p.channels)
-	return out
 }
 
 // publish sends e on every channel connected to this port, in the
@@ -160,7 +166,7 @@ func (p *Port) publish(e Event) {
 		panic(fmt.Sprintf("kompics: event %T is not a declared %s of port type %q",
 			e, dir, p.ptype.name))
 	}
-	for _, c := range p.snapshotChannels() {
+	for _, c := range p.connected() {
 		c.forward(p, e)
 	}
 }

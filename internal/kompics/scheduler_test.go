@@ -63,3 +63,49 @@ func TestRunQueuePopZeroesSlot(t *testing.T) {
 		t.Fatal("vacated slot still references the component")
 	}
 }
+
+// TestTriggerDispatchAllocFree pins the per-event cost of the component
+// hot path: with the event boxed once up front, Trigger on a connected
+// required port, the provider's mailbox enqueue and its handler dispatch
+// allocate nothing — no channel-list snapshot per publish, no mailbox
+// reallocation per pop.
+func TestTriggerDispatchAllocFree(t *testing.T) {
+	sys := newTestSystem(t, WithWorkers(1))
+	var handled int
+	var provided, required *Port
+	var trigger func(Event, *Port)
+	prov := sys.Create(definitionFunc(func(ctx *Context) {
+		provided = ctx.Provides(pingPongPort)
+		ctx.Subscribe(provided, ping{}, func(Event) { handled++ })
+	}))
+	req := sys.Create(definitionFunc(func(ctx *Context) {
+		required = ctx.Requires(pingPongPort)
+		trigger = ctx.Trigger
+	}))
+	MustConnect(provided, required)
+	sys.Start(prov)
+	sys.Start(req)
+
+	var ev Event = ping{Seq: 1}
+	// Warm up: let the mailbox and run queue reach their steady size.
+	for i := 0; i < 64; i++ {
+		trigger(ev, required)
+	}
+	sys.AwaitQuiescence()
+	// Bursts, so a mailbox that slides down its backing array has to
+	// reallocate within every run.
+	const burst = 16
+	allocs := testing.AllocsPerRun(1000, func() {
+		for i := 0; i < burst; i++ {
+			trigger(ev, required)
+		}
+		sys.AwaitQuiescence()
+	})
+	if allocs != 0 {
+		t.Fatalf("Trigger + enqueue + dispatch: %v allocations per %d events, want 0", allocs, burst)
+	}
+	// AllocsPerRun adds one warm-up call of its own.
+	if want := 64 + 1001*burst; handled != want {
+		t.Fatalf("handled %d events, want %d", handled, want)
+	}
+}

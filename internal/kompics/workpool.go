@@ -2,11 +2,12 @@ package kompics
 
 import "sync"
 
-// ring is a growable FIFO ring buffer. The previous slice-based queue
-// popped with `queue = queue[1:]`, which both kept the vacated slot
-// reachable (pinning the element for GC) and slid the window down the
-// backing array so that steady traffic forced endless reallocation; the
-// ring reuses its buffer in place.
+// ring is a growable FIFO ring buffer: the run queue here and every
+// component's mailbox. The previous slice-based queues popped with
+// `queue = queue[1:]`, which both kept the vacated slot reachable
+// (pinning the element for GC) and slid the window down the backing array
+// so that steady traffic forced endless reallocation; the ring reuses its
+// buffer in place.
 type ring[T any] struct {
 	buf  []T
 	head int // index of the front element

@@ -308,3 +308,81 @@ func TestRecvOrderDeathsAcrossReconnects(t *testing.T) {
 		t.Fatalf("delivered %d of %d frames", n, cycles)
 	}
 }
+
+// TestRecvOrderRawTCPBatchedReads drives the buffered TCP read path from a
+// raw client: 2 000 frames of mixed sizes arrive once as a single Write
+// (many frames per read, frames straddling the read buffer's edge) and
+// once one byte per Write (every header and payload split across reads).
+// Each way, every frame is delivered in order and the connection's
+// InboundTotals count exactly the frames and payload bytes sent.
+func TestRecvOrderRawTCPBatchedReads(t *testing.T) {
+	const frames = 2000
+	var stream []byte
+	var payloadBytes uint64
+	for i := 0; i < frames; i++ {
+		p := make([]byte, 4+(i%7)*24)
+		binary.BigEndian.PutUint32(p, uint32(i))
+		stream = codec.AppendFrame(stream, p)
+		payloadBytes += uint64(len(p))
+	}
+	for _, tc := range []struct {
+		name  string
+		write func(net.Conn) error
+	}{
+		{"one write", func(c net.Conn) error {
+			_, err := c.Write(stream)
+			return err
+		}},
+		{"byte per write", func(c net.Conn) error {
+			for i := range stream {
+				if _, err := c.Write(stream[i : i+1]); err != nil {
+					return err
+				}
+			}
+			return nil
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			leakCheck(t)
+			col := newFaninCollector()
+			recv, err := NewEndpoint(Config{
+				ListenAddr: "127.0.0.1:0",
+				Protocols:  []wire.Transport{wire.TCP},
+				OnMessage:  col.onMessage,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := recv.Start(); err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(recv.Close)
+			conn, err := net.Dial("tcp", recv.Addr(wire.TCP))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			if err := tc.write(conn); err != nil {
+				t.Fatal(err)
+			}
+			want := InboundSummary{Conns: 1, Frames: frames, Bytes: payloadBytes}
+			waitForCond(t, "every frame accounted", func() bool {
+				return recv.InboundTotals() == want
+			})
+			seqs := col.snapshot()
+			if len(seqs) != 1 {
+				t.Fatalf("frames arrived from %d origins, want 1", len(seqs))
+			}
+			for _, got := range seqs {
+				if len(got) != frames {
+					t.Fatalf("delivered %d of %d frames", len(got), frames)
+				}
+				for j, s := range got {
+					if s != uint32(j) {
+						t.Fatalf("position %d: got seq %d — out of order", j, s)
+					}
+				}
+			}
+		})
+	}
+}

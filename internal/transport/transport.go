@@ -500,6 +500,11 @@ func (e *Endpoint) deliver(from From, payload []byte) {
 // connection to the message callback until the stream ends or the
 // endpoint closes. The connection is in the inbound set for its whole
 // life; per-frame accounting is on its own atomics.
+//
+// TCP reads go through one frame buffer per connection, so a read(2)
+// brings in up to 32 KiB of frames instead of costing two per frame. UDT
+// stays unbuffered: its Read is a copy out of the userspace receive ring,
+// not a syscall, so a buffer would only add a copy.
 func (e *Endpoint) readFrames(proto wire.Transport, conn net.Conn) {
 	ic, ok := e.inbound.add(proto, conn)
 	if !ok {
@@ -510,9 +515,13 @@ func (e *Endpoint) readFrames(proto wire.Transport, conn net.Conn) {
 		e.inbound.remove(ic)
 		conn.Close()
 	}()
+	var r io.Reader = conn
+	if proto == wire.TCP {
+		r = codec.NewFrameReader(conn)
+	}
 	for {
 		// ReadFrame fills a pooled buffer; ownership passes to deliver.
-		payload, err := codec.ReadFrame(conn, e.cfg.MaxFrame)
+		payload, err := codec.ReadFrame(r, e.cfg.MaxFrame)
 		if err != nil {
 			return
 		}
