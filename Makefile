@@ -4,6 +4,8 @@
 #   make test           plain test run (tier-1 verify)
 #   make test-faults    fault-injection and supervision suite, race-enabled
 #                       and repeated to shake out nondeterminism
+#   make test-startup   UDT slow-start suite (window rules, light ACKs, time
+#                       to the first 64 KiB), race-enabled and repeated
 #   make lint           kmlint static analyzer suite (with -audit-ignores)
 #   make loc            non-test, non-comment, non-blank Go lines in
 #                       internal/core + internal/transport
@@ -28,6 +30,9 @@ FANIN_OUT    = BENCH_fanin.out
 FAULT_PKGS = ./internal/faults/ ./internal/transport/ ./internal/core/ ./internal/udt/
 FAULT_RUN  = 'Fault|Supervis|Fallback|Overflow|PeerDeath|Revival|Stall|Blackhole|Backoff|Status|StopThenRestart'
 
+STARTUP_PKGS = ./internal/udt/
+STARTUP_RUN  = 'SlowStart'
+
 RECV_PKGS = ./internal/transport/ ./internal/core/ ./internal/vnet/
 RECV_RUN  = 'RecvOrder|DecodeStage|LaneStage|VNodeFanin'
 
@@ -35,7 +40,7 @@ QOS_PKGS = ./internal/transport/ ./internal/core/ ./internal/data/
 QOS_RUN  = 'QoS'
 QOS_OUT  = BENCH_qos.out
 
-.PHONY: check test test-faults test-recv test-qos build vet lint loc bench bench-hotpath bench-udt bench-fanin bench-qos sim-campaign soak soak-smoke
+.PHONY: check test test-faults test-startup test-recv test-qos build vet lint loc bench bench-hotpath bench-udt bench-fanin bench-qos sim-campaign soak soak-smoke
 
 check:
 	$(GO) vet ./... && $(GO) run ./cmd/kmlint -audit-ignores ./... && $(GO) build ./... && $(GO) test -race ./...
@@ -45,6 +50,13 @@ test:
 
 test-faults:
 	$(GO) test -race -count=3 -run $(FAULT_RUN) $(FAULT_PKGS)
+
+# test-startup runs UDT's slow-start suite: the socket-free window rules
+# (growth by the acknowledged count, the flow-window cap, exit on NAK or
+# EXP, MaxRate), the first 64 KiB on fresh loopback pairs in under one
+# SYN interval, and light ACKs stopping after start-up.
+test-startup:
+	$(GO) test -race -count=3 -run $(STARTUP_RUN) $(STARTUP_PKGS)
 
 build:
 	$(GO) build ./...

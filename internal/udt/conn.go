@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/netip"
 	"sync"
@@ -30,13 +31,12 @@ type Config struct {
 	// SndQueue bounds bytes accepted by Write but not yet transmitted
 	// (default 8 MB); full queues apply backpressure.
 	SndQueue int
-	// InitialRate is the starting send rate in bytes/second (default
-	// 1 MB/s).
-	InitialRate float64
 	// MaxRate caps the send rate in bytes/second; 0 means unlimited.
+	// It paces slow start too.
 	MaxRate float64
 	// Increase is the additive rate increase in bytes/second applied per
-	// SYN interval with loss-free feedback (default 256 KB).
+	// loss-free ACK after slow start, which after start-up means once per
+	// SYN interval (default 256 KB).
 	Increase float64
 	// HandshakeTimeout bounds connection establishment (default 5 s).
 	HandshakeTimeout time.Duration
@@ -65,9 +65,6 @@ func (c Config) withDefaults() Config {
 	if c.SndQueue <= 0 {
 		c.SndQueue = 8 << 20
 	}
-	if c.InitialRate <= 0 {
-		c.InitialRate = 1 << 20
-	}
 	if c.Increase <= 0 {
 		c.Increase = 256 << 10
 	}
@@ -85,6 +82,22 @@ func (c Config) withDefaults() Config {
 
 // minRate is the floor of the DAIMD controller in bytes/second.
 const minRate = 128 << 10
+
+// Slow start (UDT4's start-up): the sender is window-limited, not paced.
+// The congestion window starts at initialCwnd packets and grows by every
+// packet an ACK acknowledges; the receiver sends a light ACK each time its
+// in-order frontier advances lightAckEvery packets, so the window is
+// clocked by the data rather than by the 10 ms ACK timer. lightAckEvery
+// must not exceed initialCwnd, or the first window could never trigger
+// one.
+const (
+	initialCwnd   = 32
+	lightAckEvery = 32
+)
+
+// pktBytes is the wire size of a full data packet, the unit that converts
+// a window in packets into a rate in bytes/second.
+const pktBytes = dataHeaderLen + mssPayload
 
 // Errors returned by Conn operations.
 var (
@@ -142,11 +155,14 @@ type Conn struct {
 	sndNextSeq    uint32
 	sndFirstUnack uint32
 	peerWindow    int
-	rate          float64
-	// slowStart mirrors UDT's start-up phase: the rate doubles on each
-	// loss-free ACK until the first loss event (NAK or EXP), then the
-	// controller switches to DAIMD's additive increase.
+	// slowStart is UDT's start-up phase: in-flight packets are bounded by
+	// cwnd, which grows by each ACK's acknowledged count, and no byte
+	// budget applies unless MaxRate is set. The first loss event (NAK or
+	// EXP) ends it, seeds rate from the window, and hands over to DAIMD:
+	// rate-paced, 8/9 decrease per loss, additive increase per ACK.
 	slowStart bool
+	cwnd      int
+	rate      float64
 
 	// Receiver state. rcvOOO holds out-of-order pooled payloads; in-order
 	// segments queue in rcvSegs[rcvSegHead:] with rcvSegOff bytes of the
@@ -158,6 +174,12 @@ type Conn struct {
 	rcvSegHead int
 	rcvSegOff  int
 	lastAcked  uint32
+	// ackDue forces the next timer ACK even without progress: a duplicate
+	// arrived, so the peer may have missed the last one.
+	ackDue bool
+	// lightAcksLeft counts down the in-order packets of start-up; light
+	// ACKs stop at zero and the 10 ms timer alone acknowledges after.
+	lightAcksLeft int
 
 	// Lifecycle.
 	established   bool
@@ -193,8 +215,9 @@ func newConn(udp *net.UDPConn, raddr netip.AddrPort, ownsSocket bool, cfg Config
 		sndUnacked:    newPktRing(cfg.MaxFlowWindow),
 		rcvOOO:        newPktRing(cfg.RcvBuffer),
 		peerWindow:    cfg.MaxFlowWindow,
-		rate:          cfg.InitialRate,
 		slowStart:     true,
+		cwnd:          min(initialCwnd, cfg.MaxFlowWindow),
+		lightAcksLeft: cfg.RcvBuffer,
 		establishedCh: make(chan struct{}),
 		done:          make(chan struct{}),
 		kick:          make(chan struct{}, 1),
@@ -442,11 +465,51 @@ func (c *Conn) Stats() (retransmits, naksSent int) {
 	return c.statRetransmits, c.statNaksSent
 }
 
-// Rate reports the current DAIMD send rate in bytes/second.
+// Rate reports the current send rate in bytes/second: during slow start
+// the rate the congestion window allows per SYN interval, after it the
+// DAIMD pacing rate. Both are capped by MaxRate.
 func (c *Conn) Rate() float64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if c.slowStart {
+		return c.windowRate()
+	}
 	return c.rate
+}
+
+// windowRate is the congestion window expressed as bytes/second over one
+// SYN interval, capped by MaxRate. Caller holds mu.
+func (c *Conn) windowRate() float64 {
+	r := float64(c.cwnd*pktBytes) / synInterval.Seconds()
+	if c.cfg.MaxRate > 0 && r > c.cfg.MaxRate {
+		r = c.cfg.MaxRate
+	}
+	return r
+}
+
+// tickBudget is the byte budget one SYN interval grants the sender:
+// unlimited during slow start (the window alone limits it) unless MaxRate
+// paces it, rate·interval after. Caller holds mu.
+func (c *Conn) tickBudget() float64 {
+	switch {
+	case !c.slowStart:
+		return c.rate * synInterval.Seconds()
+	case c.cfg.MaxRate > 0:
+		return c.cfg.MaxRate * synInterval.Seconds()
+	default:
+		return math.Inf(1)
+	}
+}
+
+// sendWindow bounds the packets in flight: the peer's advertised window
+// and MaxFlowWindow, and during slow start the congestion window. Caller
+// holds mu.
+func (c *Conn) sendWindow() int {
+	w := min(c.peerWindow, c.cfg.MaxFlowWindow)
+	if c.slowStart {
+		w = min(w, c.cwnd)
+	}
+	return w
 }
 
 // --- sender --------------------------------------------------------------------
@@ -465,10 +528,10 @@ type sendBatch struct {
 	pkts [][]byte // per-flush packet views (loss-injected drops filtered)
 }
 
-// senderLoop paces data packets: each SYN interval grants a byte budget of
-// rate·interval, spent on loss-list retransmissions first and then fresh
-// data, respecting the peer's flow window. Packets go out in bursts of up
-// to maxBurstPackets per lock acquisition and (on Linux) per syscall.
+// senderLoop sends data packets: each SYN interval grants a byte budget
+// (tickBudget), spent on loss-list retransmissions first and then fresh
+// data, respecting the send window. Packets go out in bursts of up to
+// maxBurstPackets per lock acquisition and (on Linux) per syscall.
 func (c *Conn) senderLoop() {
 	defer c.wg.Done()
 	ticker := time.NewTicker(synInterval)
@@ -476,7 +539,7 @@ func (c *Conn) senderLoop() {
 	var batch sendBatch
 
 	c.mu.Lock()
-	budget := c.rate * synInterval.Seconds()
+	budget := c.tickBudget()
 	c.mu.Unlock()
 	for {
 		select {
@@ -484,11 +547,17 @@ func (c *Conn) senderLoop() {
 			return
 		case <-ticker.C:
 			c.mu.Lock()
-			budget = c.rate * synInterval.Seconds()
+			budget = c.tickBudget()
 			c.mu.Unlock()
 		case <-c.kick:
 			// Spend any remaining budget immediately; fresh budget
-			// arrives with the next tick.
+			// arrives with the next tick. Slow start's unlimited budget
+			// ends with slow start, not at the next tick (see sendBurst).
+			if math.IsInf(budget, 1) {
+				c.mu.Lock()
+				budget = c.tickBudget()
+				c.mu.Unlock()
+			}
 		}
 		for budget > 0 {
 			n := c.sendBurst(&batch, budget)
@@ -502,14 +571,16 @@ func (c *Conn) senderLoop() {
 
 // sendBurst encodes up to maxBurstPackets packets (retransmissions first)
 // into the batch slab under one lock acquisition, flushes them and reports
-// the bytes consumed; 0 means nothing was sendable.
+// the bytes consumed; 0 means nothing was sendable. An unlimited budget is
+// slow start's: if a loss ended slow start since it was granted, nothing
+// is sendable until the loss handler's kick brings a paced one.
 func (c *Conn) sendBurst(batch *sendBatch, budget float64) int {
 	batch.slab = batch.slab[:0]
 	batch.ends = batch.ends[:0]
 	burstBytes := 0
 	queuedFresh := false
 	c.mu.Lock()
-	if c.closed || c.dead {
+	if c.closed || c.dead || (math.IsInf(budget, 1) && !c.slowStart) {
 		c.mu.Unlock()
 		return 0
 	}
@@ -533,11 +604,7 @@ func (c *Conn) sendBurst(batch *sendBatch, budget float64) int {
 			c.statRetransmits++
 		} else {
 			inflight := int(int32(c.sndNextSeq - c.sndFirstUnack))
-			window := c.peerWindow
-			if window > c.cfg.MaxFlowWindow {
-				window = c.cfg.MaxFlowWindow
-			}
-			if len(c.sndQueue) == 0 || inflight >= window {
+			if len(c.sndQueue) == 0 || inflight >= c.sendWindow() {
 				break
 			}
 			payload = c.sndQueue[0]
@@ -633,8 +700,9 @@ func (c *Conn) ackLoop() {
 		c.mu.Lock()
 		ackSeq := c.rcvNextSeq
 		window := c.advertisedWindow()
-		needAck := ackSeq != c.lastAcked || c.rcvOOO.len() > 0
+		needAck := ackSeq != c.lastAcked || c.rcvOOO.len() > 0 || c.ackDue
 		c.lastAcked = ackSeq
+		c.ackDue = false
 		var ranges []nakRange
 		if c.rcvOOO.len() > 0 {
 			staleTicks++
@@ -670,15 +738,7 @@ func (c *Conn) ackLoop() {
 					c.releaseBuffersLocked()
 					died = true
 				} else {
-					// Cumulative ACKs mean everything in
-					// [sndFirstUnack, sndNextSeq) is still in flight:
-					// reschedule it as one range.
-					c.loss.insert(c.sndFirstUnack, c.sndNextSeq-1)
-					c.slowStart = false
-					c.rate = c.rate * 8 / 9
-					if c.rate < minRate {
-						c.rate = minRate
-					}
+					c.expireLocked()
 					kick = true
 				}
 				expCounter = 0
@@ -704,6 +764,31 @@ func (c *Conn) ackLoop() {
 		if kick {
 			c.kickSender()
 		}
+	}
+}
+
+// expireLocked is the EXP timer's verdict short of peer death: cumulative
+// ACKs mean everything in [sndFirstUnack, sndNextSeq) is still in flight,
+// so it is rescheduled as one range, and the silence counts as a loss
+// event. Caller holds mu.
+func (c *Conn) expireLocked() {
+	c.loss.insert(c.sndFirstUnack, c.sndNextSeq-1)
+	c.onLossLocked()
+}
+
+// onLossLocked is the rate controller's response to a loss event (a NAK or
+// an EXP expiry). The first one ends slow start and seeds the pacing rate
+// from the window, as UDT4 does when it has no receive-rate estimate;
+// every one then applies DAIMD's 8/9 decrease, floored at minRate.
+// Caller holds mu.
+func (c *Conn) onLossLocked() {
+	if c.slowStart {
+		c.slowStart = false
+		c.rate = c.windowRate()
+	}
+	c.rate = c.rate * 8 / 9
+	if c.rate < minRate {
+		c.rate = minRate
 	}
 }
 
@@ -776,12 +861,15 @@ func (c *Conn) handleData(b []byte) {
 	}
 	var gap nakRange
 	hasGap := false
+	var lightAck []byte
 	c.mu.Lock()
 	switch {
 	case c.closed || c.dead:
 		// Teardown already recycled the receive buffers; drop.
 	case seqLess(seq, c.rcvNextSeq):
-		// Duplicate of already-delivered data; the periodic ACK covers it.
+		// Duplicate of already-delivered data: the sender may have missed
+		// our last ACK, so the next timer ACK goes out regardless.
+		c.ackDue = true
 	case int(int32(seq-c.rcvNextSeq)) >= c.cfg.RcvBuffer:
 		// Beyond our buffer: drop; flow control should prevent this.
 	default:
@@ -801,7 +889,7 @@ func (c *Conn) handleData(b []byte) {
 			buf := bufpool.Get(len(payload))
 			copy(buf, payload)
 			c.rcvOOO.storeOwned(seq, buf)
-			c.drainContiguous()
+			lightAck = c.drainContiguous()
 		}
 		if hasGap {
 			c.statNaksSent++
@@ -811,13 +899,18 @@ func (c *Conn) handleData(b []byte) {
 	if hasGap {
 		c.send(encodeNak([]nakRange{gap}))
 	}
+	if lightAck != nil {
+		c.send(lightAck)
+	}
 }
 
 // drainContiguous moves in-order packets from the out-of-order ring onto
 // the read segment queue (no copying — the pooled buffer itself moves).
-// Caller holds mu.
-func (c *Conn) drainContiguous() {
-	moved := false
+// During start-up it returns a light ACK for the caller to send once mu is
+// released, when the in-order frontier is lightAckEvery packets past the
+// last ACK; otherwise nil. Caller holds mu.
+func (c *Conn) drainContiguous() (lightAck []byte) {
+	moved := 0
 	for {
 		p := c.rcvOOO.take(c.rcvNextSeq)
 		if p == nil {
@@ -825,14 +918,24 @@ func (c *Conn) drainContiguous() {
 		}
 		c.pushSeg(p)
 		c.rcvNextSeq++
-		moved = true
+		moved++
 	}
 	if seqLess(c.rcvLargest, c.rcvNextSeq) {
 		c.rcvLargest = c.rcvNextSeq
 	}
-	if moved {
-		c.readCond.Broadcast()
+	if moved == 0 {
+		return nil
 	}
+	c.readCond.Broadcast()
+	if c.lightAcksLeft <= 0 {
+		return nil
+	}
+	c.lightAcksLeft -= moved
+	if int(int32(c.rcvNextSeq-c.lastAcked)) < lightAckEvery {
+		return nil
+	}
+	c.lastAcked = c.rcvNextSeq
+	return encodeAck(c.rcvNextSeq, uint32(c.advertisedWindow()))
 }
 
 func (c *Conn) handleAck(b []byte) {
@@ -858,18 +961,19 @@ func (c *Conn) handleAck(b []byte) {
 				bufpool.Put(p)
 			}
 		}
-		c.sndFirstUnack = ackSeq
-		c.loss.pruneBelow(ackSeq)
-		// Loss-free progress: double during slow start (UDT's start-up
-		// phase), DAIMD additive increase afterwards.
+		// Loss-free progress: during slow start the window grows by the
+		// packets this (clamped) ACK acknowledged, up to the flow window;
+		// DAIMD's additive increase afterwards.
 		if c.slowStart {
-			c.rate *= 2
+			c.cwnd = min(c.cwnd+int(ackSeq-c.sndFirstUnack), c.cfg.MaxFlowWindow)
 		} else {
 			c.rate += c.cfg.Increase
+			if c.cfg.MaxRate > 0 && c.rate > c.cfg.MaxRate {
+				c.rate = c.cfg.MaxRate
+			}
 		}
-		if c.cfg.MaxRate > 0 && c.rate > c.cfg.MaxRate {
-			c.rate = c.cfg.MaxRate
-		}
+		c.sndFirstUnack = ackSeq
+		c.loss.pruneBelow(ackSeq)
 		c.writeCond.Broadcast()
 	}
 	c.peerWindow = int(window)
@@ -883,6 +987,7 @@ func (c *Conn) handleNak(b []byte) {
 		return
 	}
 	c.mu.Lock()
+	lost := false
 	for _, r := range ranges {
 		from, to := r.from, r.to
 		// Clip to the in-flight window so hostile ranges cannot alias
@@ -897,13 +1002,14 @@ func (c *Conn) handleNak(b []byte) {
 			continue
 		}
 		c.loss.insert(from, to)
+		lost = true
 	}
-	// First loss ends slow start; DAIMD multiplicative decrease.
-	c.slowStart = false
-	c.rate = c.rate * 8 / 9
-	if c.rate < minRate {
-		c.rate = minRate
+	// A NAK naming nothing in flight is stale or hostile, not a loss.
+	if !lost {
+		c.mu.Unlock()
+		return
 	}
+	c.onLossLocked()
 	c.mu.Unlock()
 	c.kickSender()
 }

@@ -13,11 +13,16 @@
 //     ranges immediately on gap detection, and the sender retransmits
 //     from its loss list with priority;
 //   - periodic cumulative ACKs (every 10 ms SYN interval) rather than
-//     per-packet ACKs;
-//   - DAIMD rate control: the sending rate grows additively every SYN
-//     interval and decreases multiplicatively (×8/9) on NAK — decoupling
-//     throughput from RTT, which is precisely why UDT holds its rate on
-//     long fat paths where TCP's window/RTT coupling collapses;
+//     per-packet ACKs, plus a light ACK every 32 in-order packets while a
+//     connection starts up;
+//   - UDT4's slow start: an unpaced sender bounded by a congestion window
+//     that grows by every packet an ACK acknowledges, clocked by the light
+//     ACKs, until the first loss;
+//   - DAIMD rate control after it: the sending rate, seeded from the
+//     window, grows additively per loss-free ACK and decreases
+//     multiplicatively (×8/9) on NAK — decoupling throughput from RTT,
+//     which is precisely why UDT holds its rate on long fat paths where
+//     TCP's window/RTT coupling collapses;
 //   - window-based flow control with the receiver advertising its buffer
 //     space in every ACK (the paper tuned these buffers from 12 MB to
 //     100 MB for high-BDP links; they are configurable here);

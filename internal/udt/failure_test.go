@@ -44,9 +44,8 @@ func TestWriteDeadlineOnFullQueue(t *testing.T) {
 	// A tiny send queue plus a tiny rate fills quickly; writes must then
 	// time out rather than hang.
 	client, _, cleanup := pair(t, Config{
-		SndQueue:    4 << 10,
-		InitialRate: minRate,
-		MaxRate:     minRate,
+		SndQueue: 4 << 10,
+		MaxRate:  minRate,
 	})
 	defer cleanup()
 	client.SetWriteDeadline(time.Now().Add(200 * time.Millisecond))
@@ -210,9 +209,8 @@ func TestFlowControlStallsWhenReceiverStopsReading(t *testing.T) {
 	// sender must stall rather than overrun the receive buffer. We use a
 	// tiny receive buffer so the limit is reached quickly.
 	client, server, cleanup := pair(t, Config{
-		RcvBuffer:   64, // packets
-		InitialRate: 50 << 20,
-		MaxRate:     50 << 20,
+		RcvBuffer: 64, // packets
+		MaxRate:   50 << 20,
 	})
 	defer cleanup()
 

@@ -243,7 +243,7 @@ func TestLossTriggersNaksAndRetransmits(t *testing.T) {
 }
 
 func TestRateIncreasesUnderCleanTransfer(t *testing.T) {
-	client, server, cleanup := pair(t, Config{InitialRate: 1 << 20})
+	client, server, cleanup := pair(t, Config{})
 	defer cleanup()
 	before := client.Rate()
 	data := make([]byte, 2<<20)
@@ -259,7 +259,7 @@ func TestRateIncreasesUnderCleanTransfer(t *testing.T) {
 }
 
 func TestMaxRateRespected(t *testing.T) {
-	client, server, cleanup := pair(t, Config{InitialRate: 1 << 20, MaxRate: 2 << 20})
+	client, server, cleanup := pair(t, Config{MaxRate: 2 << 20})
 	defer cleanup()
 	data := make([]byte, 1<<20)
 	go client.Write(data)
