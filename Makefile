@@ -7,6 +7,8 @@
 #   make test-startup   UDT slow-start suite (window rules, light ACKs, time
 #                       to the first 64 KiB), race-enabled and repeated
 #   make lint           kmlint static analyzer suite (with -audit-ignores)
+#   make fuzz           every native fuzz target past its checked-in corpus,
+#                       FUZZTIME each (default 20s)
 #   make loc            non-test, non-comment, non-blank Go lines in
 #                       internal/core + internal/transport
 #   make bench-hotpath  rerun the wire hot-path benchmarks and refresh the
@@ -40,7 +42,7 @@ QOS_PKGS = ./internal/transport/ ./internal/core/ ./internal/data/
 QOS_RUN  = 'QoS'
 QOS_OUT  = BENCH_qos.out
 
-.PHONY: check test test-faults test-startup test-recv test-qos build vet lint loc bench bench-hotpath bench-udt bench-fanin bench-qos sim-campaign soak soak-smoke
+.PHONY: check test test-faults test-startup test-recv test-qos build vet lint fuzz loc bench bench-hotpath bench-udt bench-fanin bench-qos sim-campaign soak soak-smoke
 
 check:
 	$(GO) vet ./... && $(GO) run ./cmd/kmlint -audit-ignores ./... && $(GO) build ./... && $(GO) test -race ./...
@@ -69,6 +71,25 @@ vet:
 # run with its audited reason printed.
 lint:
 	$(GO) run ./cmd/kmlint -audit-ignores ./...
+
+# fuzz runs each native fuzz target (name:package) for FUZZTIME beyond
+# its checked-in corpus under testdata/fuzz; the first failure stops it.
+#
+#   make fuzz FUZZTIME=2m
+#
+FUZZTIME ?= 20s
+FUZZ_TARGETS = FuzzReadFrame:./internal/codec/ \
+               FuzzDecodeWire:./internal/core/ \
+               FuzzReadBasicHeader:./internal/core/ \
+               FuzzHandlePacket:./internal/udt/ \
+               FuzzDecodePackets:./internal/udt/ \
+               FuzzParseDirective:./internal/lint/
+
+fuzz:
+	@set -e; for t in $(FUZZ_TARGETS); do \
+		echo "fuzz $${t%%:*} ($(FUZZTIME))"; \
+		$(GO) test -run '^$$' -fuzz "^$${t%%:*}$$" -fuzztime $(FUZZTIME) $${t#*:}; \
+	done
 
 # loc prints the size metric simplification PRs are held to: Go lines in
 # the two packages every message crosses, tests, comment-only lines and

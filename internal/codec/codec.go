@@ -350,6 +350,16 @@ func ReadBytes(r io.Reader) ([]byte, error) {
 	if n > maxChunk {
 		return nil, fmt.Errorf("%w: %d bytes", ErrValueOutOfBounds, n)
 	}
+	if br, ok := r.(*bytes.Reader); ok && n > uint64(br.Len()) {
+		// A prefix claiming more than the input holds fails as
+		// io.ReadFull would, without allocating the claimed length.
+		rest := br.Len()
+		br.Seek(0, io.SeekEnd)
+		if rest == 0 {
+			return nil, io.EOF
+		}
+		return nil, io.ErrUnexpectedEOF
+	}
 	b := make([]byte, int(n))
 	if _, err := io.ReadFull(r, b); err != nil {
 		return nil, err

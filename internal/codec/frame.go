@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"sync"
 
 	"github.com/kompics/kompicsmessaging-go/internal/bufpool"
 )
@@ -66,16 +67,31 @@ func WriteFrameVectored(w io.Writer, payload []byte, maxFrame int) (int, error) 
 	if len(payload) > maxFrame {
 		return 0, fmt.Errorf("%w: %d > %d", ErrFrameTooLarge, len(payload), maxFrame)
 	}
-	var hdr [frameHeaderLen]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	bufs := net.Buffers{hdr[:], payload}
-	n, err := bufs.WriteTo(w)
+	// The header and the net.Buffers escape through WriteTo's interface
+	// calls, so they come from a pool rather than the stack.
+	v := vecPool.Get().(*vecFrame)
+	binary.BigEndian.PutUint32(v.hdr[:], uint32(len(payload)))
+	v.vec = [2][]byte{v.hdr[:], payload}
+	v.bufs = v.vec[:]
+	n, err := v.bufs.WriteTo(w)
+	v.vec = [2][]byte{}
+	vecPool.Put(v)
 	n -= frameHeaderLen
 	if n < 0 {
 		n = 0
 	}
 	return int(n), err
 }
+
+// vecFrame is WriteFrameVectored's scratch: the frame header and the
+// two-element vector WriteTo consumes.
+type vecFrame struct {
+	hdr  [frameHeaderLen]byte
+	vec  [2][]byte
+	bufs net.Buffers
+}
+
+var vecPool = sync.Pool{New: func() any { return new(vecFrame) }}
 
 // readBufSize is the read buffer NewFrameReader puts in front of a stream.
 // One read(2) fills it with as many frames as the socket holds, instead of
@@ -92,6 +108,23 @@ const readBufSize = 32 << 10
 // userspace copy (udt.Conn) gains nothing and pays an extra copy.
 func NewFrameReader(r io.Reader) *bufio.Reader {
 	return bufio.NewReaderSize(r, readBufSize)
+}
+
+// FrameBuffered reports whether r's buffer already holds the whole of the
+// next frame, header and payload, within maxFrame — so a ReadFrame on r
+// returns it without reading from the underlying stream. A frame that
+// straddles the buffer's end, or one too large to accept, reports false.
+func FrameBuffered(r *bufio.Reader, maxFrame int) bool {
+	if maxFrame <= 0 {
+		maxFrame = DefaultMaxFrame
+	}
+	avail := r.Buffered()
+	if avail < frameHeaderLen {
+		return false
+	}
+	hdr, _ := r.Peek(frameHeaderLen) // buffered: Peek cannot read or fail
+	n := int64(binary.BigEndian.Uint32(hdr))
+	return n <= int64(maxFrame) && int64(avail) >= frameHeaderLen+n
 }
 
 // ReadFrame reads one length-prefixed frame into a buffer drawn from

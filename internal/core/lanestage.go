@@ -48,9 +48,14 @@ type laneKey struct {
 	addr  string
 }
 
+// maxLaneCap bounds the job slice a drained lane keeps for its next
+// submits; a lane that once held more lets the slice go.
+const maxLaneCap = 256
+
 // laneJob is one job's trip through the stage: appended to its lane by
 // submit, worked on a pool worker (or inline at the bound), and settled by
-// whichever goroutine drains the lane's head.
+// whichever goroutine drains the lane's head. Jobs are pooled: once its
+// lane has settled it, nothing references a job until submit reuses it.
 type laneJob[T any] struct {
 	v    T
 	lane *lane[T]
@@ -69,8 +74,11 @@ type lane[T any] struct {
 	// operation.
 	pending int
 
-	mu   sync.Mutex //kmlint:guarded
+	mu sync.Mutex //kmlint:guarded
+	// jobs[head:] are the lane's unsettled jobs; the settled prefix is
+	// reclaimed when the lane empties or an append finds the slice full.
 	jobs []*laneJob[T]
+	head int
 	// draining makes settling single-threaded per lane without holding mu
 	// across release: exactly one goroutine pops done heads at a time.
 	draining bool
@@ -85,6 +93,7 @@ type laneStage[T any] struct {
 	// called under a stage or lane lock.
 	work, release, abandon func(*T)
 	pool                   *kompics.WorkPool[*laneJob[T]]
+	jobs                   sync.Pool // settled *laneJob[T]s, for reuse
 	limit                  int
 
 	mu     sync.Mutex //kmlint:guarded
@@ -101,6 +110,7 @@ type laneStage[T any] struct {
 func newLaneStage[T any](limit int, work, release, abandon func(*T)) *laneStage[T] {
 	st := &laneStage[T]{
 		work: work, release: release, abandon: abandon,
+		jobs:    sync.Pool{New: func() any { return new(laneJob[T]) }},
 		limit:   limit,
 		lanes:   make(map[laneKey]*lane[T]),
 		sweepAt: minLaneSweep,
@@ -113,12 +123,17 @@ func newLaneStage[T any](limit int, work, release, abandon func(*T)) *laneStage[
 // which submit calls for that lane are made, so each lane needs a single
 // submitting goroutine at a time (the component thread on the send side,
 // the connection's read goroutine on the receive side).
+//
+// The job joins its lane under the stage lock, so a close that follows
+// sees it: if the pool refuses the job, close has abandoned it (or will)
+// and submit must not touch it again.
 func (st *laneStage[T]) submit(key laneKey, v T) {
-	job := &laneJob[T]{v: v}
 	st.mu.Lock()
 	if st.closed {
 		st.mu.Unlock()
-		st.abandon(&job.v)
+		// A heap copy, so that v itself does not escape on every submit.
+		j := &laneJob[T]{v: v}
+		st.abandon(&j.v)
 		return
 	}
 	l := st.lanes[key]
@@ -130,22 +145,31 @@ func (st *laneStage[T]) submit(key laneKey, v T) {
 		st.lanes[key] = l
 	}
 	l.pending++
-	job.lane = l
-	job.inline = st.inflight >= st.limit
+	inline := st.inflight >= st.limit
+	job := st.jobs.Get().(*laneJob[T])
+	*job = laneJob[T]{v: v, lane: l, inline: inline}
 	st.inflight++
+	l.push(job)
 	st.mu.Unlock()
 
+	if inline {
+		st.run(job)
+	} else {
+		st.pool.Submit(job)
+	}
+}
+
+// push appends a job, first sliding the unsettled run to the front when
+// the slice is full and a settled prefix can be reclaimed.
+func (l *lane[T]) push(job *laneJob[T]) {
 	l.mu.Lock()
+	if l.head > 0 && len(l.jobs) == cap(l.jobs) {
+		n := copy(l.jobs, l.jobs[l.head:])
+		clear(l.jobs[n:])
+		l.jobs, l.head = l.jobs[:n], 0
+	}
 	l.jobs = append(l.jobs, job)
 	l.mu.Unlock()
-
-	if job.inline {
-		st.run(job)
-	} else if !st.pool.Submit(job) {
-		// The stage closed after the check above; close may already have
-		// swept this lane, so settle the job from here as well.
-		st.settle(job, true)
-	}
 }
 
 // sweepLocked reclaims every lane with nothing pending. Such a lane's
@@ -164,59 +188,59 @@ func (st *laneStage[T]) sweepLocked() {
 // run function (never requeues) and the inline path at the bound.
 func (st *laneStage[T]) run(job *laneJob[T]) bool {
 	st.work(&job.v)
-	st.settle(job, false)
+	l := job.lane
+	l.mu.Lock()
+	job.done = true
+	l.mu.Unlock()
+	st.drain(l)
 	return false
 }
 
-// settle marks a job done — worked, or abandoned because it will never
-// reach a worker — and drains its lane. The first mark stands: close's
-// sweep and a submit that lost the race with it may both abandon the same
-// job, and only one of them counts.
-func (st *laneStage[T]) settle(job *laneJob[T], abandoned bool) {
-	l := job.lane
-	l.mu.Lock()
-	if !job.done {
-		job.done, job.abandoned = true, abandoned
-	}
-	l.mu.Unlock()
-	st.drain(l)
-}
-
-// drain settles the lane's done head-run in submission order.
+// drain settles the lane's done head-run in submission order, one job at
+// a time, and recycles each settled job.
 func (st *laneStage[T]) drain(l *lane[T]) {
-	l.mu.Lock()
-	if l.draining {
-		l.mu.Unlock()
-		return
-	}
-	l.draining = true
+	settled := 0
 	for {
-		var ready []*laneJob[T]
-		for len(l.jobs) > 0 && l.jobs[0].done {
-			ready = append(ready, l.jobs[0])
-			l.jobs = l.jobs[1:]
+		l.mu.Lock()
+		if settled == 0 {
+			if l.draining {
+				l.mu.Unlock()
+				return
+			}
+			l.draining = true
 		}
-		if len(l.jobs) == 0 {
-			l.jobs = nil // unpin the drained backing array
-		}
-		if len(ready) == 0 {
+		if l.head == len(l.jobs) || !l.jobs[l.head].done {
+			if l.head == len(l.jobs) {
+				// Drained: keep the slice for the next submits unless
+				// a burst grew it past the cap.
+				if cap(l.jobs) > maxLaneCap {
+					l.jobs = nil
+				}
+				l.jobs, l.head = l.jobs[:0], 0
+			}
 			l.draining = false
 			l.mu.Unlock()
-			return
+			break
 		}
+		j := l.jobs[l.head]
+		l.jobs[l.head] = nil
+		l.head++
 		l.mu.Unlock()
-		for _, j := range ready {
-			if j.abandoned {
-				st.abandon(&j.v)
-			} else {
-				st.release(&j.v)
-			}
+
+		if j.abandoned {
+			st.abandon(&j.v)
+		} else {
+			st.release(&j.v)
 		}
+		*j = laneJob[T]{}
+		st.jobs.Put(j)
+		settled++
+	}
+	if settled > 0 {
 		st.mu.Lock()
-		st.inflight -= len(ready)
-		l.pending -= len(ready)
+		st.inflight -= settled
+		l.pending -= settled
 		st.mu.Unlock()
-		l.mu.Lock()
 	}
 }
 
@@ -237,7 +261,7 @@ func (st *laneStage[T]) close() {
 	st.pool.Close()
 	for _, l := range lanes {
 		l.mu.Lock()
-		for _, j := range l.jobs {
+		for _, j := range l.jobs[l.head:] {
 			if !j.done && !j.inline {
 				j.done, j.abandoned = true, true
 			}

@@ -111,7 +111,7 @@ type Network struct {
 	stage *codecStage
 	// dstage is the parallel decode stage. The field is touched only on
 	// the component thread (OnStart/OnStop/OnKill); the hot path never
-	// reads it — each Endpoint's OnMessage closure captures its own
+	// reads it — each Endpoint's OnMessages closure captures its own
 	// stage, so inbound delivery is lock-free at the Network level and a
 	// restart cannot race frames onto a stale stage.
 	dstage *decodeStage
@@ -120,6 +120,9 @@ type Network struct {
 	// dests caches each destination's wire string (wireDest); touched only
 	// on the component thread, so it needs no lock.
 	dests map[destKey]string
+	// inbox carries decoded messages, send outcomes and status events
+	// from other goroutines into component context (inbox.go).
+	inbox inbox
 }
 
 // destKey identifies a cached wire destination: an address's IP and port,
@@ -189,21 +192,11 @@ func (n *Network) setEndpoint(ep *transport.Endpoint) {
 	n.epsMu.Unlock()
 }
 
-// inbound is the self-event carrying a received message into component
-// context.
-type inbound struct{ msg Msg }
-
-// sendOutcome is the self-event carrying a transport notification back
-// into component context.
-type sendOutcome struct {
-	id  uint64
-	err error
-}
-
 // Init implements kompics.Definition.
 func (n *Network) Init(ctx *kompics.Context) {
 	n.ctx = ctx
 	n.comp = ctx.Component()
+	n.inbox.comp = n.comp
 	n.port = ctx.Provides(NetworkPort)
 	n.statusPort = ctx.Provides(NetworkStatusPort)
 
@@ -214,15 +207,16 @@ func (n *Network) Init(ctx *kompics.Context) {
 	}
 	n.tcfg.Logger = n.cfg.Logger
 	// Supervision events are raised on transport goroutines; hop into
-	// component context before publishing them on the status port.
+	// component context through the inbox before publishing them on the
+	// status port.
 	n.tcfg.OnStatus = func(ev transport.StatusEvent) {
-		n.comp.SelfTrigger(statusInbound{ev: ev})
+		n.inbox.push(inboxItem{status: &ev})
 	}
 	// Reject a bad transport config at Create instead of faulting the
-	// component at Start. Live endpoints get their OnMessage from the
+	// component at Start. Live endpoints get their OnMessages from the
 	// decode stage built with them; this one never receives.
 	probe := n.tcfg
-	probe.OnMessage = func(transport.From, []byte) {}
+	probe.OnMessages = func(transport.From, [][]byte) {}
 	if _, err := transport.NewEndpoint(probe); err != nil {
 		panic(fmt.Sprintf("core: invalid transport config: %v", err))
 	}
@@ -234,27 +228,18 @@ func (n *Network) Init(ctx *kompics.Context) {
 		req := e.(NotifyReq)
 		n.sendMsg(req.Msg, req.ID, true)
 	})
-	ctx.SubscribeSelf(inbound{}, func(e kompics.Event) {
-		ctx.Trigger(e.(inbound).msg, n.port)
-	})
-	ctx.SubscribeSelf(sendOutcome{}, func(e kompics.Event) {
-		o := e.(sendOutcome)
-		ctx.Trigger(NotifyResp{ID: o.id, Err: o.err}, n.port)
-	})
-	ctx.SubscribeSelf(statusInbound{}, func(e kompics.Event) {
-		n.publishStatus(e.(statusInbound).ev)
-	})
+	ctx.SubscribeSelf(drainInbox{}, func(kompics.Event) { n.drain() })
 	n.registerMetrics()
 
 	// Endpoints are single-use: each Start builds a fresh one, so the
 	// component can be stopped and restarted (listeners re-bind). The
-	// decode stage is born with its endpoint: the OnMessage closure binds
-	// inbound frames to exactly this start's stage, with no lock or
-	// indirection on the per-frame path.
+	// decode stage is born with its endpoint: the OnMessages closure binds
+	// inbound batches to exactly this start's stage, with no lock or
+	// indirection on the per-batch path.
 	ctx.OnStart(func() {
 		dst := newDecodeStage(n)
 		tcfg := n.tcfg
-		tcfg.OnMessage = dst.submit
+		tcfg.OnMessages = dst.submit
 		ep, err := transport.NewEndpoint(tcfg)
 		if err != nil {
 			panic(fmt.Sprintf("core: transport config: %v", err))
@@ -268,26 +253,30 @@ func (n *Network) Init(ctx *kompics.Context) {
 		n.dstage = dst
 		n.stage = newCodecStage(n, ep)
 	})
-	stop := func() {
-		// Codec stage first: its close waits for in-flight encodes, whose
-		// releases still reach the live endpoint and resolve through its
-		// notify contract; then the endpoint (read loops drain and exit);
-		// the decode stage last, once no read loop can submit — it fails
-		// the undecoded backlog and recycles its pooled buffers.
-		if st := n.stage; st != nil {
-			n.stage = nil
-			st.close()
-		}
-		if ep := n.endpoint(); ep != nil {
-			ep.Close()
-		}
-		if dst := n.dstage; dst != nil {
-			n.dstage = nil
-			dst.close()
-		}
+	ctx.OnStop(n.stop)
+	ctx.OnKill(n.stop)
+}
+
+// stop tears down what OnStart built. Runs on the component thread (as
+// the OnStop/OnKill handler), or once the component's system has shut
+// down.
+func (n *Network) stop() {
+	// Codec stage first: its close waits for in-flight encodes, whose
+	// releases still reach the live endpoint and resolve through its
+	// notify contract; then the endpoint (read loops drain and exit);
+	// the decode stage last, once no read loop can submit — it fails
+	// the undecoded backlog and recycles its pooled buffers.
+	if st := n.stage; st != nil {
+		n.stage = nil
+		st.close()
 	}
-	ctx.OnStop(stop)
-	ctx.OnKill(stop)
+	if ep := n.endpoint(); ep != nil {
+		ep.Close()
+	}
+	if dst := n.dstage; dst != nil {
+		n.dstage = nil
+		dst.close()
+	}
 }
 
 // sendMsg routes one outgoing message: local reflection, or serialise +

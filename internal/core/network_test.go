@@ -108,7 +108,7 @@ func startNode(t *testing.T, port int) *node {
 		t.Fatal(err)
 	}
 	sys := kompics.NewSystem()
-	t.Cleanup(sys.Shutdown)
+	t.Cleanup(func() { shutdownNode(sys, netDef) })
 	netComp := sys.Create(netDef)
 	app := &appComponent{}
 	appComp := sys.Create(app)

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
 	"github.com/kompics/kompicsmessaging-go/internal/bufpool"
 	"github.com/kompics/kompicsmessaging-go/internal/kompics"
+	"github.com/kompics/kompicsmessaging-go/internal/transport"
 )
 
 // coreLeakCheck arms bufpool's debug accounting and asserts at teardown
@@ -27,6 +29,15 @@ func coreLeakCheck(t *testing.T) {
 	})
 }
 
+// shutdownNode stops a test node's system, then tears its network down
+// the way OnStop would — System.Shutdown alone leaves the endpoint open —
+// so that when it returns every transport goroutine has exited and both
+// lane stages have settled their jobs and returned their buffers.
+func shutdownNode(sys *kompics.System, n *Network) {
+	sys.Shutdown()
+	n.stop()
+}
+
 // startDecodeNode builds a receiver whose decode stage runs against a
 // deliberately tight inflight bound, so both the pooled and the
 // inline-saturation decode paths are exercised.
@@ -39,7 +50,7 @@ func startDecodeNode(t *testing.T, port int) *node {
 	}
 	netDef.stageLimit = 8
 	sys := kompics.NewSystem()
-	t.Cleanup(sys.Shutdown)
+	t.Cleanup(func() { shutdownNode(sys, netDef) })
 	netComp := sys.Create(netDef)
 	app := &appComponent{}
 	appComp := sys.Create(app)
@@ -174,4 +185,58 @@ func TestDecodeStageDrainNoLeak(t *testing.T) {
 	// Give lingering transport goroutines (failed redials) a moment to
 	// release their buffers before the cleanup assertion runs.
 	time.Sleep(50 * time.Millisecond)
+}
+
+// TestDecodeStageCloseReturnsQueuedBatches closes a decode stage while
+// batches are still queued for its workers: every payload must come back
+// to bufpool — decoded ones through decodeWire, the rest through the
+// stage's abandon — and every frame is either delivered to the inbox or
+// dropped, none twice.
+func TestDecodeStageCloseReturnsQueuedBatches(t *testing.T) {
+	coreLeakCheck(t)
+	const lanes, batches, perBatch = 4, 25, 16
+	n, err := NewNetwork(NetworkConfig{Self: MustParseAddress("127.0.0.1:1")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys := kompics.NewSystem()
+	t.Cleanup(sys.Shutdown)
+	sys.Create(n)          // Init binds the inbox; never started, so nothing drains it
+	n.stageLimit = 1 << 20 // queue everything; no inline decode
+	st := newDecodeStage(n)
+
+	// Encode every payload first, so the submits land back to back and
+	// the close finds most of them still queued.
+	msg := &DataMsg{Hdr: NewHeader(n.cfg.Self, MustParseAddress("127.0.0.1:2"), TCP), Payload: decodePayload(1)}
+	wires := make([][][]byte, lanes*batches)
+	for i := range wires {
+		wires[i] = make([][]byte, perBatch)
+		for j := range wires[i] {
+			if wires[i][j], err = n.encode(msg); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for l := 0; l < lanes; l++ {
+		wg.Add(1)
+		go func(l int) {
+			defer wg.Done()
+			from := transport.From{Proto: TCP, Peer: fmt.Sprintf("127.0.0.1:%d", 40000+l)}
+			for b := 0; b < batches; b++ {
+				st.submit(from, wires[l*batches+b])
+			}
+		}(l)
+	}
+	wg.Wait()
+	st.close()
+
+	n.inbox.mu.Lock()
+	delivered := len(n.inbox.items)
+	n.inbox.mu.Unlock()
+	total := lanes * batches * perBatch
+	t.Logf("%d of %d frames decoded before the close", delivered, total)
+	if delivered >= total {
+		t.Fatalf("all %d frames decoded: the close found nothing queued", total)
+	}
 }

@@ -67,9 +67,6 @@ type TransportFallback struct {
 	Err    error
 }
 
-// statusInbound carries a transport status event into component context.
-type statusInbound struct{ ev transport.StatusEvent }
-
 // StatusPort returns the provided NetworkStatusPort, for wiring after
 // Create.
 func (n *Network) StatusPort() *kompics.Port { return n.statusPort }

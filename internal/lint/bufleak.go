@@ -45,8 +45,8 @@ const bufpoolPkg = "internal/bufpool"
 // bufpool.Put, a store, a channel, or another inferred sink — and exports
 // it across packages, so Endpoint.deliver, decodeStage.submit,
 // pktRing.storeOwned, outMsg.release and Endpoint.Send all classify
-// themselves. The one name that survives is OnMessage: transport.Config's
-// function-field callback whose handoff is documented API, with no body
+// themselves. The one name that survives is OnMessage(s): transport.Config's
+// function-field callbacks whose handoff is documented API, with no body
 // behind the field for inference to read.
 
 func runBufLeak(pass *Pass) {
@@ -518,9 +518,10 @@ func (lk *leakScan) callReleases(call *ast.CallExpr) bool {
 	if len(argUses) == 0 {
 		return false
 	}
-	// Callee is a function value; only the documented OnMessage contract
-	// transfers ownership (transport.Config.OnMessage is a func field —
-	// fixtures and core bind it under both spellings).
+	// Callee is a function value; only the documented OnMessage(s)
+	// contract transfers ownership (transport.Config.OnMessage and
+	// OnMessages are func fields — fixtures and core bind them under both
+	// spellings).
 	name := ""
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.SelectorExpr:
@@ -528,7 +529,13 @@ func (lk *leakScan) callReleases(call *ast.CallExpr) bool {
 	case *ast.Ident:
 		name = fun.Name
 	}
-	return strings.EqualFold(name, "onmessage")
+	return isOnMessageSink(name)
+}
+
+// isOnMessageSink matches the documented ownership-transfer callbacks by
+// name: transport.Config's OnMessage and OnMessages function fields.
+func isOnMessageSink(name string) bool {
+	return strings.EqualFold(name, "onmessage") || strings.EqualFold(name, "onmessages")
 }
 
 // usesNode reports whether any identifier under n resolves to the tracked

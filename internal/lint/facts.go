@@ -553,8 +553,8 @@ func (ts *taintScan) declare(t *ast.DeclStmt) {
 
 // call applies the transfer rules at a call site: bufpool recycling,
 // summarized transfer parameters/receivers, and the one contract that
-// stays name-based — OnMessage, transport.Config's function-field
-// callback, whose ownership handoff is documented API, not inferable
+// stays name-based — OnMessage(s), transport.Config's function-field
+// callbacks, whose ownership handoff is documented API, not inferable
 // from a body the analyzer can see.
 func (ts *taintScan) call(call *ast.CallExpr) {
 	var taintedArgs []int
@@ -600,7 +600,7 @@ func (ts *taintScan) call(call *ast.CallExpr) {
 	case *ast.Ident:
 		name = fun.Name
 	}
-	if strings.EqualFold(name, "onmessage") {
+	if isOnMessageSink(name) {
 		ts.transferred = true
 	}
 }

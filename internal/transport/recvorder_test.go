@@ -16,10 +16,12 @@ import (
 )
 
 // faninCollector records, per origin (From), the sequence numbers it
-// receives in arrival order — the receive-side mirror of seqCollector.
+// receives in arrival order — the receive-side mirror of seqCollector —
+// and, when wired as OnMessages, the size of every batch.
 type faninCollector struct {
-	mu   sync.Mutex
-	seqs map[From][]uint32
+	mu      sync.Mutex
+	seqs    map[From][]uint32
+	batches []int
 }
 
 func newFaninCollector() *faninCollector {
@@ -33,6 +35,15 @@ func (c *faninCollector) onMessage(from From, p []byte) {
 	}
 	c.mu.Unlock()
 	bufpool.Put(p)
+}
+
+func (c *faninCollector) onMessages(from From, payloads [][]byte) {
+	c.mu.Lock()
+	c.batches = append(c.batches, len(payloads))
+	c.mu.Unlock()
+	for _, p := range payloads {
+		c.onMessage(from, p)
+	}
 }
 
 func (c *faninCollector) total() int {
@@ -309,22 +320,80 @@ func TestRecvOrderDeathsAcrossReconnects(t *testing.T) {
 	}
 }
 
-// TestRecvOrderRawTCPBatchedReads drives the buffered TCP read path from a
-// raw client: 2 000 frames of mixed sizes arrive once as a single Write
-// (many frames per read, frames straddling the read buffer's edge) and
-// once one byte per Write (every header and payload split across reads).
-// Each way, every frame is delivered in order and the connection's
-// InboundTotals count exactly the frames and payload bytes sent.
-func TestRecvOrderRawTCPBatchedReads(t *testing.T) {
-	const frames = 2000
-	var stream []byte
-	var payloadBytes uint64
-	for i := 0; i < frames; i++ {
+// rawTCPReceiver starts a TCP-only endpoint delivering to col, per batch
+// (OnMessages) or through the per-payload OnMessage adapter, and dials a
+// raw client connection to it, so the test controls exactly how the bytes
+// are written.
+func rawTCPReceiver(t *testing.T, col *faninCollector, perBatch bool) (*Endpoint, net.Conn) {
+	t.Helper()
+	cfg := Config{ListenAddr: "127.0.0.1:0", Protocols: []wire.Transport{wire.TCP}}
+	if perBatch {
+		cfg.OnMessages = col.onMessages
+	} else {
+		cfg.OnMessage = col.onMessage
+	}
+	recv, err := NewEndpoint(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := recv.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(recv.Close)
+	conn, err := net.Dial("tcp", recv.Addr(wire.TCP))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	return recv, conn
+}
+
+// seqFrames appends a frame per sequence number in [from, to) to stream,
+// payload i carrying i in its first four bytes and 4+(i%7)*24 bytes long,
+// and returns the stream with the payload bytes it added.
+func seqFrames(stream []byte, from, to int) ([]byte, uint64) {
+	var n uint64
+	for i := from; i < to; i++ {
 		p := make([]byte, 4+(i%7)*24)
 		binary.BigEndian.PutUint32(p, uint32(i))
 		stream = codec.AppendFrame(stream, p)
-		payloadBytes += uint64(len(p))
+		n += uint64(len(p))
 	}
+	return stream, n
+}
+
+// checkOneOrigin asserts that col holds frames 0..n-1 from one origin, in
+// order.
+func checkOneOrigin(t *testing.T, col *faninCollector, n int) {
+	t.Helper()
+	seqs := col.snapshot()
+	if len(seqs) != 1 {
+		t.Fatalf("frames arrived from %d origins, want 1", len(seqs))
+	}
+	for _, got := range seqs {
+		if len(got) != n {
+			t.Fatalf("delivered %d of %d frames", len(got), n)
+		}
+		for j, s := range got {
+			if s != uint32(j) {
+				t.Fatalf("position %d: got seq %d — out of order", j, s)
+			}
+		}
+	}
+}
+
+// TestRecvOrderRawTCPBatchedReads drives the buffered TCP read path from a
+// raw client: 2 000 frames of mixed sizes arrive once as a single Write
+// (many frames per read, frames straddling the read buffer's edge) and
+// once one byte per Write (every header and payload split across reads),
+// each way through OnMessages and through the OnMessage adapter. Every
+// frame is delivered in order, the connection's InboundTotals count
+// exactly the frames and payload bytes sent, no batch exceeds
+// maxReadBatch, and the single Write is delivered in batches of more than
+// one frame.
+func TestRecvOrderRawTCPBatchedReads(t *testing.T) {
+	const frames = 2000
+	stream, payloadBytes := seqFrames(nil, 0, frames)
 	for _, tc := range []struct {
 		name  string
 		write func(net.Conn) error
@@ -343,46 +412,90 @@ func TestRecvOrderRawTCPBatchedReads(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			leakCheck(t)
-			col := newFaninCollector()
-			recv, err := NewEndpoint(Config{
-				ListenAddr: "127.0.0.1:0",
-				Protocols:  []wire.Transport{wire.TCP},
-				OnMessage:  col.onMessage,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := recv.Start(); err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(recv.Close)
-			conn, err := net.Dial("tcp", recv.Addr(wire.TCP))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer conn.Close()
-			if err := tc.write(conn); err != nil {
-				t.Fatal(err)
-			}
-			want := InboundSummary{Conns: 1, Frames: frames, Bytes: payloadBytes}
-			waitForCond(t, "every frame accounted", func() bool {
-				return recv.InboundTotals() == want
-			})
-			seqs := col.snapshot()
-			if len(seqs) != 1 {
-				t.Fatalf("frames arrived from %d origins, want 1", len(seqs))
-			}
-			for _, got := range seqs {
-				if len(got) != frames {
-					t.Fatalf("delivered %d of %d frames", len(got), frames)
+			for _, perBatch := range []bool{true, false} {
+				name := "OnMessage"
+				if perBatch {
+					name = "OnMessages"
 				}
-				for j, s := range got {
-					if s != uint32(j) {
-						t.Fatalf("position %d: got seq %d — out of order", j, s)
+				t.Run(name, func(t *testing.T) {
+					leakCheck(t)
+					col := newFaninCollector()
+					recv, conn := rawTCPReceiver(t, col, perBatch)
+					if err := tc.write(conn); err != nil {
+						t.Fatal(err)
 					}
-				}
+					want := InboundSummary{Conns: 1, Frames: frames, Bytes: payloadBytes}
+					waitForCond(t, "every frame accounted", func() bool {
+						return recv.InboundTotals() == want
+					})
+					checkOneOrigin(t, col, frames)
+					if !perBatch {
+						return
+					}
+					col.mu.Lock()
+					defer col.mu.Unlock()
+					largest := 0
+					for _, n := range col.batches {
+						largest = max(largest, n)
+					}
+					if largest > maxReadBatch {
+						t.Fatalf("a batch of %d frames, bound %d", largest, maxReadBatch)
+					}
+					if tc.name == "one write" && largest < 2 {
+						t.Fatalf("%d frames in one Write arrived in %d batches of one", frames, len(col.batches))
+					}
+				})
 			}
 		})
 	}
+}
+
+// TestRecvOrderReadBatchStraddle: a frame cut at the end of what has been
+// written ends the batch before it and is delivered only once its last
+// byte arrives, in a batch of its own — no later write is needed.
+func TestRecvOrderReadBatchStraddle(t *testing.T) {
+	leakCheck(t)
+	col := newFaninCollector()
+	_, conn := rawTCPReceiver(t, col, true)
+	stream, _ := seqFrames(nil, 0, 10)
+	whole := len(stream)
+	stream, _ = seqFrames(stream, 10, 11)
+	cut := whole + codec.FrameHeaderLen + 2 // frame 10's header and two payload bytes
+	if _, err := conn.Write(stream[:cut]); err != nil {
+		t.Fatal(err)
+	}
+	waitForCond(t, "the ten complete frames", func() bool { return col.total() == 10 })
+	time.Sleep(20 * time.Millisecond)
+	if n := col.total(); n != 10 {
+		t.Fatalf("%d frames delivered before the straddling frame completed, want 10", n)
+	}
+	if _, err := conn.Write(stream[cut:]); err != nil {
+		t.Fatal(err)
+	}
+	waitForCond(t, "the completed frame", func() bool { return col.total() == 11 })
+	checkOneOrigin(t, col, 11)
+	col.mu.Lock()
+	defer col.mu.Unlock()
+	if last := col.batches[len(col.batches)-1]; last != 1 {
+		t.Fatalf("the completed frame arrived in a batch of %d, want 1", last)
+	}
+}
+
+// TestRecvOrderReadBatchLoneFrame: after a batch, a single frame written
+// on its own is delivered without any later write to flush it.
+func TestRecvOrderReadBatchLoneFrame(t *testing.T) {
+	leakCheck(t)
+	col := newFaninCollector()
+	_, conn := rawTCPReceiver(t, col, true)
+	stream, _ := seqFrames(nil, 0, 100)
+	if _, err := conn.Write(stream); err != nil {
+		t.Fatal(err)
+	}
+	waitForCond(t, "the batch", func() bool { return col.total() == 100 })
+	lone, _ := seqFrames(nil, 100, 101)
+	if _, err := conn.Write(lone); err != nil {
+		t.Fatal(err)
+	}
+	waitForCond(t, "the lone frame", func() bool { return col.total() == 101 })
+	checkOneOrigin(t, col, 101)
 }

@@ -10,6 +10,7 @@
 package transport
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -108,24 +109,31 @@ type Config struct {
 	// (up/down/retry/fallback). Called from channel goroutines outside
 	// endpoint locks; implementations must be goroutine-safe and fast.
 	OnStatus func(StatusEvent)
-	// OnMessage receives every inbound payload; required before Start.
-	// Both the framed (TCP/UDT) and datagram (UDP) paths funnel through
-	// the endpoint's deliver helper into this callback, under one
-	// contract:
+	// OnMessages receives inbound payloads in batches; exactly one of
+	// OnMessages and OnMessage is required. A batch is a contiguous run
+	// of one origin's payloads in wire order: every complete frame one
+	// buffered TCP read brought in, or a single payload (UDT, UDP, and a
+	// TCP frame that needed more reads). The read loop never waits for
+	// bytes to grow a batch. Both the framed (TCP/UDT) and the datagram
+	// (UDP) paths funnel into this callback under one contract:
 	//
 	//   - It is called from transport goroutines (one read loop per
 	//     stream connection, one for the UDP socket); implementations
 	//     must be goroutine-safe. A slow callback applies backpressure
 	//     to its own connection only — frames from other peers arrive on
 	//     other goroutines.
-	//   - Ownership of the payload buffer (drawn from bufpool) passes to
+	//   - Ownership of each payload buffer (drawn from bufpool) passes to
 	//     the callback at the call: once done with the bytes it must
 	//     return them with bufpool.Put exactly once, and it must not
-	//     touch the slice after Put. Dropping the buffer is memory-safe
-	//     but costs a future allocation.
+	//     touch the slice after Put. Dropping a buffer is memory-safe
+	//     but costs a future allocation. The payloads slice itself is
+	//     the reader's scratch, valid only during the call.
 	//   - from identifies the origin; payloads sharing a From arrive in
 	//     wire order, and consumers that process messages concurrently
 	//     must preserve that per-(Proto, Peer) FIFO themselves.
+	OnMessages func(from From, payloads [][]byte)
+	// OnMessage is the per-payload form of OnMessages, under the same
+	// contract; the endpoint calls it once per payload of each batch.
 	OnMessage func(from From, payload []byte)
 	// Logger receives connection-level diagnostics (default slog.Default).
 	Logger *slog.Logger
@@ -165,6 +173,13 @@ func (c Config) withDefaults() Config {
 	if c.Logger == nil {
 		c.Logger = slog.Default()
 	}
+	if on := c.OnMessage; c.OnMessages == nil && on != nil {
+		c.OnMessages = func(from From, payloads [][]byte) {
+			for _, p := range payloads {
+				on(from, p)
+			}
+		}
+	}
 	return c
 }
 
@@ -202,8 +217,8 @@ type chanKey struct {
 
 // NewEndpoint validates cfg and prepares an endpoint; call Start to bind.
 func NewEndpoint(cfg Config) (*Endpoint, error) {
-	if cfg.OnMessage == nil {
-		return nil, errors.New("transport: Config.OnMessage is required")
+	if (cfg.OnMessage == nil) == (cfg.OnMessages == nil) {
+		return nil, errors.New("transport: exactly one of Config.OnMessages and Config.OnMessage is required")
 	}
 	if cfg.ListenAddr == "" {
 		return nil, errors.New("transport: Config.ListenAddr is required")
@@ -456,6 +471,7 @@ func (e *Endpoint) startUDP() error {
 		// loop does not re-format (and re-allocate) it per datagram.
 		// Owned by this goroutine only; no lock.
 		peers := make(map[netip.AddrPort]string)
+		var one [1][]byte // the batch of one each datagram is delivered as
 		for {
 			n, src, err := sock.ReadFromUDPAddrPort(buf)
 			if err != nil {
@@ -476,7 +492,8 @@ func (e *Endpoint) startUDP() error {
 			// it to bufpool) while this goroutine reuses buf.
 			payload := bufpool.Get(n)
 			copy(payload, buf[:n])
-			e.deliver(From{Proto: wire.UDP, Peer: peer}, payload)
+			one[0] = payload
+			e.deliver(From{Proto: wire.UDP, Peer: peer}, one[:])
 		}
 	}()
 	return nil
@@ -487,13 +504,18 @@ func (e *Endpoint) startUDP() error {
 // for a bounded footprint under address churn.
 const maxUDPPeerCache = 1 << 14
 
-// deliver hands one inbound payload to the configured message callback —
-// the single funnel for both the framed (readFrames) and the datagram
-// (UDP read loop) paths. Ownership of the pooled payload buffer passes
-// to cfg.OnMessage at this call, per the contract documented on
-// Config.OnMessage; the transport never touches the slice again.
-func (e *Endpoint) deliver(from From, payload []byte) {
-	e.cfg.OnMessage(from, payload)
+// maxReadBatch bounds the frames one OnMessages call carries, so a buffer
+// full of tiny frames is still handed on in pieces a decode job works
+// through quickly.
+const maxReadBatch = 64
+
+// deliver hands one inbound batch to the configured callback — the single
+// funnel for both the framed (readFrames) and the datagram (UDP read loop)
+// paths. Ownership of each pooled payload passes to cfg.OnMessages at this
+// call, per the contract documented on Config.OnMessages; the transport
+// never touches those slices again.
+func (e *Endpoint) deliver(from From, payloads [][]byte) {
+	e.cfg.OnMessages(from, payloads)
 }
 
 // readFrames pumps length-prefixed frames from an inbound stream
@@ -502,9 +524,11 @@ func (e *Endpoint) deliver(from From, payload []byte) {
 // life; per-frame accounting is on its own atomics.
 //
 // TCP reads go through one frame buffer per connection, so a read(2)
-// brings in up to 32 KiB of frames instead of costing two per frame. UDT
-// stays unbuffered: its Read is a copy out of the userspace receive ring,
-// not a syscall, so a buffer would only add a copy.
+// brings in up to 32 KiB of frames instead of costing two per frame, and
+// every frame already complete in that buffer goes up in the same
+// OnMessages batch. UDT stays unbuffered, so its batches hold one frame:
+// its Read is a copy out of the userspace receive ring, not a syscall, so
+// a buffer would only add a copy.
 func (e *Endpoint) readFrames(proto wire.Transport, conn net.Conn) {
 	ic, ok := e.inbound.add(proto, conn)
 	if !ok {
@@ -515,19 +539,38 @@ func (e *Endpoint) readFrames(proto wire.Transport, conn net.Conn) {
 		e.inbound.remove(ic)
 		conn.Close()
 	}()
-	var r io.Reader = conn
+	var (
+		r  io.Reader = conn
+		br *bufio.Reader
+	)
 	if proto == wire.TCP {
-		r = codec.NewFrameReader(conn)
+		br = codec.NewFrameReader(conn)
+		r = br
 	}
+	// batch is this loop's scratch; each payload in it is owned by the
+	// callback from the OnMessages call on.
+	batch := make([][]byte, 0, 1)
 	for {
-		// ReadFrame fills a pooled buffer; ownership passes to deliver.
 		payload, err := codec.ReadFrame(r, e.cfg.MaxFrame)
 		if err != nil {
 			return
 		}
-		ic.frames.Add(1)
-		ic.bytes.Add(uint64(len(payload)))
-		e.deliver(ic.from, payload)
+		batch = append(batch, payload)
+		size := len(payload)
+		for br != nil && len(batch) < maxReadBatch && codec.FrameBuffered(br, e.cfg.MaxFrame) {
+			p, err := codec.ReadFrame(br, e.cfg.MaxFrame)
+			if err != nil {
+				break // unreachable for a buffered frame; the next read reports it
+			}
+			batch = append(batch, p)
+			size += len(p)
+		}
+		// Count after delivery, so totals never run ahead of the callback.
+		e.deliver(ic.from, batch)
+		ic.frames.Add(uint64(len(batch)))
+		ic.bytes.Add(uint64(size))
+		clear(batch)
+		batch = batch[:0]
 	}
 }
 
