@@ -36,7 +36,7 @@ STARTUP_PKGS = ./internal/udt/
 STARTUP_RUN  = 'SlowStart'
 
 RECV_PKGS = ./internal/transport/ ./internal/core/ ./internal/vnet/
-RECV_RUN  = 'RecvOrder|DecodeStage|LaneStage|VNodeFanin'
+RECV_RUN  = 'RecvOrder|LaneStage|VNodeFanin'
 
 QOS_PKGS = ./internal/transport/ ./internal/core/ ./internal/data/
 QOS_RUN  = 'QoS'
@@ -110,8 +110,8 @@ bench-udt:
 # bench-fanin reruns the fan-in scaling benchmarks (BenchmarkFaninReceive /
 # BenchmarkFaninReceiveNetwork) and refreshes the "current" section of
 # BENCH_fanin.json; the frozen "baseline" section holds the numbers from
-# before the parallel decode stage. The benchmarks sweep GOMAXPROCS
-# 1/4/NumCPU themselves.
+# before the parallel decode stage (since removed: read loops decode their
+# own batches). The benchmarks sweep GOMAXPROCS 1/4/NumCPU themselves.
 bench-fanin:
 	$(GO) test -bench FaninReceive -run '^$$' -benchmem $(FANIN_PKGS) | tee $(FANIN_OUT)
 	$(GO) run ./cmd/benchjson -label current -out BENCH_fanin.json < $(FANIN_OUT)
@@ -178,8 +178,9 @@ soak-smoke:
 	@rm -f ./kmsoak.bin soak-plan-a.txt soak-plan-b.txt
 
 # test-recv runs the receive-path property suite (per-peer inbound FIFO,
-# at-most-once delivery, zero-leak teardown) and the socket-free suite of
-# the generic lane stage both directions share, race-enabled and repeated.
+# at-most-once delivery, zero-leak teardown, a peer held in decode not
+# stalling others) and the socket-free suite of the generic lane stage
+# behind the codec stage, race-enabled and repeated.
 test-recv:
 	$(GO) test -race -count=3 -run $(RECV_RUN) $(RECV_PKGS)
 

@@ -40,9 +40,9 @@ type codecJob struct {
 	err     error
 }
 
-// codecStage is created in OnStart, bound to that start's endpoint the
-// way the decode stage is, and closed first in OnStop/OnKill, on the
-// component thread, before the endpoint closes — so jobs already encoded
+// codecStage is created in OnStart, bound to that start's endpoint, and
+// closed first in OnStop/OnKill, on the component thread, before the
+// endpoint closes — so jobs already encoded
 // still reach Endpoint.SendQoS and fail through its ErrClosed path.
 type codecStage struct {
 	n     *Network

@@ -5,8 +5,8 @@ package core
 // Network, with producer goroutines injecting into each sender's
 // mailbox. Where the transport-level BenchmarkFaninReceive isolates the
 // inbound registry and read loops, this one additionally covers the
-// decode stage (decompress + decode) that runs on the receiver for
-// every inbound frame. Run via
+// decode (decompress + decode) that each receiving read loop runs on
+// every inbound frame, and the inbox hand-off into the component. Run via
 //
 //	make bench-fanin
 //
@@ -14,8 +14,8 @@ package core
 // flate cannot flatter *encode* throughput — the fan-in payload is
 // compressible on purpose: an incompressible payload ships with the
 // raw flag and the receiver never decompresses, which would make the
-// flate case measure nothing. What the flate rows show is whether
-// inbound decompress pipelines with socket reads, not codec ratios.
+// flate case measure nothing. What the flate rows show is what inbound
+// decompress costs across concurrent peers, not codec ratios.
 // The procs=N sub-name keeps GOMAXPROCS runs distinct in
 // BENCH_fanin.json.
 

@@ -25,7 +25,7 @@ import (
 // decompress + decode (Network.decodeWire). Buffer ownership follows the
 // production contract: the frame writer releases the encoded payload after
 // the write (as outChannel does) and decodeWire consumes the inbound
-// buffer (as the decode stage's workers call it).
+// buffer (as Network.receive calls it on the read goroutine).
 func benchWirePath(b *testing.B, comp codec.Compressor, size int) {
 	b.Helper()
 	n, err := NewNetwork(NetworkConfig{

@@ -1,14 +1,14 @@
 package core
 
 // The inbox is the one way work from other goroutines enters the Network
-// component: decoded inbound messages (from the decode stage), send
-// outcomes (from the transport's notify callbacks) and supervision status
-// events (from channel goroutines) all join one mutex-guarded queue in
-// push order. Only a push into an empty queue wakes the component, and
-// one handler then publishes everything queued when it started — so a
-// decoded batch of N messages costs one SelfTrigger, one mailbox entry
-// and one dispatch instead of N, while the three kinds keep exactly the
-// relative order in which they were pushed.
+// component: decoded inbound messages (from the transport read loops),
+// send outcomes (from the transport's notify callbacks) and supervision
+// status events (from channel goroutines) all join one mutex-guarded
+// queue in push order. Only a push into an empty queue wakes the
+// component, and one handler then publishes everything queued when it
+// started — so a decoded batch of N messages costs one SelfTrigger, one
+// mailbox entry and one dispatch instead of N, while the three kinds keep
+// exactly the relative order in which they were pushed.
 
 import (
 	"sync"
@@ -53,17 +53,17 @@ func (b *inbox) push(it inboxItem) {
 	}
 }
 
-// pushMsgs queues a decoded batch's messages in order (nil entries, the
-// empty payloads and decode failures, are skipped).
-func (b *inbox) pushMsgs(frames []decodedFrame) {
-	b.mu.Lock()
-	n := len(b.items)
-	for i := range frames {
-		if m := frames[i].msg; m != nil {
-			b.items = append(b.items, inboxItem{msg: m})
-		}
+// pushMsgs queues a decoded batch's messages in order. It only copies
+// them, so the caller may reuse msgs once it returns.
+func (b *inbox) pushMsgs(msgs []Msg) {
+	if len(msgs) == 0 {
+		return
 	}
-	wake := n == 0 && len(b.items) > 0
+	b.mu.Lock()
+	wake := len(b.items) == 0
+	for _, m := range msgs {
+		b.items = append(b.items, inboxItem{msg: m})
+	}
 	b.mu.Unlock()
 	if wake {
 		b.comp.SelfTrigger(drainInbox{})

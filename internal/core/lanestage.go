@@ -1,13 +1,16 @@
 package core
 
-// The ordered lane stage is the one mechanism both directions of the
-// pipeline use to lift per-message CPU work — encode on the way out,
-// decode on the way in — off a single thread onto a bounded worker pool
-// without giving up per-peer order, the same move the Kompics paper makes
-// with multi-core component scheduling [5] and Netty with its multi-loop
-// EventLoopGroup. codecStage and decodeStage (codecstage.go,
-// decodestage.go) are its two instantiations; they only say what work,
-// release and abandon mean for their payload. What the stage guarantees:
+// The ordered lane stage lifts per-message CPU work — encode, on the send
+// path — off the single Network component thread onto a bounded worker
+// pool without giving up per-peer order, the same move the Kompics paper
+// makes with multi-core component scheduling [5] and Netty with its
+// multi-loop EventLoopGroup. codecStage (codecstage.go) is its one
+// instantiation; it only says what work, release and abandon mean for its
+// payload. The receive path needs no stage: each stream connection's read
+// goroutine decodes its own batches (Network.receive), which already keeps
+// per-peer order and decodes different peers in parallel. The type stays
+// generic so its suite can drive it with a probe job. What the stage
+// guarantees:
 //
 //   - FIFO per lane: jobs are released in the order they were submitted
 //     to their lane, even though workers finish them out of order — a
@@ -22,8 +25,8 @@ package core
 //     its job inline. The job still rides its lane, so order holds, and
 //     the stall is confined to the goroutine that is overrunning the pool.
 //   - Bounded lane table: a lane is reclaimed once everything submitted to
-//     it has been released, so keys that never recur (an inbound peer's
-//     ephemeral address) do not accumulate.
+//     it has been released, so keys that never recur (a churning
+//     destination set) do not accumulate.
 
 import (
 	"runtime"
@@ -40,9 +43,8 @@ const stageInflight = 256
 // minLaneSweep is the lane-table size below which no reclaim sweep runs.
 const minLaneSweep = 64
 
-// laneKey identifies a lane: the wire protocol plus the remote socket
-// address — the destination on the send side (UDT port shift applied),
-// the origin transport.From.Peer on the receive side.
+// laneKey identifies a lane: the wire protocol plus the destination
+// socket address (UDT port shift applied).
 type laneKey struct {
 	proto Transport
 	addr  string
@@ -85,7 +87,7 @@ type lane[T any] struct {
 }
 
 // laneStage owns the worker pool and the lane table. It is single-use:
-// one per direction per Network start.
+// one per Network start.
 type laneStage[T any] struct {
 	// work runs once per job that reaches a worker, concurrently with
 	// other jobs of any lane; release then runs in lane order. abandon
@@ -121,8 +123,7 @@ func newLaneStage[T any](limit int, work, release, abandon func(*T)) *laneStage[
 
 // submit sequences one job on key's lane. Lane order is the order in
 // which submit calls for that lane are made, so each lane needs a single
-// submitting goroutine at a time (the component thread on the send side,
-// the connection's read goroutine on the receive side).
+// submitting goroutine at a time (the Network component thread).
 //
 // The job joins its lane under the stage lock, so a close that follows
 // sees it: if the pool refuses the job, close has abandoned it (or will)

@@ -102,21 +102,17 @@ type Network struct {
 	comp       *kompics.Component
 	ctx        *kompics.Context
 	epsMu      sync.Mutex // guards ep swaps across restarts
-	// stageLimit is the inflight bound both lane stages are built with at
+	// stageLimit is the inflight bound the codec stage is built with at
 	// the next start (stageInflight; tests shrink it).
 	stageLimit int
 	// stage is the parallel codec stage; accessed only on the component
 	// thread (created in OnStart, torn down in OnStop/OnKill, consulted in
 	// sendMsg), so it needs no lock of its own.
 	stage *codecStage
-	// dstage is the parallel decode stage. The field is touched only on
-	// the component thread (OnStart/OnStop/OnKill); the hot path never
-	// reads it — each Endpoint's OnMessages closure captures its own
-	// stage, so inbound delivery is lock-free at the Network level and a
-	// restart cannot race frames onto a stale stage.
-	dstage *decodeStage
-	// warnLimit throttles the dropping-unsendable-message warn.
-	warnLimit *stats.LogLimiter
+	// sendWarn throttles the dropping-unsendable-message warn, recvWarn
+	// the dropping-inbound-message one. Separate buckets, so a peer
+	// sending garbage cannot silence send failures.
+	sendWarn, recvWarn *stats.LogLimiter
 	// dests caches each destination's wire string (wireDest); touched only
 	// on the component thread, so it needs no lock.
 	dests map[destKey]string
@@ -163,7 +159,8 @@ func NewNetwork(cfg NetworkConfig) (*Network, error) {
 	return &Network{
 		cfg:        cfg,
 		stageLimit: stageInflight,
-		warnLimit:  stats.NewLogLimiter(cfg.Transport.Clock, warnBurst, warnRefillPerSec),
+		sendWarn:   stats.NewLogLimiter(cfg.Transport.Clock, warnBurst, warnRefillPerSec),
+		recvWarn:   stats.NewLogLimiter(cfg.Transport.Clock, warnBurst, warnRefillPerSec),
 	}, nil
 }
 
@@ -212,12 +209,10 @@ func (n *Network) Init(ctx *kompics.Context) {
 	n.tcfg.OnStatus = func(ev transport.StatusEvent) {
 		n.inbox.push(inboxItem{status: &ev})
 	}
+	n.tcfg.OnMessages = n.receive
 	// Reject a bad transport config at Create instead of faulting the
-	// component at Start. Live endpoints get their OnMessages from the
-	// decode stage built with them; this one never receives.
-	probe := n.tcfg
-	probe.OnMessages = func(transport.From, [][]byte) {}
-	if _, err := transport.NewEndpoint(probe); err != nil {
+	// component at Start.
+	if _, err := transport.NewEndpoint(n.tcfg); err != nil {
 		panic(fmt.Sprintf("core: invalid transport config: %v", err))
 	}
 
@@ -232,25 +227,17 @@ func (n *Network) Init(ctx *kompics.Context) {
 	n.registerMetrics()
 
 	// Endpoints are single-use: each Start builds a fresh one, so the
-	// component can be stopped and restarted (listeners re-bind). The
-	// decode stage is born with its endpoint: the OnMessages closure binds
-	// inbound batches to exactly this start's stage, with no lock or
-	// indirection on the per-batch path.
+	// component can be stopped and restarted (listeners re-bind).
 	ctx.OnStart(func() {
-		dst := newDecodeStage(n)
-		tcfg := n.tcfg
-		tcfg.OnMessages = dst.submit
-		ep, err := transport.NewEndpoint(tcfg)
+		ep, err := transport.NewEndpoint(n.tcfg)
 		if err != nil {
 			panic(fmt.Sprintf("core: transport config: %v", err))
 		}
 		if err := ep.Start(); err != nil {
-			dst.close()
 			n.cfg.Logger.Error("core: network listeners failed", "err", err)
 			panic(err) // faults the component; supervisors see it
 		}
 		n.setEndpoint(ep)
-		n.dstage = dst
 		n.stage = newCodecStage(n, ep)
 	})
 	ctx.OnStop(n.stop)
@@ -263,9 +250,9 @@ func (n *Network) Init(ctx *kompics.Context) {
 func (n *Network) stop() {
 	// Codec stage first: its close waits for in-flight encodes, whose
 	// releases still reach the live endpoint and resolve through its
-	// notify contract; then the endpoint (read loops drain and exit);
-	// the decode stage last, once no read loop can submit — it fails
-	// the undecoded backlog and recycles its pooled buffers.
+	// notify contract; then the endpoint, whose Close waits for the read
+	// loops — each decodes its batch before reading the next, so once
+	// Close returns no inbound frame is left undecoded.
 	if st := n.stage; st != nil {
 		n.stage = nil
 		st.close()
@@ -273,10 +260,28 @@ func (n *Network) stop() {
 	if ep := n.endpoint(); ep != nil {
 		ep.Close()
 	}
-	if dst := n.dstage; dst != nil {
-		n.dstage = nil
-		dst.close()
+}
+
+// receive is every endpoint's OnMessages callback: it decodes one inbound
+// batch on the transport goroutine that read it and queues the messages
+// on the inbox in one push. Ownership of the pooled payloads passes here
+// and on to decodeWire, which consumes each. A stream connection has a
+// single read goroutine, so its messages reach the inbox in wire order;
+// other peers decode in parallel on their own read goroutines, and a slow
+// decode stalls only its own connection.
+func (n *Network) receive(_ transport.From, payloads [][]byte) {
+	// Transport batches hold at most 64 frames, so msgs stays in buf.
+	var buf [64]Msg
+	msgs := buf[:0]
+	for _, p := range payloads {
+		m, err := n.decodeWire(p)
+		if err != nil {
+			n.warn(n.recvWarn, "core: dropping inbound message", err)
+		} else if m != nil { // nil: an empty payload, silently ignored
+			msgs = append(msgs, m)
+		}
 	}
+	n.inbox.pushMsgs(msgs)
 }
 
 // sendMsg routes one outgoing message: local reflection, or serialise +
@@ -353,8 +358,8 @@ func formatDest(dst Address, proto Transport) (string, error) {
 	return dest, nil
 }
 
-// The token bucket throttling notify's warn: warnBurst lines at once,
-// refilled at warnRefillPerSec.
+// The token buckets throttling the send and receive warns: warnBurst
+// lines at once, refilled at warnRefillPerSec.
 const (
 	warnBurst        = 10
 	warnRefillPerSec = 1
@@ -362,25 +367,31 @@ const (
 
 // notify resolves one send: a NotifyResp on the port when the sender
 // asked for one, otherwise a rate-limited warn on failure (a dead peer
-// under fan-out load fails every message; the token bucket keeps the
-// logger out of the hot path while the suppressed count preserves the
-// failure's magnitude). Callable from codec workers as well as the
-// component thread — Trigger is goroutine-safe and the limiter locks.
+// under fan-out load fails every message). Callable from codec workers as
+// well as the component thread — Trigger is goroutine-safe and the
+// limiter locks.
 func (n *Network) notify(id uint64, want bool, err error) {
 	if !want {
 		if err != nil {
-			if ok, suppressed := n.warnLimit.Allow(); ok {
-				if suppressed > 0 {
-					n.cfg.Logger.Warn("core: dropping unsendable message",
-						"err", err, "suppressed", suppressed)
-				} else {
-					n.cfg.Logger.Warn("core: dropping unsendable message", "err", err)
-				}
-			}
+			n.warn(n.sendWarn, "core: dropping unsendable message", err)
 		}
 		return
 	}
 	n.ctx.Trigger(NotifyResp{ID: id, Err: err}, n.port)
+}
+
+// warn logs msg with err if the token bucket l allows a line now. The
+// bucket keeps the logger out of the hot path under a flood, while the
+// suppressed count on the next allowed line preserves its magnitude.
+func (n *Network) warn(l *stats.LogLimiter, msg string, err error) {
+	ok, suppressed := l.Allow()
+	switch {
+	case !ok:
+	case suppressed > 0:
+		n.cfg.Logger.Warn(msg, "err", err, "suppressed", suppressed)
+	default:
+		n.cfg.Logger.Warn(msg, "err", err)
+	}
 }
 
 // encode serialises and optionally compresses a message into a buffer

@@ -102,8 +102,13 @@ type node struct {
 
 func startNode(t *testing.T, port int) *node {
 	t.Helper()
-	self := MustParseAddress(fmt.Sprintf("127.0.0.1:%d", port))
-	netDef, err := NewNetwork(NetworkConfig{Self: self})
+	return startNodeConfig(t, NetworkConfig{Self: MustParseAddress(fmt.Sprintf("127.0.0.1:%d", port))})
+}
+
+// startNodeConfig is startNode with a caller-built NetworkConfig.
+func startNodeConfig(t *testing.T, cfg NetworkConfig) *node {
+	t.Helper()
+	netDef, err := NewNetwork(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +127,7 @@ func startNode(t *testing.T, port int) *node {
 	if netDef.Addr(TCP) == "" {
 		t.Fatal("listeners did not come up")
 	}
-	return &node{self: self, sys: sys, net: netDef, netComp: netComp, app: app}
+	return &node{self: cfg.Self, sys: sys, net: netDef, netComp: netComp, app: app}
 }
 
 func waitFor(t *testing.T, what string, cond func() bool) {

@@ -4,19 +4,20 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"sync"
 	"testing"
 	"time"
 
 	"github.com/kompics/kompicsmessaging-go/internal/bufpool"
+	"github.com/kompics/kompicsmessaging-go/internal/codec"
 	"github.com/kompics/kompicsmessaging-go/internal/kompics"
-	"github.com/kompics/kompicsmessaging-go/internal/transport"
 )
 
 // coreLeakCheck arms bufpool's debug accounting and asserts at teardown
 // that every pooled buffer taken on the wire path came back. Registered
 // before the nodes' own Cleanups so that (LIFO) the assertion runs after
-// their systems have shut down and the decode stages drained.
+// their systems and endpoints have shut down.
 func coreLeakCheck(t *testing.T) {
 	t.Helper()
 	bufpool.ResetStats()
@@ -31,114 +32,101 @@ func coreLeakCheck(t *testing.T) {
 
 // shutdownNode stops a test node's system, then tears its network down
 // the way OnStop would — System.Shutdown alone leaves the endpoint open —
-// so that when it returns every transport goroutine has exited and both
-// lane stages have settled their jobs and returned their buffers.
+// so that when it returns every transport goroutine has exited, the
+// codec stage has settled its jobs, and every buffer is back.
 func shutdownNode(sys *kompics.System, n *Network) {
 	sys.Shutdown()
 	n.stop()
 }
 
-// startDecodeNode builds a receiver whose decode stage runs against a
-// deliberately tight inflight bound, so both the pooled and the
-// inline-saturation decode paths are exercised.
-func startDecodeNode(t *testing.T, port int) *node {
-	t.Helper()
-	self := MustParseAddress(fmt.Sprintf("127.0.0.1:%d", port))
-	netDef, err := NewNetwork(NetworkConfig{Self: self})
-	if err != nil {
-		t.Fatal(err)
-	}
-	netDef.stageLimit = 8
-	sys := kompics.NewSystem()
-	t.Cleanup(func() { shutdownNode(sys, netDef) })
-	netComp := sys.Create(netDef)
-	app := &appComponent{}
-	appComp := sys.Create(app)
-	kompics.MustConnect(netDef.Port(), app.net)
-	sys.Start(netComp)
-	sys.Start(appComp)
-	waitFor(t, "receiver listeners", func() bool { return netDef.Addr(TCP) != "" })
-	return &node{self: self, sys: sys, net: netDef, netComp: netComp, app: app}
-}
-
 // decodePayload builds a compressible payload (so flate survives encode
-// and the decode workers actually decompress) carrying seq in its first
-// four bytes.
+// and the receiving read loops actually decompress) carrying seq in its
+// first four bytes.
 func decodePayload(seq uint32) []byte {
 	p := bytes.Repeat([]byte("inbound fan-in payload "), 12)[:256]
 	binary.BigEndian.PutUint32(p, seq)
 	return p
 }
 
-// TestDecodeStageRecvOrderProperty is the per-peer FIFO property test for
-// the parallel decode stage: N sender nodes blast interleaved messages at
-// ONE receiver whose decode runs on the stage's workers behind an inflight
-// bound of 8. Every sender's stream must reach the receiving application in
-// submission order even though frames decode concurrently and out of
-// order, and (coreLeakCheck) no pooled buffer may leak across the
-// transport→stage→component handoff. Run under -race -count=3 in CI.
-func TestDecodeStageRecvOrderProperty(t *testing.T) {
+// seqsBySource groups the messages a node's app received by source
+// address, as the sequence numbers decodePayload wrote.
+func seqsBySource(app *appComponent) map[string][]uint32 {
+	app.mu.Lock()
+	defer app.mu.Unlock()
+	out := make(map[string][]uint32)
+	for _, m := range app.received {
+		src := m.Hdr.Source().AsSocket()
+		out[src] = append(out[src], binary.BigEndian.Uint32(m.Payload))
+	}
+	return out
+}
+
+// checkFIFO fails unless seqs is 0, 1, 2, … (a prefix of the stream when
+// want < 0, otherwise exactly want long).
+func checkFIFO(t *testing.T, src string, seqs []uint32, want int) {
+	t.Helper()
+	if want >= 0 && len(seqs) != want {
+		t.Fatalf("source %s delivered %d of %d messages — at-most-once or loss violated", src, len(seqs), want)
+	}
+	for j, s := range seqs {
+		if s != uint32(j) {
+			t.Fatalf("source %s position %d: got seq %d, want %d — per-peer FIFO violated", src, j, s, j)
+		}
+	}
+}
+
+// TestRecvOrderNetworkFanin is the Network-level per-peer FIFO property:
+// N sender nodes blast interleaved messages at ONE receiver, whose read
+// loops decompress and decode their batches concurrently. Every sender's
+// stream must reach the receiving application in submission order,
+// exactly once, and (coreLeakCheck) no pooled buffer may leak across the
+// transport→decode→component hand-off. Run under -race -count=3 in CI.
+func TestRecvOrderNetworkFanin(t *testing.T) {
 	coreLeakCheck(t)
 	const (
 		senders = 4
 		perPeer = 150
 	)
 	ports := freePorts(t, senders+1)
-	recv := startDecodeNode(t, ports[senders])
+	recv := startNode(t, ports[senders])
 	nodes := make([]*node, senders)
 	for i := range nodes {
 		nodes[i] = startNode(t, ports[i])
 	}
 
-	for i, n := range nodes {
-		go func(i int, n *node) {
+	for _, n := range nodes {
+		go func(n *node) {
 			for seq := uint32(0); seq < perPeer; seq++ {
-				msg := &DataMsg{
+				n.appTrigger(&DataMsg{
 					Hdr:     NewHeader(n.self, recv.self, TCP),
 					Payload: decodePayload(seq),
-				}
-				n.appTrigger(msg)
+				})
 			}
-		}(i, n)
+		}(n)
 	}
 
 	waitFor(t, "all fan-in deliveries", func() bool {
 		return recv.app.receivedCount() == senders*perPeer
 	})
-	recv.app.mu.Lock()
-	got := append([]*DataMsg(nil), recv.app.received...)
-	recv.app.mu.Unlock()
-
-	bySource := make(map[string][]uint32)
-	for _, m := range got {
-		src := m.Hdr.Source().AsSocket()
-		bySource[src] = append(bySource[src], binary.BigEndian.Uint32(m.Payload))
-	}
+	bySource := seqsBySource(recv.app)
 	if len(bySource) != senders {
 		t.Fatalf("received from %d sources, want %d", len(bySource), senders)
 	}
 	for src, seqs := range bySource {
-		if len(seqs) != perPeer {
-			t.Fatalf("source %s delivered %d of %d messages — at-most-once or loss violated", src, len(seqs), perPeer)
-		}
-		for j, s := range seqs {
-			if s != uint32(j) {
-				t.Fatalf("source %s position %d: got seq %d, want %d — per-peer FIFO violated by decode stage", src, j, s, j)
-			}
-		}
+		checkFIFO(t, src, seqs, perPeer)
 	}
 }
 
-// TestDecodeStageDrainNoLeak shuts the receiver down in the middle of a
-// fan-in: the decode stage must fail its undecoded backlog without
-// leaking a single pooled buffer, and every sender-side notify must still
-// resolve exactly once (delivered or failed). The leak assertion runs
-// after both systems are down.
-func TestDecodeStageDrainNoLeak(t *testing.T) {
+// TestRecvOrderStopMidStreamNoLeak stops the receiving Network component
+// in the middle of a stream: its endpoint closes under the read loops
+// without leaking a single pooled buffer, every sender-side notify
+// resolves exactly once (sent or failed), and the delivered prefix is in
+// order. The leak assertion runs after both systems are down.
+func TestRecvOrderStopMidStreamNoLeak(t *testing.T) {
 	coreLeakCheck(t)
 	const perPeer = 400
 	ports := freePorts(t, 2)
-	recv := startDecodeNode(t, ports[1])
+	recv := startNode(t, ports[1])
 	sender := startNode(t, ports[0])
 
 	go func() {
@@ -151,13 +139,10 @@ func TestDecodeStageDrainNoLeak(t *testing.T) {
 		}
 	}()
 
-	// Kill the receiver once the stream is demonstrably flowing; frames
-	// already submitted to its decode stage become the drained backlog.
+	// Stop the receiver once the stream is demonstrably flowing.
 	waitFor(t, "mid-stream traffic", func() bool { return recv.app.receivedCount() >= perPeer/8 })
-	recv.sys.Shutdown()
+	recv.sys.Stop(recv.netComp)
 
-	// Exactly-once on the sender side: every NotifyReq resolves even
-	// though the peer died mid-stream.
 	waitFor(t, "all notifies resolved", func() bool {
 		return sender.app.notifyCount() == perPeer
 	})
@@ -172,71 +157,119 @@ func TestDecodeStageDrainNoLeak(t *testing.T) {
 	}
 	sender.app.mu.Unlock()
 
-	// The delivered prefix is still in order.
-	recv.app.mu.Lock()
-	got := append([]*DataMsg(nil), recv.app.received...)
-	recv.app.mu.Unlock()
-	for j, m := range got {
-		if s := binary.BigEndian.Uint32(m.Payload); s != uint32(j) {
-			t.Fatalf("position %d: got seq %d, want %d — delivered prefix out of order", j, s, j)
-		}
+	for src, seqs := range seqsBySource(recv.app) {
+		checkFIFO(t, src, seqs, -1)
 	}
-	sender.sys.Shutdown()
+	shutdownNode(recv.sys, recv.net)
+	shutdownNode(sender.sys, sender.net)
 	// Give lingering transport goroutines (failed redials) a moment to
 	// release their buffers before the cleanup assertion runs.
 	time.Sleep(50 * time.Millisecond)
 }
 
-// TestDecodeStageCloseReturnsQueuedBatches closes a decode stage while
-// batches are still queued for its workers: every payload must come back
-// to bufpool — decoded ones through decodeWire, the rest through the
-// stage's abandon — and every frame is either delivered to the inbox or
-// dropped, none twice.
-func TestDecodeStageCloseReturnsQueuedBatches(t *testing.T) {
-	coreLeakCheck(t)
-	const lanes, batches, perBatch = 4, 25, 16
-	n, err := NewNetwork(NetworkConfig{Self: MustParseAddress("127.0.0.1:1")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys := kompics.NewSystem()
-	t.Cleanup(sys.Shutdown)
-	sys.Create(n)          // Init binds the inbox; never started, so nothing drains it
-	n.stageLimit = 1 << 20 // queue everything; no inline decode
-	st := newDecodeStage(n)
+// gateMsg is the blocked-peer test's message: its decode waits on the
+// serializer's gate when hold is set.
+type gateMsg struct {
+	hdr  BasicHeader
+	seq  uint32
+	hold bool
+}
 
-	// Encode every payload first, so the submits land back to back and
-	// the close finds most of them still queued.
-	msg := &DataMsg{Hdr: NewHeader(n.cfg.Self, MustParseAddress("127.0.0.1:2"), TCP), Payload: decodePayload(1)}
-	wires := make([][][]byte, lanes*batches)
-	for i := range wires {
-		wires[i] = make([][]byte, perBatch)
-		for j := range wires[i] {
-			if wires[i][j], err = n.encode(msg); err != nil {
-				t.Fatal(err)
-			}
+func (m *gateMsg) Header() Header { return &m.hdr }
+
+// gateSerializer encodes gateMsgs and decodes them into DataMsgs carrying
+// the sequence number, so appComponent records them. Decoding a held one
+// signals entered and then blocks until open is closed.
+type gateSerializer struct{ entered, open chan struct{} }
+
+func (gateSerializer) ID() codec.SerializerID { return FirstApplicationSerializerID + 2 }
+
+func (gateSerializer) Serialize(w io.Writer, v any) error {
+	m := v.(*gateMsg)
+	if err := WriteBasicHeader(w, m.hdr); err != nil {
+		return err
+	}
+	if err := codec.WriteUint32(w, m.seq); err != nil {
+		return err
+	}
+	return codec.WriteBool(w, m.hold)
+}
+
+func (g gateSerializer) Deserialize(r io.Reader) (any, error) {
+	hdr, err := ReadBasicHeader(r)
+	if err != nil {
+		return nil, err
+	}
+	seq, err := codec.ReadUint32(r)
+	if err != nil {
+		return nil, err
+	}
+	hold, err := codec.ReadBool(r)
+	if err != nil {
+		return nil, err
+	}
+	if hold {
+		g.entered <- struct{}{}
+		<-g.open
+	}
+	return &DataMsg{Hdr: hdr, Payload: binary.BigEndian.AppendUint32(nil, seq)}, nil
+}
+
+// TestRecvOrderBlockedPeerDoesNotStallOthers holds peer A's decode on a
+// gate inside the receiver and checks that peer B's whole stream is still
+// delivered, in order, meanwhile: a frame from one peer never waits
+// behind decode work for another. Once the gate opens, A's stream —
+// queued behind its held frame on A's own connection — arrives in order.
+func TestRecvOrderBlockedPeerDoesNotStallOthers(t *testing.T) {
+	coreLeakCheck(t)
+	const perPeer = 100
+	gate := gateSerializer{entered: make(chan struct{}, 1), open: make(chan struct{})}
+	reg := NewRegistry()
+	reg.MustRegister(gate, (*gateMsg)(nil))
+	ports := freePorts(t, 3)
+	start := func(port int) *node {
+		return startNodeConfig(t, NetworkConfig{
+			Self:      MustParseAddress(fmt.Sprintf("127.0.0.1:%d", port)),
+			Registry:  reg,
+			Protocols: []Transport{TCP},
+		})
+	}
+	recv, a, b := start(ports[0]), start(ports[1]), start(ports[2])
+	// Registered last, so it runs first: a failing test must not leave
+	// A's read loop blocked in decode while the endpoints close.
+	var openOnce sync.Once
+	release := func() { openOnce.Do(func() { close(gate.open) }) }
+	t.Cleanup(release)
+
+	send := func(n *node, hold bool) {
+		for seq := uint32(0); seq < perPeer; seq++ {
+			n.appTrigger(&gateMsg{
+				hdr:  NewHeader(n.self, recv.self, TCP),
+				seq:  seq,
+				hold: hold && seq == 0,
+			})
 		}
 	}
-	var wg sync.WaitGroup
-	for l := 0; l < lanes; l++ {
-		wg.Add(1)
-		go func(l int) {
-			defer wg.Done()
-			from := transport.From{Proto: TCP, Peer: fmt.Sprintf("127.0.0.1:%d", 40000+l)}
-			for b := 0; b < batches; b++ {
-				st.submit(from, wires[l*batches+b])
-			}
-		}(l)
+	send(a, true)
+	select {
+	case <-gate.entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("peer A's first message never reached decode")
 	}
-	wg.Wait()
-	st.close()
+	send(b, false)
 
-	n.inbox.mu.Lock()
-	delivered := len(n.inbox.items)
-	n.inbox.mu.Unlock()
-	total := lanes * batches * perBatch
-	t.Logf("%d of %d frames decoded before the close", delivered, total)
-	if delivered >= total {
-		t.Fatalf("all %d frames decoded: the close found nothing queued", total)
+	waitFor(t, "peer B's stream while A's decode is held", func() bool {
+		return len(seqsBySource(recv.app)[b.self.AsSocket()]) == perPeer
+	})
+	bySource := seqsBySource(recv.app)
+	checkFIFO(t, b.self.AsSocket(), bySource[b.self.AsSocket()], perPeer)
+	if got := len(bySource[a.self.AsSocket()]); got != 0 {
+		t.Fatalf("%d of peer A's messages delivered while its first was held in decode", got)
 	}
+
+	release()
+	waitFor(t, "peer A's stream after the gate opens", func() bool {
+		return recv.app.receivedCount() == 2*perPeer
+	})
+	checkFIFO(t, a.self.AsSocket(), seqsBySource(recv.app)[a.self.AsSocket()], perPeer)
 }

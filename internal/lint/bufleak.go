@@ -43,7 +43,7 @@ const bufpoolPkg = "internal/bufpool"
 // layer (facts.go) now derives the same property from the callee's own
 // body — a parameter is a transfer sink when its value provably reaches
 // bufpool.Put, a store, a channel, or another inferred sink — and exports
-// it across packages, so Endpoint.deliver, decodeStage.submit,
+// it across packages, so Endpoint.deliver, Network.receive,
 // pktRing.storeOwned, outMsg.release and Endpoint.Send all classify
 // themselves. The one name that survives is OnMessage(s): transport.Config's
 // function-field callbacks whose handoff is documented API, with no body

@@ -3,10 +3,10 @@ package lint
 // facts_test validates the interprocedural summaries against the real
 // module, not fixtures: before the facts layer, bufleak carried a
 // hardcoded table of ownership-transfer sinks (Endpoint.deliver,
-// Endpoint.Send, decodeStage.submit, pktRing.storeOwned, outMsg.release).
-// The table is gone; these tests pin that inference rederives every
-// entry, so a regression in the taint walk surfaces here and not as a
-// silent hole in bufleak.
+// Endpoint.Send, the core receive callback, pktRing.storeOwned,
+// outMsg.release). The table is gone; these tests pin that inference
+// rederives every entry, so a regression in the taint walk surfaces here
+// and not as a silent hole in bufleak.
 
 import (
 	"go/types"
@@ -74,7 +74,7 @@ func TestInferredTransferFacts(t *testing.T) {
 		{"internal/transport", "Endpoint", "Send", 2},
 		{"internal/transport", "outMsg", "release", -1},
 		{"internal/udt", "pktRing", "storeOwned", 1},
-		{"internal/core", "decodeStage", "submit", 1},
+		{"internal/core", "Network", "receive", 1},
 	}
 	for _, c := range cases {
 		ft := methodFact(t, facts, pkgs[c.rel], c.typ, c.method)

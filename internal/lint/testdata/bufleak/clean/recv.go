@@ -1,6 +1,7 @@
 // recv.go covers the receive-path handoff sinks: the transport endpoint's
-// deliver funnel and the core decode stage's submit, both documented
-// ownership transfers. The analyzer must stay silent.
+// deliver funnel and the core receive callback, which ranges over its
+// batch, both documented ownership transfers. The analyzer must stay
+// silent.
 package clean
 
 import "github.com/kompics/kompicsmessaging-go/internal/bufpool"
@@ -24,25 +25,26 @@ func readLoopShape(e *endpointLike, from string, frame []byte) {
 	e.deliver(from, b)
 }
 
-// stageLike mimics core's decodeStage: submit takes ownership of the
-// payload for the lane sequencer, recycling immediately when closed.
-type stageLike struct {
-	closed bool
-	lanes  map[string][][]byte
+// receiverLike mimics core's Network.receive, the OnMessages callback:
+// it decodes every payload of a batch on the calling goroutine, and the
+// decode consumes the buffer.
+type receiverLike struct{ decoded int }
+
+func (r *receiverLike) receive(from string, payloads [][]byte) {
+	for _, p := range payloads {
+		r.decode(p)
+	}
 }
 
-func (s *stageLike) submit(from string, payload []byte) {
-	if s.closed {
-		bufpool.Put(payload)
-		return
-	}
-	s.lanes[from] = append(s.lanes[from], payload)
+func (r *receiverLike) decode(p []byte) {
+	r.decoded += len(p)
+	bufpool.Put(p)
 }
 
 // datagramShape is the UDP reader's pattern: copy the datagram out of the
-// socket buffer into a pooled payload and submit it to the stage.
-func datagramShape(s *stageLike, from string, dgram []byte) {
+// socket buffer into a pooled payload and hand it on as a one-frame batch.
+func datagramShape(r *receiverLike, from string, dgram []byte) {
 	b := bufpool.Get(len(dgram))
 	copy(b, dgram)
-	s.submit(from, b)
+	r.receive(from, [][]byte{b})
 }

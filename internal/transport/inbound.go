@@ -13,8 +13,9 @@ import (
 // stream transports (TCP, UDT) Peer is the remote address of the
 // inbound connection, so all payloads read from one connection carry
 // the same From; for UDP it is the datagram's source address. From is
-// the per-peer FIFO key: consumers that re-order work internally (the
-// core decode stage) must preserve arrival order per (Proto, Peer).
+// the per-peer FIFO key: a consumer that hands work to other goroutines
+// must preserve arrival order per (Proto, Peer) itself. Core's receive
+// callback decodes on the calling read loop, which keeps it for free.
 type From struct {
 	Proto wire.Transport
 	Peer  string

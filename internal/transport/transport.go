@@ -504,9 +504,10 @@ func (e *Endpoint) startUDP() error {
 // for a bounded footprint under address churn.
 const maxUDPPeerCache = 1 << 14
 
-// maxReadBatch bounds the frames one OnMessages call carries, so a buffer
-// full of tiny frames is still handed on in pieces a decode job works
-// through quickly.
+// maxReadBatch bounds the frames one OnMessages call carries, and with it
+// the decode work core's receive callback does on this read loop before
+// its one inbox push: a buffer full of tiny frames still reaches the
+// component in pieces.
 const maxReadBatch = 64
 
 // deliver hands one inbound batch to the configured callback — the single

@@ -14,10 +14,11 @@ import (
 
 // TestVNodeFaninAcrossDecodeStage audits the vnet layer against the
 // parallel receive path: M sender hosts fan in to one receiver whose two
-// vnodes share every inbound connection's decode lane (the lane key is
-// the origin socket, not the vnode ID). Each (sender, vnode)
-// stream must arrive in submission order even while frames from
-// different senders decode concurrently. Run under -race in CI.
+// vnodes share every inbound connection, and so that connection's read
+// loop, which decodes its frames (the ordering unit is the origin
+// socket, not the vnode ID). Each (sender, vnode) stream must arrive in
+// submission order even while frames from different senders decode
+// concurrently. Run under -race in CI.
 func TestVNodeFaninAcrossDecodeStage(t *testing.T) {
 	const (
 		senders  = 3
@@ -113,7 +114,7 @@ func TestVNodeFaninAcrossDecodeStage(t *testing.T) {
 			}
 			for j, s := range seqs {
 				if s != uint32(j) {
-					t.Fatalf("vnode %s sender %s position %d: got seq %d, want %d — per-(sender, vnode) order violated across decode stage", name, src, j, s, j)
+					t.Fatalf("vnode %s sender %s position %d: got seq %d, want %d — per-(sender, vnode) order violated on the receive path", name, src, j, s, j)
 				}
 			}
 		}
