@@ -56,8 +56,12 @@ type ChannelRetry struct {
 }
 
 // TransportFallback reports graceful degradation: dial attempts over
-// From (UDT) were exhausted and the channel's traffic — queued and
-// future — moved to To (TCP) at ToDest.
+// From (UDT) were exhausted and the channel now dials To (TCP) at ToDest,
+// keeping its queued and future traffic. Later ChannelUp, ChannelDown
+// and ChannelRetry events for that traffic still carry From and Dest.
+// The fallback lasts as long as the channel: once its TCP attempts are
+// exhausted too (ChannelDown), the next UDT send tries UDT again. See
+// transport.StatusFallback.
 type TransportFallback struct {
 	From   Transport
 	To     Transport

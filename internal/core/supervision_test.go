@@ -258,7 +258,8 @@ func TestNetworkStatusOutageAndRecovery(t *testing.T) {
 // TestNetworkStatusUDTFallback exhausts UDT dialing (refused by the
 // injector) and watches the middleware degrade the destination to TCP: a
 // TransportFallback indication on the status port, then ChannelUp for
-// the TCP channel, with the queued message delivered exactly once.
+// the UDT channel now dialing TCP, with the queued message delivered
+// exactly once.
 func TestNetworkStatusUDTFallback(t *testing.T) {
 	ports := freePorts(t, 2)
 	inj := faults.New(1)
@@ -284,8 +285,8 @@ func TestNetworkStatusUDTFallback(t *testing.T) {
 		t.Fatalf("fallback carries %v, want the dial failure", fb.Err)
 	}
 	up := awaitStatus[ChannelUp](t, a.status.ch)
-	if up.Proto != TCP || up.Dest != b.self.AsSocket() {
-		t.Fatalf("up event %+v, want the TCP fallback channel", up)
+	if up.Proto != UDT || up.Dest != udtDest {
+		t.Fatalf("up event %+v, want the UDT channel, now over TCP", up)
 	}
 
 	if r := awaitNotify(t, a.app.notifyCh); r.ID != 1 || !r.Sent() {

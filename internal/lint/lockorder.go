@@ -12,7 +12,7 @@ import (
 //
 //   - A cycle through distinct classes: some goroutine can hold A wanting
 //     B while another holds B wanting A. The canonical clean patterns are
-//     sequential acquisition (fallbackToTCP locks the registry, then
+//     sequential acquisition (QueueStats locks the registry, then
 //     releases it, before touching a channel) and deferred-unlock getters
 //     whose critical section ends before the caller takes its next lock —
 //     neither produces an edge.

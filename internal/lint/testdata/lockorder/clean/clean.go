@@ -10,8 +10,8 @@ type shard struct {
 	n  int
 }
 
-// sweep mirrors fallbackToTCP: each stripe's critical section closes
-// before the next opens, so no two stripes are ever held together.
+// sweep mirrors QueueStats: each channel's critical section closes
+// before the next opens, so no two are ever held together.
 func sweep(shards []*shard) {
 	for _, s := range shards {
 		s.mu.Lock()

@@ -12,7 +12,7 @@ import (
 // workloads (goal-oriented transport filtering: freshness beats
 // completeness). The queue is therefore parameterised by a QueuePolicy:
 // the channel keeps owning the storage (queue []outMsg under c.mu, so the
-// drain/close/fallback paths and their invariants are untouched), and the
+// drain/close paths and their invariants are untouched), and the
 // policy decides what happens at the admission and dequeue edges.
 //
 // Contract, shared by every implementation:
@@ -127,8 +127,7 @@ type PendingQueue interface {
 	// without deadlines return q unchanged.
 	Expire(q []outMsg, now int64) (nq []outMsg, expired []dropped)
 	// Drained tells the policy the channel emptied the queue (batch
-	// drain, close, or fallback handoff), invalidating any positional
-	// index.
+	// drain or close), invalidating any positional index.
 	Drained()
 }
 

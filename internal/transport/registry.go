@@ -9,19 +9,17 @@ import (
 )
 
 // registry is the endpoint's one table of outgoing channels, created
-// lazily per (protocol, destination) (§II-B). The mutex guards every field
-// declared after it. It is deliberately not striped: core's codec lanes
+// lazily per (protocol, destination) (§II-B). A UDT channel that falls
+// back to TCP keeps its UDT key here: the fallback is the channel's own
+// state, not a table entry. The mutex guards every field declared after
+// it. It is deliberately not striped: core's codec lanes
 // already serialise the sends for one (protocol, destination), so only
 // different destinations could ever meet here, and no workload keeps more
 // than two outgoing channels per node.
 type registry struct {
 	mu       sync.Mutex //kmlint:guarded
 	channels map[chanKey]*outChannel
-	// fallbacks reroutes UDT destinations whose dial attempts were
-	// exhausted to their TCP equivalent (port un-shifted by
-	// UDTPortOffset) for the life of the endpoint.
-	fallbacks map[string]string
-	closed    bool
+	closed   bool
 	// rng drives redial jitter for every channel; seeded from
 	// Config.BackoffSeed so supervision schedules replay run to run.
 	rng *rand.Rand

@@ -11,9 +11,11 @@ import (
 //	connecting ──dial ok──▶ up ──write error──▶ connecting (redial w/ backoff)
 //	connecting ──attempts exhausted──▶ draining ──pending resolved──▶ down
 //
-// A channel leaves the registry only when it reaches down (give-up or
-// fallback) or the endpoint closes; transient write failures keep it
-// registered so queued and future sends ride through the redial.
+// A UDT channel whose attempts are exhausted falls back first: it stays
+// in connecting, now dialing TCP, and reaches draining only once its TCP
+// attempts are exhausted too. A channel leaves the registry only when it
+// reaches down (give-up) or the endpoint closes; transient write failures
+// keep it registered so queued and future sends ride through the redial.
 type ChannelState int
 
 const (
@@ -22,8 +24,8 @@ const (
 	StateConnecting ChannelState = iota + 1
 	// StateUp: established; the run loop is draining the queue.
 	StateUp
-	// StateDraining: the channel is resolving its pending queue on the
-	// way down (failing it, or handing it to a fallback channel).
+	// StateDraining: the channel is failing its pending queue on the way
+	// down.
 	StateDraining
 	// StateDown: terminal; the channel is out of the registry.
 	StateDown
@@ -60,8 +62,17 @@ const (
 	// without racing the schedule.
 	StatusRetry
 	// StatusFallback: dial attempts to a UDT destination are exhausted
-	// and the channel's queue moved to TCP (To/ToDest). Future sends to
-	// the original destination are rerouted until the endpoint restarts.
+	// and the channel now dials TCP at To/ToDest, keeping its queue. What
+	// follows differs from a TCP channel's traffic in three ways:
+	//
+	//  1. Later Up, Down and Retry events for this traffic carry the UDT
+	//     channel's own (Proto, Dest), and ChannelState(UDT, Dest)
+	//     reports it; no TCP channel is created for it.
+	//  2. It uses a TCP connection of its own, not the host's TCP
+	//     channel: one extra connection per fallen-back destination.
+	//  3. The fallback lasts for the channel's life. If its TCP dials are
+	//     exhausted too, the channel gives up (Down), and the next UDT
+	//     send to the destination starts over with UDT.
 	StatusFallback
 )
 
@@ -96,7 +107,8 @@ type StatusEvent struct {
 	// the backoff before the next; set on StatusRetry.
 	Attempt   int
 	NextDelay time.Duration
-	// To/ToDest name the replacement channel on StatusFallback.
+	// To/ToDest name the protocol and address a channel dials from
+	// StatusFallback on.
 	To     wire.Transport
 	ToDest string
 	// Err is the triggering failure on Down/Retry/Fallback.

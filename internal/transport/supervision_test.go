@@ -91,7 +91,7 @@ func TestQueueOverflowFailFast(t *testing.T) {
 
 // TestUDTFallbackToTCP exhausts UDT dial attempts against a peer that
 // only listens on TCP: the channel must emit a fallback status event,
-// hand its queue to a TCP channel at the un-shifted port, and reroute
+// redial over TCP at the un-shifted port with its queue intact, and carry
 // later UDT sends for the same destination.
 func TestUDTFallbackToTCP(t *testing.T) {
 	leakCheck(t)
@@ -142,8 +142,8 @@ func TestUDTFallbackToTCP(t *testing.T) {
 		t.Fatalf("fallback carries err %v, want the dial failure", ev.Err)
 	}
 	up := expectStatus(t, status, StatusUp)
-	if up.Proto != wire.TCP || up.Dest != tcpAddr {
-		t.Fatalf("up event %+v, want the TCP fallback channel", up)
+	if up.Proto != wire.UDT || up.Dest != udtAddr {
+		t.Fatalf("up event %+v, want the UDT channel, now over TCP", up)
 	}
 	if err := expectNotify(t, notify); err != nil {
 		t.Fatalf("queued message failed across fallback: %v", err)
@@ -157,11 +157,11 @@ func TestUDTFallbackToTCP(t *testing.T) {
 	}
 	expectDelivery(t, recv, "rerouted")
 
-	if st, ok := epA.ChannelState(wire.TCP, tcpAddr); !ok || st != StateUp {
-		t.Fatalf("TCP fallback channel state = %v (exists %v), want up", st, ok)
+	if st, ok := epA.ChannelState(wire.UDT, udtAddr); !ok || st != StateUp {
+		t.Fatalf("UDT channel state = %v (exists %v), want up over TCP", st, ok)
 	}
-	if _, ok := epA.ChannelState(wire.UDT, udtAddr); ok {
-		t.Fatal("dead UDT channel still registered after fallback")
+	if _, ok := epA.ChannelState(wire.TCP, tcpAddr); ok {
+		t.Fatal("fallback created a (TCP, tcpAddr) channel")
 	}
 	got := recv.all()
 	if len(got) != 2 {
@@ -278,6 +278,284 @@ func TestUDTFallbackKeepsOrderUnderLoad(t *testing.T) {
 			if s != uint32(i) {
 				t.Fatalf("producer %d position %d: got seq %d — fallback reordered the stream", p, i, s)
 			}
+		}
+	}
+}
+
+// TestUDTFallbackKeepsAcceptedSends falls a UDT channel back to TCP while
+// the host's own TCP channel is parked on a stalled write with its queue
+// at the bound. Sends the UDT channel accepted must not be re-admitted
+// through that full queue: every one of them, like every TCP send, must
+// succeed once the stall lifts.
+func TestUDTFallbackKeepsAcceptedSends(t *testing.T) {
+	leakCheck(t)
+	const limit = 8
+	inj := faults.New(1)
+	inj.Add(faults.Spec{Op: faults.OpDial, Action: faults.Refuse, Proto: wire.UDT})
+	status := make(chan StatusEvent, 64)
+
+	port := pickFreePort(t)
+	tcpAddr := fmt.Sprintf("127.0.0.1:%d", port)
+	udtAddr := fmt.Sprintf("127.0.0.1:%d", port+1)
+	recv := newEventCollector()
+	epB, err := NewEndpoint(Config{ListenAddr: tcpAddr, OnMessage: recv.onMessage,
+		Protocols: []wire.Transport{wire.TCP}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := epB.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer epB.Close()
+
+	sender := newEventCollector()
+	epA, err := NewEndpoint(Config{
+		ListenAddr:        "127.0.0.1:0",
+		OnMessage:         sender.onMessage,
+		Faults:            inj,
+		MaxPendingPerPeer: limit,
+		MaxDialAttempts:   1,
+		OnStatus: func(ev StatusEvent) {
+			if ev.Proto == wire.UDT {
+				status <- ev
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := epA.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer epA.Close()
+
+	const total = 1 + limit + 4
+	notify := make(chan error, total)
+	send := func(proto wire.Transport, dest, s string) {
+		epA.Send(proto, dest, pooled(s), func(err error) { notify <- err })
+	}
+
+	// Park the TCP channel's writer on its first message, then fill its
+	// queue to the bound.
+	stallID := inj.Add(faults.Spec{Op: faults.OpWrite, Action: faults.Stall, Proto: wire.TCP})
+	send(wire.TCP, tcpAddr, "tcp-0")
+	for inj.Hits(stallID) == 0 {
+		runtime.Gosched()
+	}
+	for i := 1; i <= limit; i++ {
+		send(wire.TCP, tcpAddr, fmt.Sprintf("tcp-%d", i))
+	}
+	ch := epA.findChannel(wire.TCP, tcpAddr)
+	ch.mu.Lock()
+	queued := len(ch.queue)
+	ch.mu.Unlock()
+	if queued != limit {
+		t.Fatalf("TCP queue holds %d, want the bound %d", queued, limit)
+	}
+
+	for i := 0; i < 4; i++ {
+		send(wire.UDT, udtAddr, fmt.Sprintf("udt-%d", i))
+	}
+	expectStatus(t, status, StatusFallback)
+	inj.Remove(stallID)
+
+	for i := 0; i < total; i++ {
+		if err := expectNotify(t, notify); err != nil {
+			t.Fatalf("notify %d of %d: %v", i+1, total, err)
+		}
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for len(recv.all()) < total {
+		if time.Now().After(deadline) {
+			t.Fatalf("received %d of %d messages", len(recv.all()), total)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestUDTFallbackThenReset resets the TCP connection a fallen-back UDT
+// channel opened: the channel redials over TCP without trying UDT again,
+// its Down and Up events keep the UDT identity, and each send notifies
+// exactly once (the reset one with the write error).
+func TestUDTFallbackThenReset(t *testing.T) {
+	leakCheck(t)
+	inj := faults.New(1)
+	udtDial := inj.Add(faults.Spec{Op: faults.OpDial, Action: faults.Refuse, Proto: wire.UDT})
+	status := make(chan StatusEvent, 64)
+
+	port := pickFreePort(t)
+	tcpAddr := fmt.Sprintf("127.0.0.1:%d", port)
+	udtAddr := fmt.Sprintf("127.0.0.1:%d", port+1)
+	recv := newEventCollector()
+	epB, err := NewEndpoint(Config{ListenAddr: tcpAddr, OnMessage: recv.onMessage,
+		Protocols: []wire.Transport{wire.TCP}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := epB.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer epB.Close()
+
+	sender := newEventCollector()
+	epA, err := NewEndpoint(Config{
+		ListenAddr:      "127.0.0.1:0",
+		OnMessage:       sender.onMessage,
+		Faults:          inj,
+		MaxDialAttempts: 1,
+		OnStatus:        func(ev StatusEvent) { status <- ev },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := epA.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer epA.Close()
+
+	var fired [3]atomic.Int32
+	notify := make(chan error, len(fired))
+	send := func(i int, s string) {
+		epA.Send(wire.UDT, udtAddr, pooled(s), func(err error) {
+			fired[i].Add(1)
+			notify <- err
+		})
+	}
+	expectUDT := func(kind StatusKind) StatusEvent {
+		t.Helper()
+		ev := expectStatus(t, status, kind)
+		if ev.Proto != wire.UDT || ev.Dest != udtAddr {
+			t.Fatalf("%v event %+v, want the UDT channel's identity", kind, ev)
+		}
+		return ev
+	}
+
+	send(0, "before")
+	expectUDT(StatusFallback)
+	expectUDT(StatusUp)
+	if err := expectNotify(t, notify); err != nil {
+		t.Fatalf("send before the reset: %v", err)
+	}
+	expectDelivery(t, recv, "before")
+	udtDials := inj.Hits(udtDial)
+
+	inj.Add(faults.Spec{Op: faults.OpWrite, Action: faults.Reset, Proto: wire.TCP, Count: 1})
+	send(1, "reset")
+	if err := expectNotify(t, notify); !errors.Is(err, faults.ErrConnReset) {
+		t.Fatalf("reset send: err = %v, want ErrConnReset", err)
+	}
+	if down := expectUDT(StatusDown); !errors.Is(down.Err, faults.ErrConnReset) {
+		t.Fatalf("down carries %v, want ErrConnReset", down.Err)
+	}
+	expectUDT(StatusUp)
+
+	send(2, "after")
+	if err := expectNotify(t, notify); err != nil {
+		t.Fatalf("send after the redial: %v", err)
+	}
+	expectDelivery(t, recv, "after")
+	if n := inj.Hits(udtDial); n != udtDials {
+		t.Fatalf("UDT dial rule hit %d times after the reset, want %d: the redial tried UDT", n, udtDials)
+	}
+	epA.Close()
+	for i := range fired {
+		if n := fired[i].Load(); n != 1 {
+			t.Fatalf("send %d notified %d times, want once", i, n)
+		}
+	}
+}
+
+// TestUDTFallbackThenGiveUp refuses TCP dials too: after the fallback the
+// channel exhausts its TCP attempts, fails its queue once with the TCP
+// dial error and leaves the registry. The fallback lived only as long as
+// the channel, so the next UDT send dials UDT again and falls back anew.
+func TestUDTFallbackThenGiveUp(t *testing.T) {
+	leakCheck(t)
+	inj := faults.New(1)
+	udtDial := inj.Add(faults.Spec{Op: faults.OpDial, Action: faults.Refuse, Proto: wire.UDT})
+	tcpDial := inj.Add(faults.Spec{Op: faults.OpDial, Action: faults.Refuse, Proto: wire.TCP})
+	status := make(chan StatusEvent, 64)
+	vc := clock.NewVirtual()
+
+	col := newEventCollector()
+	ep, err := NewEndpoint(Config{
+		ListenAddr:      "127.0.0.1:0",
+		OnMessage:       col.onMessage,
+		Faults:          inj,
+		Clock:           vc,
+		MaxDialAttempts: 2,
+		OnStatus:        func(ev StatusEvent) { status <- ev },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ep.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer ep.Close()
+
+	port := pickFreePort(t) // never dialed: the injector refuses first
+	udtAddr := fmt.Sprintf("127.0.0.1:%d", port+1)
+	tcpAddr := fmt.Sprintf("127.0.0.1:%d", port)
+
+	var fired [4]atomic.Int32
+	notify := make(chan error, len(fired))
+	send := func(i int) {
+		ep.Send(wire.UDT, udtAddr, pooled(fmt.Sprintf("m%d", i)), func(err error) {
+			fired[i].Add(1)
+			notify <- err
+		})
+	}
+	// retry waits for a Retry and runs its backoff out.
+	retry := func() {
+		t.Helper()
+		vc.Advance(expectStatus(t, status, StatusRetry).NextDelay)
+	}
+
+	// Three sends queue while the first UDT dial waits out its backoff.
+	for i := 0; i < 3; i++ {
+		send(i)
+	}
+	retry()
+	if fb := expectStatus(t, status, StatusFallback); fb.ToDest != tcpAddr {
+		t.Fatalf("fallback event %+v, want TCP %s", fb, tcpAddr)
+	}
+	retry()
+	down := expectStatus(t, status, StatusDown)
+	if down.Proto != wire.UDT || down.Dest != udtAddr || !errors.Is(down.Err, faults.ErrDialRefused) {
+		t.Fatalf("down event %+v, want the UDT channel giving up on the TCP dial", down)
+	}
+	for i := 0; i < 3; i++ {
+		if err := expectNotify(t, notify); !errors.Is(err, faults.ErrDialRefused) {
+			t.Fatalf("queued send: err = %v, want the TCP dial error", err)
+		}
+	}
+	if n := inj.Hits(tcpDial); n != 2 {
+		t.Fatalf("TCP dial rule hit %d times, want 2", n)
+	}
+	if _, ok := ep.ChannelState(wire.UDT, udtAddr); ok {
+		t.Fatal("channel still registered after giving up")
+	}
+	if _, ok := ep.ChannelState(wire.TCP, tcpAddr); ok {
+		t.Fatal("fallback created a (TCP, tcpAddr) channel")
+	}
+
+	// A later send starts over with UDT.
+	send(3)
+	retry()
+	expectStatus(t, status, StatusFallback)
+	if n := inj.Hits(udtDial); n != 4 {
+		t.Fatalf("UDT dial rule hit %d times, want 4: the new channel skipped UDT", n)
+	}
+	retry()
+	expectStatus(t, status, StatusDown)
+	if err := expectNotify(t, notify); !errors.Is(err, faults.ErrDialRefused) {
+		t.Fatalf("later send: err = %v, want the TCP dial error", err)
+	}
+	ep.Close()
+	for i := range fired {
+		if n := fired[i].Load(); n != 1 {
+			t.Fatalf("send %d notified %d times, want once", i, n)
 		}
 	}
 }

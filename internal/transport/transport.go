@@ -88,8 +88,8 @@ type Config struct {
 	// See policy.go for the built-in policies.
 	QueuePolicy QueuePolicy
 	// MaxDialAttempts is how many consecutive dial failures a channel
-	// tolerates before giving up — failing its queue, or falling back
-	// to TCP for UDT destinations (default 3).
+	// tolerates before giving up and failing its queue (default 3). A UDT
+	// channel first falls back to TCP and gets as many attempts there.
 	MaxDialAttempts int
 	// RedialBackoff is the base delay between dial attempts; each
 	// attempt doubles it up to RedialBackoffMax, and the actual wait is
@@ -186,9 +186,9 @@ func (c Config) withDefaults() Config {
 // Endpoint owns this host's listeners and outgoing channels. One Endpoint
 // backs one wire.Network component.
 //
-// Outgoing channels, UDT→TCP fallback entries and the backoff PRNG live
-// in one mutex-guarded registry (see registry.go); inbound connections
-// live in one set (see inbound.go).
+// Outgoing channels and the backoff PRNG live in one mutex-guarded
+// registry (see registry.go); inbound connections live in one set (see
+// inbound.go).
 type Endpoint struct {
 	cfg Config
 
@@ -232,9 +232,8 @@ func NewEndpoint(cfg Config) (*Endpoint, error) {
 	return &Endpoint{
 		cfg: cfg,
 		reg: registry{
-			channels:  make(map[chanKey]*outChannel),
-			fallbacks: make(map[string]string),
-			rng:       rand.New(rand.NewSource(cfg.BackoffSeed)),
+			channels: make(map[chanKey]*outChannel),
+			rng:      rand.New(rand.NewSource(cfg.BackoffSeed)),
 		},
 		inbound:  inboundSet{conns: make(map[*inConn]struct{})},
 		dropWarn: stats.NewLogLimiter(cfg.Clock, dropWarnBurst, dropWarnRefillPerSec),
@@ -356,11 +355,6 @@ func (e *Endpoint) SendQoS(proto wire.Transport, dest string, payload []byte, qo
 		e.reg.mu.Unlock()
 		fail(ErrClosed)
 		return
-	}
-	if proto == wire.UDT {
-		if tcpDest, ok := e.reg.fallbacks[dest]; ok {
-			proto, dest = wire.TCP, tcpDest
-		}
 	}
 	ch := e.channelLocked(proto, dest)
 	e.reg.mu.Unlock()
@@ -637,13 +631,10 @@ type outChannel struct {
 	err    error
 	// redialWake is set by the backoff timer to end a redial wait.
 	redialWake bool
-	// redirect, when set on a closed channel, forwards late enqueues
-	// instead of failing them (used by UDT→TCP fallback so sends racing
-	// the switchover are not lost). moving is set while fallbackToTCP
-	// hands the old queue across; late enqueues wait it out so they land
-	// behind that queue.
-	redirect *outChannel
-	moving   bool
+
+	// viaTCP, once set by fallBack, is the TCP destination a UDT channel
+	// dials instead of its own. Only the run goroutine touches it.
+	viaTCP string
 }
 
 func newOutChannel(ep *Endpoint, key chanKey) *outChannel {
@@ -664,16 +655,9 @@ func (c *outChannel) enqueue(m outMsg) {
 		now = c.ep.cfg.Clock.Now().UnixNano()
 	}
 	c.mu.Lock()
-	for c.moving {
-		c.cond.Wait()
-	}
 	if c.closed {
-		redir, err := c.redirect, c.err
+		err := c.err
 		c.mu.Unlock()
-		if redir != nil {
-			redir.enqueue(m)
-			return
-		}
 		m.release(err)
 		return
 	}
@@ -861,9 +845,10 @@ func (c *outChannel) setState(s ChannelState) {
 // run supervises the channel: dial under capped exponential backoff,
 // pump batches while up, and on a write error fall back to redialing —
 // the channel stays in the registry so queued and future sends ride
-// through the outage. Only after MaxDialAttempts consecutive dial
-// failures does the channel give up: UDT destinations degrade to TCP,
-// everything else fails its queue and leaves the registry.
+// through the outage. After MaxDialAttempts consecutive dial failures a
+// UDT channel falls back to dialing TCP (fallBack) and starts counting
+// again; any other channel gives up, failing its queue and leaving the
+// registry.
 //
 // Notify semantics are per message and in queue order: messages that
 // fully reached the socket before a mid-batch failure succeed, only the
@@ -885,8 +870,9 @@ func (c *outChannel) run() {
 				return // endpoint closed the channel while it waited
 			}
 			// Attempts exhausted: degrade UDT to TCP, or give up.
-			if c.key.proto == wire.UDT && c.ep.fallbackToTCP(c, err) {
-				return
+			if c.fallBack(err) {
+				attempt = 0
+				continue
 			}
 			c.dropChannel()
 			c.emit(StatusEvent{Kind: StatusDown, Err: err})
@@ -995,76 +981,49 @@ func (c *outChannel) backoffDelay(attempt int) time.Duration {
 	return half + c.ep.reg.jitter(half)
 }
 
-// fallbackToTCP reroutes a UDT channel whose dial attempts are
-// exhausted onto the TCP channel for the same host: the destination
-// port is un-shifted by UDTPortOffset (reversing the dialer
-// convention), pending messages move across in queue order — none has
-// been notified, so at-most-once holds — and future Sends to the UDT
-// destination follow until the endpoint restarts. Returns false when no
-// fallback is possible (endpoint closed, or unparseable destination).
-//
-// Per-destination FIFO holds across the switch: the UDT channel stays
-// registered, and the fallback entry unpublished, until its queue sits
-// in the TCP channel, and enqueues that reach the closed UDT channel
-// meanwhile wait for the move before following the redirect. The
-// registry and channel mutexes are taken one after the other, never
-// nested.
-func (e *Endpoint) fallbackToTCP(c *outChannel, dialErr error) bool {
+// fallBack switches a UDT channel whose dial attempts are exhausted to
+// TCP at the un-shifted port (reversing the dialer convention) for the
+// rest of the channel's life. Nothing moves: the queue, registry entry,
+// writer and backoff stay as they are and only dial changes, so
+// per-destination FIFO and at-most-once hold by construction. Returns
+// false when there is nothing to fall back to: not a UDT channel, already
+// over TCP, or no valid TCP port.
+func (c *outChannel) fallBack(dialErr error) bool {
+	if c.key.proto != wire.UDT || c.viaTCP != "" {
+		return false
+	}
 	tcpDest, err := OffsetPort(c.key.dest, -UDTPortOffset)
 	if err != nil {
 		return false
 	}
-	// Announce the switch before the TCP channel exists, so its first Up
-	// cannot overtake the Fallback event.
-	c.setState(StateDraining)
+	c.viaTCP = tcpDest
 	c.emit(StatusEvent{Kind: StatusFallback, To: wire.TCP, ToDest: tcpDest, Err: dialErr})
-	e.reg.mu.Lock()
-	if e.reg.closed {
-		e.reg.mu.Unlock()
-		return false
-	}
-	tcp := e.channelLocked(wire.TCP, tcpDest)
-	e.reg.mu.Unlock()
-	c.mu.Lock()
-	c.closed = true
-	c.err = ErrClosed
-	c.redirect = tcp
-	c.moving = true
-	pending := c.queue
-	c.queue = nil
-	c.pq.Drained()
-	c.state = StateDown
-	c.mu.Unlock()
-	for _, m := range pending {
-		tcp.enqueue(m)
-	}
-	c.mu.Lock()
-	c.moving = false
-	c.mu.Unlock()
-	c.cond.Broadcast()
-
-	e.reg.mu.Lock()
-	if e.reg.channels[c.key] == c {
-		delete(e.reg.channels, c.key)
-	}
-	e.reg.fallbacks[c.key.dest] = tcpDest
-	e.reg.mu.Unlock()
 	return true
 }
 
-// dial opens the stream connection; UDP needs none (nil conn) but resolves
-// and caches the destination address once, instead of per datagram. The
-// fault injector, when configured, can refuse the dial outright; stream
-// connections come back wrapped with its write seam.
+// wireKey is the (protocol, destination) the channel actually dials: its
+// own key, or TCP at viaTCP after a fallback.
+func (c *outChannel) wireKey() (wire.Transport, string) {
+	if c.viaTCP != "" {
+		return wire.TCP, c.viaTCP
+	}
+	return c.key.proto, c.key.dest
+}
+
+// dial opens the stream connection to wireKey; UDP needs none (nil conn)
+// but resolves and caches the destination address once, instead of per
+// datagram. The fault injector, when configured, can refuse the dial
+// outright; stream connections come back wrapped with its write seam.
 func (c *outChannel) dial() (net.Conn, error) {
 	c.setState(StateConnecting)
 	inj := c.ep.cfg.Faults
-	if err := inj.Dial(c.key.proto, c.key.dest); err != nil {
+	proto, dest := c.wireKey()
+	if err := inj.Dial(proto, dest); err != nil {
 		return nil, err
 	}
-	switch c.key.proto {
+	switch proto {
 	case wire.TCP:
-		conn, err := net.DialTimeout("tcp", c.key.dest, c.ep.cfg.DialTimeout)
+		conn, err := net.DialTimeout("tcp", dest, c.ep.cfg.DialTimeout)
 		if err != nil {
 			return nil, err
 		}
@@ -1077,43 +1036,45 @@ func (c *outChannel) dial() (net.Conn, error) {
 		if inj != nil {
 			// Blackhole rules apply to UDT's own data packets: merge the
 			// injector into the connection's loss hook.
-			dest, prev := c.key.dest, cfg.LossInjector
+			prev := cfg.LossInjector
 			cfg.LossInjector = func() bool {
 				return (prev != nil && prev()) || inj.DropDatagram(wire.UDT, dest)
 			}
 		}
-		conn, err := udt.Dial(c.key.dest, cfg)
+		conn, err := udt.Dial(dest, cfg)
 		if err != nil {
 			return nil, err
 		}
 		return c.wrapFaults(conn), nil
 	case wire.UDP:
 		if c.ep.udpSock != nil {
-			addr, err := net.ResolveUDPAddr("udp", c.key.dest)
+			addr, err := net.ResolveUDPAddr("udp", dest)
 			if err != nil {
 				return nil, err
 			}
 			c.udpAddr = addr
 			return nil, nil // send from the listening socket
 		}
-		conn, err := net.DialTimeout("udp", c.key.dest, c.ep.cfg.DialTimeout)
+		conn, err := net.DialTimeout("udp", dest, c.ep.cfg.DialTimeout)
 		if err != nil {
 			return nil, err
 		}
 		return c.wrapFaults(conn), nil
 	default:
-		return nil, fmt.Errorf("%w: %v", ErrUnsupported, c.key.proto)
+		return nil, fmt.Errorf("%w: %v", ErrUnsupported, proto)
 	}
 }
 
-// wrapFaults installs the injector's write seam on a dialed connection.
-// With no injector the connection is returned untouched, preserving the
-// *net.TCPConn vectored-write fast path.
+// wrapFaults installs the injector's write seam on a dialed connection,
+// keyed by the protocol actually on the wire. With no injector the
+// connection is returned untouched, preserving the *net.TCPConn
+// vectored-write fast path.
 func (c *outChannel) wrapFaults(conn net.Conn) net.Conn {
 	if c.ep.cfg.Faults == nil {
 		return conn
 	}
-	return c.ep.cfg.Faults.WrapConn(conn, c.key.proto, c.key.dest)
+	proto, dest := c.wireKey()
+	return c.ep.cfg.Faults.WrapConn(conn, proto, dest)
 }
 
 // writeBatch sends a drained batch and returns how many of its messages
@@ -1193,17 +1154,23 @@ func writeCoalesced(w io.Writer, batch []outMsg) (int, error) {
 
 // OffsetPort shifts the port of "host:port" by delta; port 0 (ephemeral)
 // is left untouched so tests can bind anywhere and query the real address.
+// It fails when the port is not in 0..65535, or when the shifted port
+// would leave 1..65535.
 func OffsetPort(addr string, delta int) (string, error) {
 	host, portStr, err := net.SplitHostPort(addr)
 	if err != nil {
 		return "", fmt.Errorf("transport: bad address %q: %w", addr, err)
 	}
-	port, err := strconv.Atoi(portStr)
+	port, err := strconv.ParseUint(portStr, 10, 16)
 	if err != nil {
 		return "", fmt.Errorf("transport: bad port in %q: %w", addr, err)
 	}
 	if port == 0 {
 		return addr, nil
 	}
-	return net.JoinHostPort(host, strconv.Itoa(port+delta)), nil
+	shifted := int(port) + delta
+	if shifted < 1 || shifted > 65535 {
+		return "", fmt.Errorf("transport: port of %q shifted by %d is out of range", addr, delta)
+	}
+	return net.JoinHostPort(host, strconv.Itoa(shifted)), nil
 }

@@ -322,3 +322,41 @@ func TestAddrForDisabledProtocol(t *testing.T) {
 		t.Fatal("enabled protocol reports no address")
 	}
 }
+
+// TestOffsetPort pins the UDT port convention's edges: a shift that would
+// leave 1..65535, an input port outside 0..65535, and a malformed address
+// are errors, while port 0 (ephemeral) is never shifted.
+func TestOffsetPort(t *testing.T) {
+	for _, tc := range []struct {
+		addr  string
+		delta int
+		want  string // "" means an error
+	}{
+		{"127.0.0.1:9000", UDTPortOffset, "127.0.0.1:9001"},
+		{"127.0.0.1:9001", -UDTPortOffset, "127.0.0.1:9000"},
+		{"[::1]:9000", UDTPortOffset, "[::1]:9001"},
+		{"[2001:db8::1]:2", -UDTPortOffset, "[2001:db8::1]:1"},
+		{"127.0.0.1:0", UDTPortOffset, "127.0.0.1:0"},
+		{"127.0.0.1:0", -UDTPortOffset, "127.0.0.1:0"},
+		{"127.0.0.1:65534", UDTPortOffset, "127.0.0.1:65535"},
+		{"127.0.0.1:65535", UDTPortOffset, ""},
+		{"[::1]:65535", UDTPortOffset, ""},
+		{"127.0.0.1:1", -UDTPortOffset, ""},
+		{"[::1]:1", -UDTPortOffset, ""},
+		{"127.0.0.1:65536", -UDTPortOffset, ""},
+		{"127.0.0.1:-1", UDTPortOffset, ""},
+		{"127.0.0.1:http", UDTPortOffset, ""},
+		{"127.0.0.1", UDTPortOffset, ""},
+	} {
+		got, err := OffsetPort(tc.addr, tc.delta)
+		if tc.want == "" {
+			if err == nil {
+				t.Errorf("OffsetPort(%q, %d) = %q, want an error", tc.addr, tc.delta, got)
+			}
+			continue
+		}
+		if err != nil || got != tc.want {
+			t.Errorf("OffsetPort(%q, %d) = %q, %v; want %q", tc.addr, tc.delta, got, err, tc.want)
+		}
+	}
+}

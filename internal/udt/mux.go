@@ -49,7 +49,10 @@ func Listen(addr string, cfg Config) (*Listener, error) {
 		done:     make(chan struct{}),
 	}
 	l.wg.Add(1)
-	go l.readLoop()
+	go func() {
+		defer l.wg.Done()
+		readDatagrams(sock, l.dispatch)
+	}()
 	return l, nil
 }
 
@@ -90,37 +93,38 @@ func (l *Listener) Close() error {
 	return nil
 }
 
-// readLoop pulls datagrams off the socket and dispatches them. Where the
-// platform supports it, recvmmsg drains a whole burst per syscall; the
-// portable path reads one datagram per ReadMsgUDPAddrPort call (which,
-// unlike ReadFromUDP, does not allocate a *net.UDPAddr per packet).
-func (l *Listener) readLoop() {
-	defer l.wg.Done()
-	if br := newBatchReader(l.udp); br != nil {
+// readDatagrams hands every datagram read from sock to handle until the
+// socket closes; it is the read loop of both a Listener and a Dial'd
+// connection. Where the platform supports it, recvmmsg drains a whole
+// burst per syscall; the portable path reads one datagram per
+// ReadMsgUDPAddrPort call (which, unlike ReadFromUDP, does not allocate a
+// *net.UDPAddr per packet). Other socket errors are transient: a
+// connected socket surfaces ICMP port-unreachable as ECONNREFUSED when a
+// handshake raced the peer's bind, and the handshake retries.
+func readDatagrams(sock *net.UDPConn, handle func(b []byte, from netip.AddrPort)) {
+	if br := newBatchReader(sock); br != nil {
 		for {
 			n, err := br.read()
 			for i := 0; i < n; i++ {
-				l.dispatch(br.payload(i), br.addr(i))
-			}
-			if err == nil {
-				continue
+				handle(br.payload(i), br.addr(i))
 			}
 			if errors.Is(err, errBatchUnsupported) {
 				break // fall through to the portable loop
 			}
-			return // socket closed
+			if err != nil {
+				return // socket closed: transient errors come back as 0, nil
+			}
 		}
 	}
 	buf := make([]byte, maxDatagram)
 	for {
-		n, _, _, addr, err := l.udp.ReadMsgUDPAddrPort(buf, nil)
-		if err != nil {
-			return // socket closed
+		n, _, _, addr, err := sock.ReadMsgUDPAddrPort(buf, nil)
+		if n > 0 {
+			handle(buf[:n], addr)
 		}
-		if n == 0 {
-			continue
+		if errors.Is(err, net.ErrClosed) {
+			return
 		}
-		l.dispatch(buf[:n], addr)
 	}
 }
 
@@ -208,43 +212,13 @@ func Dial(addr string, cfg Config) (*Conn, error) {
 	conn.sndFirstUnack = conn.sndNextSeq
 
 	// The client-side read loop lives until the socket closes (on
-	// conn.Close, or below on handshake failure). A connected UDP socket
-	// surfaces ICMP port-unreachable as ECONNREFUSED when our handshake
-	// raced the peer's bind; that is transient — the handshake retries.
-	// Only a closed socket ends the loop. It joins conn.wg so Close, which
-	// closes the socket before waiting, reaps it — without this the loop
-	// outlived every Dial'd connection until process exit.
+	// conn.Close, or below on handshake failure). It joins conn.wg so
+	// Close, which closes the socket before waiting, reaps it — without
+	// this the loop outlived every Dial'd connection until process exit.
 	conn.wg.Add(1)
 	go func() {
 		defer conn.wg.Done()
-		if br := newBatchReader(sock); br != nil {
-			for {
-				n, err := br.read()
-				for i := 0; i < n; i++ {
-					conn.handlePacket(br.payload(i))
-				}
-				if err == nil {
-					continue
-				}
-				if errors.Is(err, errBatchUnsupported) {
-					break // fall through to the portable loop
-				}
-				return
-			}
-		}
-		buf := make([]byte, maxDatagram)
-		for {
-			n, _, _, _, err := sock.ReadMsgUDPAddrPort(buf, nil)
-			if n > 0 {
-				conn.handlePacket(buf[:n])
-			}
-			if err != nil {
-				if errors.Is(err, net.ErrClosed) {
-					return
-				}
-				continue
-			}
-		}
+		readDatagrams(sock, func(b []byte, _ netip.AddrPort) { conn.handlePacket(b) })
 	}()
 
 	// Handshake with retry: resend on a ticker until the peer's response
