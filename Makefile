@@ -11,23 +11,13 @@
 #                       FUZZTIME each (default 20s)
 #   make loc            non-test, non-comment, non-blank Go lines in
 #                       internal/core + internal/transport
-#   make bench-hotpath  rerun the wire hot-path benchmarks and refresh the
-#                       "current" section of BENCH_hotpath.json
-#   make bench-udt      rerun the UDT data-path benchmarks and refresh the
-#                       "current" section of BENCH_udt.json
-#   make sim-campaign   run the large-scale netsim campaign on both event
-#                       cores and refresh BENCH_sim.json
+#   make sim-campaign   netsim determinism gate (same seed twice), then one
+#                       large-scale campaign that prints its bench line
 #   make soak           run the kmsoak chaos harness over real loopback
 #                       sockets (exit nonzero if any liveness gate trips)
 #   make bench          full benchmark sweep (figures + ablations)
 
 GO ?= go
-
-HOTPATH_PKGS = ./internal/core/ ./internal/transport/
-HOTPATH_OUT  = BENCH_hotpath.out
-UDT_OUT      = BENCH_udt.out
-FANIN_PKGS   = ./internal/transport/ ./internal/core/
-FANIN_OUT    = BENCH_fanin.out
 
 FAULT_PKGS = ./internal/faults/ ./internal/transport/ ./internal/core/ ./internal/udt/
 FAULT_RUN  = 'Fault|Supervis|Fallback|Overflow|PeerDeath|Revival|Stall|Blackhole|Backoff|Status|StopThenRestart'
@@ -40,9 +30,8 @@ RECV_RUN  = 'RecvOrder|LaneStage|VNodeFanin'
 
 QOS_PKGS = ./internal/transport/ ./internal/core/ ./internal/data/
 QOS_RUN  = 'QoS'
-QOS_OUT  = BENCH_qos.out
 
-.PHONY: check test test-faults test-startup test-recv test-qos build vet lint fuzz loc bench bench-hotpath bench-udt bench-fanin bench-qos sim-campaign soak soak-smoke
+.PHONY: check test test-faults test-startup test-recv test-qos build vet lint fuzz loc bench sim-campaign soak soak-smoke
 
 check:
 	$(GO) vet ./... && $(GO) run ./cmd/kmlint -audit-ignores ./... && $(GO) build ./... && $(GO) test -race ./...
@@ -97,31 +86,10 @@ fuzz:
 loc:
 	@ls internal/core/*.go internal/transport/*.go | grep -v _test | xargs cat | grep -v '^\s*//' | grep -v '^\s*$$' | wc -l
 
-bench-hotpath:
-	$(GO) test -bench WirePath -run '^$$' -benchmem $(HOTPATH_PKGS) | tee $(HOTPATH_OUT)
-	$(GO) run ./cmd/benchjson -label current -out BENCH_hotpath.json < $(HOTPATH_OUT)
-	@rm -f $(HOTPATH_OUT)
-
-bench-udt:
-	$(GO) test -bench UDT -run '^$$' -benchmem -benchtime 2s . | tee $(UDT_OUT)
-	$(GO) run ./cmd/benchjson -label current -out BENCH_udt.json < $(UDT_OUT)
-	@rm -f $(UDT_OUT)
-
-# bench-fanin reruns the fan-in scaling benchmarks (BenchmarkFaninReceive /
-# BenchmarkFaninReceiveNetwork) and refreshes the "current" section of
-# BENCH_fanin.json; the frozen "baseline" section holds the numbers from
-# before the parallel decode stage (since removed: read loops decode their
-# own batches). The benchmarks sweep GOMAXPROCS 1/4/NumCPU themselves.
-bench-fanin:
-	$(GO) test -bench FaninReceive -run '^$$' -benchmem $(FANIN_PKGS) | tee $(FANIN_OUT)
-	$(GO) run ./cmd/benchjson -label current -out BENCH_fanin.json < $(FANIN_OUT)
-	@rm -f $(FANIN_OUT)
-
-# sim-campaign runs the scaled netsim campaign on both event cores and
-# refreshes BENCH_sim.json: the binary-heap core lands in the "baseline"
-# section, the timer-wheel core in "current". A small-scale determinism
-# gate runs first — the same seed must produce identical event traces and
-# phase results on both cores. Scale through the environment:
+# sim-campaign runs the netsim determinism gate at small scale (the same
+# seeded campaign twice must produce identical event traces and phase
+# results), then one scaled campaign that prints its go-bench-format line.
+# Scale through the environment:
 #
 #   make sim-campaign SIM_SCALE=1000000 SIM_HOSTS=10000 SIM_DURATION=2s
 #
@@ -131,18 +99,14 @@ SIM_TOPO     ?= gossip
 SIM_SEED     ?= 1
 SIM_DURATION ?= 10s
 SIM_BIN      = ./kmsim.bin
-SIM_OUT      = BENCH_sim.out
 SIM_FLAGS    = -endpoints $(SIM_SCALE) -hosts $(SIM_HOSTS) -topology $(SIM_TOPO) \
                -seed $(SIM_SEED) -phase $(SIM_DURATION)
 
 sim-campaign:
 	$(GO) build -o $(SIM_BIN) ./cmd/kmsim
 	$(SIM_BIN) -verify -endpoints 2000 -hosts 100 -topology $(SIM_TOPO) -seed $(SIM_SEED) -phase 2s
-	$(SIM_BIN) $(SIM_FLAGS) -clock heap | tee $(SIM_OUT)
-	$(GO) run ./cmd/benchjson -label baseline -out BENCH_sim.json < $(SIM_OUT)
-	$(SIM_BIN) $(SIM_FLAGS) -clock wheel | tee $(SIM_OUT)
-	$(GO) run ./cmd/benchjson -label current -out BENCH_sim.json < $(SIM_OUT)
-	@rm -f $(SIM_OUT) $(SIM_BIN)
+	$(SIM_BIN) $(SIM_FLAGS)
+	@rm -f $(SIM_BIN)
 
 # soak runs the kmsoak chaos harness: real TCP/UDT/UDP loopback nodes
 # under a seeded fault campaign, gated on the liveness invariants (zero
@@ -189,14 +153,6 @@ test-recv:
 # reconnect drain, drop-rate reward) race-enabled and repeated.
 test-qos:
 	$(GO) test -race -count=3 -run $(QOS_RUN) $(QOS_PKGS)
-
-# bench-qos reruns the queue-policy overload benchmarks (saturated-channel
-# push cost per policy; steady-state drops must be alloc-free) and
-# refreshes the "current" section of BENCH_qos.json.
-bench-qos:
-	$(GO) test -bench QueuePolicy -run '^$$' -benchmem ./internal/transport/ | tee $(QOS_OUT)
-	$(GO) run ./cmd/benchjson -label current -out BENCH_qos.json < $(QOS_OUT)
-	@rm -f $(QOS_OUT)
 
 bench:
 	$(GO) test -bench . -benchmem

@@ -1,9 +1,7 @@
 // Command kmsim runs netsim campaigns at scale and reports event-core
-// throughput in go-bench format, so the output pipes straight through
-// cmd/benchjson into BENCH_sim.json:
+// throughput as one go-bench-format line on stdout:
 //
-//	kmsim -endpoints 100000 -hosts 1000 -clock heap  | benchjson -label baseline -out BENCH_sim.json
-//	kmsim -endpoints 100000 -hosts 1000 -clock wheel | benchjson -label current  -out BENCH_sim.json
+//	kmsim -endpoints 100000 -hosts 1000
 //
 // Each run executes -phases consecutive campaign phases on one simulator
 // instance and reports, per the whole run: wall-clock ns per event,
@@ -11,9 +9,9 @@
 // (the pooled event/message paths should hold this near zero), the
 // live-timer high-water mark, and the deterministic trace hash.
 //
-// With -verify the same campaign is run on both event cores and the tool
-// exits non-zero unless their trace hashes and results are identical —
-// the determinism gate CI runs at small scale.
+// With -verify the same seeded campaign is run twice and the tool exits
+// non-zero unless both runs' trace hashes and phase results are
+// identical — the determinism gate CI runs at small scale.
 package main
 
 import (
@@ -30,41 +28,56 @@ import (
 )
 
 func main() {
+	if err := run(os.Args[1:]); err != nil {
+		fmt.Fprintln(os.Stderr, "kmsim:", err)
+		os.Exit(1)
+	}
+}
+
+func run(args []string) error {
+	fs := flag.NewFlagSet("kmsim", flag.ContinueOnError)
 	var (
-		endpoints   = flag.Int("endpoints", 100000, "logical endpoints (vnodes)")
-		hosts       = flag.Int("hosts", 1000, "simulated hosts the vnodes share")
-		topology    = flag.String("topology", "gossip", "host graph: gossip|star|tree")
-		degree      = flag.Int("degree", 8, "gossip out-degree")
-		fanout      = flag.Int("fanout", 4, "tree fanout")
-		msgSize     = flag.Int("msgsize", 256, "payload bytes per message")
-		phase       = flag.Duration("phase", 10*time.Second, "virtual duration of one phase")
-		phases      = flag.Int("phases", 2, "consecutive phases to run")
-		seed        = flag.Int64("seed", 1, "campaign seed")
-		clockImpl   = flag.String("clock", "wheel", "event core: wheel|heap")
-		interval    = flag.Duration("interval", 2*time.Second, "mean per-endpoint send interval")
-		flashAt     = flag.Duration("flash-at", 2*time.Second, "flash crowd start offset")
-		flashLen    = flag.Duration("flash-len", 2*time.Second, "flash crowd length (0 disables)")
-		flashX      = flag.Float64("flash-factor", 10, "flash crowd rate multiplier")
-		churn       = flag.Duration("churn", 100*time.Millisecond, "mean time between endpoint up/down flips (0 disables)")
-		heartbeat   = flag.Duration("heartbeat", 5*time.Second, "per-endpoint heartbeat period")
-		timeout     = flag.Duration("timeout", 5*time.Second, "per-message retransmission timeout")
-		detectors   = flag.Int("detectors", 8, "per-peer failure detectors per endpoint (0 disables)")
-		detInterval = flag.Duration("detector-interval", 250*time.Millisecond, "failure-detector evaluation period")
-		verify      = flag.Bool("verify", false, "run both event cores and require identical traces")
-		cpuprofile  = flag.String("cpuprofile", "", "write a CPU profile to this file")
+		endpoints   = fs.Int("endpoints", 100000, "logical endpoints (vnodes)")
+		hosts       = fs.Int("hosts", 1000, "simulated hosts the vnodes share")
+		topology    = fs.String("topology", "gossip", "host graph: gossip|star|tree")
+		degree      = fs.Int("degree", 8, "gossip out-degree")
+		fanout      = fs.Int("fanout", 4, "tree fanout")
+		msgSize     = fs.Int("msgsize", 256, "payload bytes per message")
+		phase       = fs.Duration("phase", 10*time.Second, "virtual duration of one phase")
+		phases      = fs.Int("phases", 2, "consecutive phases to run")
+		seed        = fs.Int64("seed", 1, "campaign seed")
+		interval    = fs.Duration("interval", 2*time.Second, "mean per-endpoint send interval")
+		flashAt     = fs.Duration("flash-at", 2*time.Second, "flash crowd start offset")
+		flashLen    = fs.Duration("flash-len", 2*time.Second, "flash crowd length (0 disables)")
+		flashX      = fs.Float64("flash-factor", 10, "flash crowd rate multiplier")
+		churn       = fs.Duration("churn", 100*time.Millisecond, "mean time between endpoint up/down flips (0 disables)")
+		heartbeat   = fs.Duration("heartbeat", 5*time.Second, "per-endpoint heartbeat period")
+		timeout     = fs.Duration("timeout", 5*time.Second, "per-message retransmission timeout")
+		detectors   = fs.Int("detectors", 8, "per-peer failure detectors per endpoint (0 disables)")
+		detInterval = fs.Duration("detector-interval", 250*time.Millisecond, "failure-detector evaluation period")
+		verify      = fs.Bool("verify", false, "run the campaign twice and require identical traces")
+		cpuprofile  = fs.String("cpuprofile", "", "write a CPU profile to this file")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if *phases < 1 {
+		return fmt.Errorf("-phases must be at least 1, got %d", *phases)
+	}
+	switch *topology {
+	case "gossip", "star", "tree":
+	default:
+		return fmt.Errorf("unknown -topology %q (have gossip, star, tree)", *topology)
+	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "kmsim:", err)
-			os.Exit(1)
+			return err
 		}
 		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "kmsim:", err)
-			os.Exit(1)
+			return err
 		}
 		defer pprof.StopCPUProfile()
 	}
@@ -78,7 +91,6 @@ func main() {
 		MsgSize:   *msgSize,
 		Phase:     *phase,
 		Seed:      *seed,
-		Clock:     *clockImpl,
 		Arrival: netsim.ArrivalConfig{
 			MeanInterval: *interval,
 			FlashAt:      *flashAt,
@@ -93,14 +105,14 @@ func main() {
 	}
 
 	if *verify {
-		os.Exit(runVerify(cfg, *phases))
+		return runVerify(cfg, *phases)
 	}
-
-	run(cfg, *phases)
+	runCampaign(cfg, *phases)
+	return nil
 }
 
-// run executes one campaign and prints the bench line.
-func run(cfg netsim.CampaignConfig, phases int) {
+// runCampaign executes one campaign and prints the bench line.
+func runCampaign(cfg netsim.CampaignConfig, phases int) {
 	c := netsim.NewCampaign(cfg)
 	eff := c.Config()
 
@@ -144,46 +156,41 @@ func run(cfg netsim.CampaignConfig, phases int) {
 	evPerSec := float64(total.Events) / wall.Seconds()
 	nsPerEvent := float64(wall.Nanoseconds()) / float64(total.Events)
 
-	name := fmt.Sprintf("BenchmarkSimCampaign/topo=%s/endpoints=%d/hosts=%d/clock=%s",
-		eff.Topology, eff.Endpoints, eff.Hosts, eff.Clock)
+	name := fmt.Sprintf("BenchmarkSimCampaign/topo=%s/endpoints=%d/hosts=%d",
+		eff.Topology, eff.Endpoints, eff.Hosts)
 	fmt.Printf("%s \t%d\t%.1f ns/op\t%.0f events/s\t%d peak-rss-B\t%.2f rss-growth-pct\t%d timer-hwm\n",
 		name, total.Events, nsPerEvent, evPerSec, rss, growthPct, total.LiveTimerHWM)
 
 	fmt.Fprintf(os.Stderr,
-		"kmsim: %s: %d events in %v wall (%.0f events/s)\n"+
+		"kmsim: %d events in %v wall (%.0f events/s)\n"+
 			"kmsim: sends=%d delivered=%d forwards=%d reflects=%d timeouts=%d hb=%d detect=%d suspect=%d churn=%d deadletter=%d\n"+
 			"kmsim: timer-hwm=%d pending-at-end=%d peak-rss=%dB rss-growth=%.2f%% trace-hash=%#016x\n",
-		eff.Clock, total.Events, wall.Round(time.Millisecond), evPerSec,
+		total.Events, wall.Round(time.Millisecond), evPerSec,
 		total.Sends, total.Delivered, total.ForwardHops, total.LocalReflects,
 		total.Timeouts, total.HeartbeatTicks, total.DetectorTicks, total.Suspicions,
 		total.ChurnFlips, total.DeliveredDown,
 		total.LiveTimerHWM, total.PendingAtEnd, rss, growthPct, total.TraceHash)
 }
 
-// runVerify runs the identical campaign on both event cores and compares
-// their behaviour event for event (via the rolling trace hash and the
-// phase results).
-func runVerify(cfg netsim.CampaignConfig, phases int) int {
-	results := map[string][]netsim.CampaignResult{}
-	for _, impl := range []string{"wheel", "heap"} {
-		c := cfg
-		c.Clock = impl
-		camp := netsim.NewCampaign(c)
+// runVerify runs the identical seeded campaign twice and compares the
+// runs event for event (via the rolling trace hash and the phase results).
+func runVerify(cfg netsim.CampaignConfig, phases int) error {
+	var runs [2][]netsim.CampaignResult
+	for i := range runs {
+		camp := netsim.NewCampaign(cfg)
 		for p := 0; p < phases; p++ {
-			results[impl] = append(results[impl], camp.RunPhase())
+			runs[i] = append(runs[i], camp.RunPhase())
 		}
 	}
 	for p := 0; p < phases; p++ {
-		w, h := results["wheel"][p], results["heap"][p]
-		if w != h {
-			fmt.Fprintf(os.Stderr, "kmsim: VERIFY FAILED: phase %d differs\nwheel: %+v\nheap:  %+v\n", p+1, w, h)
-			return 1
+		if a, b := runs[0][p], runs[1][p]; a != b {
+			return fmt.Errorf("VERIFY FAILED: phase %d differs\nfirst:  %+v\nsecond: %+v", p+1, a, b)
 		}
 	}
-	last := results["wheel"][phases-1]
-	fmt.Fprintf(os.Stderr, "kmsim: verify ok: %d phases identical on both cores, trace-hash=%#016x, %d events\n",
+	last := runs[0][phases-1]
+	fmt.Fprintf(os.Stderr, "kmsim: verify ok: %d phases identical on two runs, trace-hash=%#016x, %d events\n",
 		phases, last.TraceHash, last.Events)
-	return 0
+	return nil
 }
 
 // peakRSSBytes reads the process's high-water resident set size from

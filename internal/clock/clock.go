@@ -7,14 +7,13 @@
 // by a virtual clock run synchronously inside the simulation loop, which is
 // what makes experiment runs deterministic.
 //
-// Two virtual implementations exist. Virtual is the production event core:
-// a hierarchical timer wheel with an overflow heap, O(1) scheduling and
-// cancellation, and pooled timer nodes, built for simulations with 10⁵-10⁶
-// concurrently pending timers. VirtualHeap is the original binary-heap
-// implementation, kept as the A/B baseline and as the oracle for the
-// wheel's determinism property tests: both fire timers in exactly
-// (deadline, creation-id) order, so identical seeds must produce
-// byte-identical event traces on either.
+// Virtual is the one virtual implementation and the simulator's event
+// core: a hierarchical timer wheel with an overflow heap, O(1) scheduling
+// and cancellation, and pooled timer nodes, built for simulations with
+// 10⁵-10⁶ concurrently pending timers. Its tests check it against a
+// binary-heap oracle that lives beside them: both fire timers in exactly
+// (deadline, creation-id) order, so identical schedules must produce
+// identical event traces on either.
 package clock
 
 import "time"
@@ -34,58 +33,6 @@ type Clock interface {
 	// AfterFunc schedules f to run after d. The callback must not block;
 	// on a virtual clock it executes inline in the simulation loop.
 	AfterFunc(d time.Duration, f func()) Timer
-}
-
-// SimClock is the surface shared by the wheel-backed Virtual and the
-// heap-backed VirtualHeap oracle. The simulator (internal/netsim) drives
-// either implementation through this interface, which is what makes the
-// event-core A/B benchmark (make sim-campaign) a one-flag swap.
-type SimClock interface {
-	Clock
-
-	// Post schedules f like AfterFunc but returns no handle, so the
-	// implementation may recycle the timer node the moment it fires. This
-	// is the simulator's hot path: a posted event costs no allocation on
-	// the wheel once the node pool is warm.
-	Post(d time.Duration, f func())
-
-	// PostArg is Post for callbacks that need one argument. Passing the
-	// argument through the timer node instead of a fresh closure lets
-	// callers reuse a single func value for millions of events.
-	PostArg(d time.Duration, f func(arg any), arg any)
-
-	// NowNanos reports the current instant in nanoseconds since the Unix
-	// epoch, readable without taking the clock lock. Event callbacks that
-	// only need a timestamp (per-event trace marks, delivery stamps) use
-	// this instead of Now, which would otherwise be the hottest lock in a
-	// million-event campaign.
-	NowNanos() int64
-
-	// Advance moves the clock forward by d, firing every timer that
-	// becomes due, in (deadline, creation-id) order.
-	Advance(d time.Duration)
-
-	// AdvanceTo moves the clock forward to instant t, firing every timer
-	// due at or before t. Timers scheduled by fired callbacks are honoured
-	// if they fall within the window.
-	AdvanceTo(t time.Time)
-
-	// PendingTimers reports how many timers are scheduled and not yet
-	// fired or stopped. O(1).
-	PendingTimers() int
-
-	// NextDeadline returns the due time of the earliest pending timer.
-	// The boolean result is false when no timer is pending.
-	NextDeadline() (time.Time, bool)
-
-	// HighWaterTimers reports the maximum number of concurrently pending
-	// timers observed since the clock was created — the live-timer
-	// high-water mark campaign reports track.
-	HighWaterTimers() int
-
-	// FiredTimers reports the total number of timer callbacks executed —
-	// the event count campaign throughput is measured against.
-	FiredTimers() uint64
 }
 
 // Real is a Clock backed by the operating-system clock.

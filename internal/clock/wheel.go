@@ -32,8 +32,7 @@ import (
 //
 // Exact (deadline, creation-id) firing order — including ties and
 // callbacks that schedule into the current instant — is property-tested
-// against VirtualHeap, the original binary-heap implementation, as an
-// oracle.
+// against a binary-heap oracle kept in the package's tests.
 type Virtual struct {
 	mu       sync.Mutex
 	now      time.Time
@@ -57,7 +56,6 @@ type Virtual struct {
 }
 
 var _ Clock = (*Virtual)(nil)
-var _ SimClock = (*Virtual)(nil)
 
 const (
 	// tickShift sets the base granularity: 2^10 ns = 1.024 µs per tick.
@@ -197,9 +195,10 @@ func (v *Virtual) Now() time.Time {
 	return v.now
 }
 
-// NowNanos implements SimClock: the current instant in Unix nanoseconds,
-// readable without taking the clock lock. Hot simulation paths (per-event
-// timestamping) use this instead of Now.
+// NowNanos reports the current instant in Unix nanoseconds, readable
+// without taking the clock lock. Hot simulation paths (per-event
+// timestamping) use this instead of Now, which would otherwise be the
+// hottest lock in a million-event campaign.
 func (v *Virtual) NowNanos() int64 { return v.nowCheap.Load() }
 
 // AfterFunc implements Clock. The callback runs during a future Advance
@@ -213,15 +212,18 @@ func (v *Virtual) AfterFunc(d time.Duration, f func()) Timer {
 	return &wheelTimer{v: v, n: n, gen: n.gen}
 }
 
-// Post implements SimClock: schedule without a handle, enabling immediate
-// node recycling on fire.
+// Post schedules f like AfterFunc but returns no handle, so the node is
+// recycled the moment it fires: a posted event costs no allocation once
+// the node pool is warm.
 func (v *Virtual) Post(d time.Duration, f func()) {
 	v.mu.Lock()
 	v.scheduleLocked(d, f, nil, nil)
 	v.mu.Unlock()
 }
 
-// PostArg implements SimClock.
+// PostArg is Post for callbacks that need one argument. Passing the
+// argument through the timer node instead of a fresh closure lets callers
+// reuse a single func value for millions of events.
 func (v *Virtual) PostArg(d time.Duration, f func(any), arg any) {
 	v.mu.Lock()
 	v.scheduleLocked(d, nil, f, arg)
@@ -533,14 +535,15 @@ func (v *Virtual) NextDeadline() (time.Time, bool) {
 	return time.Time{}, false
 }
 
-// HighWaterTimers implements SimClock.
+// HighWaterTimers reports the maximum number of concurrently pending
+// timers observed since the clock was created.
 func (v *Virtual) HighWaterTimers() int {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	return v.hwm
 }
 
-// FiredTimers implements SimClock.
+// FiredTimers reports the total number of timer callbacks executed.
 func (v *Virtual) FiredTimers() uint64 {
 	v.mu.Lock()
 	defer v.mu.Unlock()

@@ -10,17 +10,28 @@ import (
 // simClockOps drives a SimClock through a deterministic random schedule —
 // interleaved scheduling, stopping, nested scheduling from callbacks,
 // far-future deadlines (wheel overflow), exact ties, and windowed
-// advances — and returns the full fire trace. Both implementations must
-// produce identical traces for identical seeds: that is the determinism
-// contract the netsim campaigns rely on when swapping the heap for the
-// wheel.
-func simClockOps(c SimClock, seed int64) []string {
+// advances through both Advance and AdvanceTo (including a target equal
+// to now and one in the past) — then one dense round of denseTimers
+// resident timers spread over every wheel level and the overflow heap.
+// It returns the full trace: every fire with both clock readings, and per
+// round the deadline, pending, high-water and fired counts. Both
+// implementations must produce identical traces for identical seeds: that
+// is the determinism contract the netsim campaigns rely on. inspect, when
+// non-nil, runs once while the dense round's timers are resident.
+func simClockOps(c SimClock, seed int64, inspect func()) []string {
 	rng := rand.New(rand.NewSource(seed))
 	var trace []string
+	stamp := func() string {
+		return fmt.Sprintf("@%d/%d", c.Now().UnixNano(), c.NowNanos())
+	}
 	note := func(tag string, id int) func() {
 		return func() {
-			trace = append(trace, fmt.Sprintf("%s/%d@%d", tag, id, c.Now().UnixNano()))
+			trace = append(trace, fmt.Sprintf("%s/%d%s", tag, id, stamp()))
 		}
+	}
+	counters := func(tag string) {
+		trace = append(trace, fmt.Sprintf("%s%s pending=%d hwm=%d fired=%d",
+			tag, stamp(), c.PendingTimers(), c.HighWaterTimers(), c.FiredTimers()))
 	}
 	var handles []Timer
 	id := 0
@@ -42,13 +53,13 @@ func simClockOps(c SimClock, seed int64) []string {
 				nid := id
 				nd := time.Duration(rng.Int63n(int64(500 * time.Millisecond)))
 				c.Post(d, func() {
-					trace = append(trace, fmt.Sprintf("outer/%d@%d", nid, c.Now().UnixNano()))
+					trace = append(trace, fmt.Sprintf("outer/%d%s", nid, stamp()))
 					c.Post(nd, note("nested", nid))
 					c.Post(0, note("nested0", nid))
 				})
 			case 4: // PostArg path
 				c.PostArg(d, func(a any) {
-					trace = append(trace, fmt.Sprintf("arg/%d@%d", a.(int), c.Now().UnixNano()))
+					trace = append(trace, fmt.Sprintf("arg/%d%s", a.(int), stamp()))
 				}, id)
 			default:
 				c.Post(d, note("p", id))
@@ -63,23 +74,98 @@ func simClockOps(c SimClock, seed int64) []string {
 		if dl, ok := c.NextDeadline(); ok {
 			trace = append(trace, fmt.Sprintf("next@%d pending=%d", dl.UnixNano(), c.PendingTimers()))
 		}
-		c.Advance(time.Duration(rng.Int63n(int64(2 * time.Second))))
-		trace = append(trace, fmt.Sprintf("now@%d pending=%d", c.Now().UnixNano(), c.PendingTimers()))
+		w := time.Duration(rng.Int63n(int64(2 * time.Second)))
+		switch rng.Intn(4) {
+		case 0:
+			c.Advance(w)
+		case 1: // a window ending exactly now fires only what is due now
+			c.Post(0, note("due-now", id))
+			c.AdvanceTo(c.Now())
+		case 2: // a target in the past must fire nothing and keep the clock
+			c.AdvanceTo(c.Now().Add(-w - 1))
+		default:
+			c.AdvanceTo(c.Now().Add(w))
+		}
+		counters("now")
 	}
-	// Drain what remains (including overflow residents) far into the future.
-	c.Advance(13 * time.Hour)
-	trace = append(trace, fmt.Sprintf("end@%d pending=%d fired=%d", c.Now().UnixNano(), c.PendingTimers(), c.FiredTimers()))
+
+	// The dense round: denseTimers more timers, a quarter each on wheel
+	// levels 0, 1 and 2 (relative to the cursor) and in the overflow heap,
+	// with ties, handles and stops mixed in, drained in random windows.
+	handles = handles[:0]
+	gran := [4]time.Duration{time.Microsecond, time.Millisecond, time.Second, time.Second}
+	for i := 0; i < denseTimers; i++ {
+		id++
+		var d time.Duration
+		switch i % 4 {
+		case 0:
+			d = time.Duration(rng.Int63n(int64(2 * time.Millisecond)))
+		case 1:
+			d = 2*time.Millisecond + time.Duration(rng.Int63n(int64(4*time.Second)))
+		case 2:
+			d = 5*time.Second + time.Duration(rng.Int63n(int64(2*time.Hour)))
+		default:
+			d = 3*time.Hour + time.Duration(rng.Int63n(int64(3*time.Hour)))
+		}
+		if rng.Intn(2) == 0 { // breed exact ties
+			d = d.Truncate(gran[i%4])
+		}
+		switch i % 3 {
+		case 0:
+			c.PostArg(d, func(a any) {
+				trace = append(trace, fmt.Sprintf("dense-arg/%d%s", a.(int), stamp()))
+			}, id)
+		case 1:
+			handles = append(handles, c.AfterFunc(d, note("dense-h", id)))
+		default:
+			c.Post(d, note("dense", id))
+		}
+	}
+	for _, h := range handles {
+		if rng.Intn(4) == 0 {
+			trace = append(trace, fmt.Sprintf("stop=%v", h.Stop()))
+		}
+	}
+	counters("dense")
+	if inspect != nil {
+		inspect()
+	}
+	for c.PendingTimers() > 0 {
+		c.AdvanceTo(c.Now().Add(time.Duration(rng.Int63n(int64(20 * time.Minute)))))
+		counters("drain")
+	}
 	return trace
 }
 
+// denseTimers is the size of simClockOps' dense round.
+const denseTimers = 12000
+
 // TestWheelMatchesHeapOracle is the determinism property test: for many
 // seeds, the wheel-backed Virtual and the heap-backed VirtualHeap oracle
-// must produce byte-identical event traces, deadline reports, and pending
-// counts.
+// must produce byte-identical event traces, clock readings, deadline
+// reports, and pending, high-water and fired counts.
 func TestWheelMatchesHeapOracle(t *testing.T) {
 	for seed := int64(1); seed <= 25; seed++ {
-		wheel := simClockOps(NewVirtual(), seed)
-		heap := simClockOps(NewVirtualHeap(), seed)
+		v := NewVirtual()
+		wheel := simClockOps(v, seed, func() {
+			// The dense round must reach every wheel level and the overflow.
+			for l := range v.levels {
+				occupied := 0
+				for _, s := range v.levels[l].slots {
+					occupied += len(s)
+				}
+				if occupied == 0 {
+					t.Fatalf("seed %d: dense round left wheel level %d empty", seed, l)
+				}
+			}
+			if len(v.overflow.ns) == 0 {
+				t.Fatalf("seed %d: dense round left the overflow heap empty", seed)
+			}
+		})
+		if got := v.HighWaterTimers(); got < denseTimers {
+			t.Fatalf("seed %d: HighWaterTimers() = %d, want at least %d resident", seed, got, denseTimers)
+		}
+		heap := simClockOps(NewVirtualHeap(), seed, nil)
 		if len(wheel) != len(heap) {
 			t.Fatalf("seed %d: trace lengths differ: wheel %d vs heap %d", seed, len(wheel), len(heap))
 		}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"github.com/kompics/kompicsmessaging-go/internal/clock"
 	"github.com/kompics/kompicsmessaging-go/internal/vnet"
 )
 
@@ -20,9 +19,8 @@ import (
 //
 // Everything here is deterministic: one seeded rand source, events fired
 // in (deadline, id) order, and a rolling FNV-1a hash over every event so
-// two runs (including one on the wheel clock and one on the heap clock)
-// can be checked for byte-identical behaviour by comparing a single
-// uint64.
+// two runs can be checked for byte-identical behaviour by comparing a
+// single uint64.
 
 // CampaignConfig parameterises a campaign. Zero values select defaults
 // (see withDefaults); Endpoints is rounded down to a multiple of Hosts so
@@ -44,9 +42,6 @@ type CampaignConfig struct {
 	Phase time.Duration
 	// Seed seeds the single random source.
 	Seed int64
-	// Clock selects the event core: "wheel" (default) or "heap" (the
-	// binary-heap baseline the A/B benchmark compares against).
-	Clock string
 	// Arrival shapes the per-endpoint send process.
 	Arrival ArrivalConfig
 	// Churn shapes endpoint membership churn.
@@ -103,9 +98,6 @@ func (cfg CampaignConfig) withDefaults() CampaignConfig {
 	}
 	if cfg.Phase <= 0 {
 		cfg.Phase = 10 * time.Second
-	}
-	if cfg.Clock == "" {
-		cfg.Clock = "wheel"
 	}
 	if cfg.Arrival.MeanInterval <= 0 {
 		cfg.Arrival.MeanInterval = time.Second
@@ -216,18 +208,9 @@ const campaignTraceCap = 1 << 17
 // does not move until RunPhase.
 func NewCampaign(cfg CampaignConfig) *Campaign {
 	cfg = cfg.withDefaults()
-	var clk clock.SimClock
-	switch cfg.Clock {
-	case "wheel":
-		clk = clock.NewVirtual()
-	case "heap":
-		clk = clock.NewVirtualHeap()
-	default:
-		panic(fmt.Sprintf("netsim: unknown campaign clock %q", cfg.Clock))
-	}
 	c := &Campaign{
 		cfg:       cfg,
-		sim:       NewSimWithClock(cfg.Seed, clk),
+		sim:       NewSim(cfg.Seed),
 		traceHash: fnvOffset,
 	}
 	c.epochNS = c.sim.epoch.UnixNano()

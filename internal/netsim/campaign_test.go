@@ -8,7 +8,7 @@ import (
 // smallCampaign is the shared small-scale config for determinism tests:
 // every process enabled (flash crowd, churn, heartbeats, retransmission
 // timeouts) over every topology.
-func smallCampaign(topo string, clk string) CampaignConfig {
+func smallCampaign(topo string) CampaignConfig {
 	return CampaignConfig{
 		Endpoints: 600,
 		Hosts:     30,
@@ -18,7 +18,6 @@ func smallCampaign(topo string, clk string) CampaignConfig {
 		MsgSize:   512,
 		Phase:     3 * time.Second,
 		Seed:      42,
-		Clock:     clk,
 		Arrival: ArrivalConfig{
 			MeanInterval: 400 * time.Millisecond,
 			FlashAt:      time.Second,
@@ -32,65 +31,66 @@ func smallCampaign(topo string, clk string) CampaignConfig {
 	}
 }
 
-// TestCampaignDeterministicAcrossClocks is the end-to-end determinism
-// property: the same seeded campaign must produce byte-identical event
-// traces — and therefore identical hashes and counters — whether the
-// event core is the timer wheel or the binary-heap oracle.
-func TestCampaignDeterministicAcrossClocks(t *testing.T) {
+// TestCampaignDeterministicSameSeed is the end-to-end determinism
+// property: the same seeded campaign run twice must produce byte-identical
+// event traces, and therefore identical hashes and counters. The event
+// core's own firing order is checked against the heap oracle in
+// internal/clock.
+func TestCampaignDeterministicSameSeed(t *testing.T) {
 	for _, topo := range []string{"gossip", "star", "tree"} {
-		wheel := NewCampaign(smallCampaign(topo, "wheel"))
-		heap := NewCampaign(smallCampaign(topo, "heap"))
-		rw := wheel.RunPhase()
-		rh := heap.RunPhase()
-		tw, th := wheel.Trace(), heap.Trace()
-		if len(tw) != len(th) {
-			t.Fatalf("%s: trace lengths differ: wheel %d vs heap %d", topo, len(tw), len(th))
+		a := NewCampaign(smallCampaign(topo))
+		b := NewCampaign(smallCampaign(topo))
+		ra := a.RunPhase()
+		rb := b.RunPhase()
+		ta, tb := a.Trace(), b.Trace()
+		if len(ta) != len(tb) {
+			t.Fatalf("%s: trace lengths differ: %d vs %d", topo, len(ta), len(tb))
 		}
-		for i := range tw {
-			if tw[i] != th[i] {
-				t.Fatalf("%s: traces diverge at event %d:\n  wheel: %s\n  heap:  %s", topo, i, tw[i], th[i])
+		for i := range ta {
+			if ta[i] != tb[i] {
+				t.Fatalf("%s: traces diverge at event %d:\n  first:  %s\n  second: %s", topo, i, ta[i], tb[i])
 			}
 		}
-		if rw != rh {
-			t.Fatalf("%s: results differ:\nwheel: %+v\nheap:  %+v", topo, rw, rh)
+		if ra != rb {
+			t.Fatalf("%s: results differ:\nfirst:  %+v\nsecond: %+v", topo, ra, rb)
 		}
-		if rw.TraceHash == 0 || rw.Sends == 0 || rw.Delivered == 0 {
-			t.Fatalf("%s: degenerate campaign: %+v", topo, rw)
+		if ra.TraceHash == 0 || ra.Sends == 0 || ra.Delivered == 0 {
+			t.Fatalf("%s: degenerate campaign: %+v", topo, ra)
 		}
 	}
 }
 
-// TestCampaignDetectorDeterminism extends the cross-clock property to the
+// TestCampaignDetectorDeterminism extends the same-seed property to the
 // failure-detector process: with per-peer detectors enabled — the
-// dominant pure-timer event class at campaign scale — the seeded run must
-// still produce identical traces, detector tick counts, and suspicion
-// counts on both event cores. Pure cross-core equality, no goldens: the
-// detector totals only need to agree and be non-degenerate.
+// dominant pure-timer event class at campaign scale — two runs of the
+// seeded campaign must produce identical results, detector tick counts,
+// and suspicion counts over two phases. No goldens: the detector totals
+// only need to agree and be non-degenerate.
 func TestCampaignDetectorDeterminism(t *testing.T) {
 	for _, topo := range []string{"gossip", "star"} {
-		mk := func(clk string) CampaignConfig {
-			cfg := smallCampaign(topo, clk)
+		mk := func() CampaignConfig {
+			cfg := smallCampaign(topo)
 			cfg.DetectorFanout = 4
 			cfg.DetectorInterval = 200 * time.Millisecond
 			return cfg
 		}
-		wheel := NewCampaign(mk("wheel"))
-		heap := NewCampaign(mk("heap"))
+		a := NewCampaign(mk())
+		b := NewCampaign(mk())
 		for phase := 1; phase <= 2; phase++ {
-			rw := wheel.RunPhase()
-			rh := heap.RunPhase()
-			if rw != rh {
-				t.Fatalf("%s phase %d: results differ:\nwheel: %+v\nheap:  %+v", topo, phase, rw, rh)
+			ra := a.RunPhase()
+			rb := b.RunPhase()
+			if ra != rb {
+				t.Fatalf("%s phase %d: results differ:\nfirst:  %+v\nsecond: %+v", topo, phase, ra, rb)
 			}
-			if rw.DetectorTicks == 0 {
-				t.Fatalf("%s phase %d: detectors enabled but no detector ticks: %+v", topo, phase, rw)
+			if ra.DetectorTicks == 0 {
+				t.Fatalf("%s phase %d: detectors enabled but no detector ticks: %+v", topo, phase, ra)
 			}
 			// Churn is on, so some probes must observe a down peer.
-			if rw.Suspicions == 0 {
-				t.Fatalf("%s phase %d: churn active but no suspicions: %+v", topo, phase, rw)
+			if ra.Suspicions == 0 {
+				t.Fatalf("%s phase %d: churn active but no suspicions: %+v", topo, phase, ra)
 			}
-			if rw.Suspicions >= rw.DetectorTicks {
-				t.Fatalf("%s phase %d: suspicions %d should be a minority of %d ticks", topo, phase, rw.Suspicions, rw.DetectorTicks)
+			if ra.Suspicions >= ra.DetectorTicks {
+				t.Fatalf("%s phase %d: suspicions %d should be a minority of %d ticks", topo, phase, ra.Suspicions, ra.DetectorTicks)
 			}
 		}
 	}
@@ -99,7 +99,7 @@ func TestCampaignDetectorDeterminism(t *testing.T) {
 // TestCampaignSeedSensitivity guards against the hash being insensitive:
 // different seeds must produce different traces.
 func TestCampaignSeedSensitivity(t *testing.T) {
-	a := smallCampaign("gossip", "wheel")
+	a := smallCampaign("gossip")
 	b := a
 	b.Seed = 43
 	ra := NewCampaign(a).RunPhase()
@@ -114,11 +114,12 @@ func TestCampaignSeedSensitivity(t *testing.T) {
 // draws, routing, or the clock's firing rule shows up here as a count
 // drift before it could silently skew benchmark results.
 func TestCampaignChurnFlashRegression(t *testing.T) {
-	c := NewCampaign(smallCampaign("tree", "wheel"))
+	c := NewCampaign(smallCampaign("tree"))
 	r1 := c.RunPhase()
 	r2 := c.RunPhase()
-	// Golden values captured from the seeded run; see the determinism test
-	// for why these are stable across both event cores.
+	// Golden values captured from the seeded run. They hold as long as the
+	// event core fires in (deadline, creation-id) order, which
+	// internal/clock checks against its heap oracle.
 	assertEq := func(name string, got, want uint64) {
 		t.Helper()
 		if got != want {
@@ -145,7 +146,7 @@ func TestCampaignChurnFlashRegression(t *testing.T) {
 // aggressive churn, some deliveries must land on unbound vnodes and be
 // counted as dead-lettered, and flipped-down endpoints must stop sending.
 func TestCampaignChurnDeadLetters(t *testing.T) {
-	cfg := smallCampaign("gossip", "wheel")
+	cfg := smallCampaign("gossip")
 	cfg.Churn.MeanFlipInterval = 5 * time.Millisecond
 	cfg.RecordTrace = false
 	r := NewCampaign(cfg).RunPhase()
@@ -164,7 +165,7 @@ func TestCampaignChurnDeadLetters(t *testing.T) {
 // contract: on loss-free fast paths nearly every timeout is cancelled by
 // its delivery, so expiries stay rare.
 func TestCampaignTimeoutsStopOnDelivery(t *testing.T) {
-	cfg := smallCampaign("gossip", "wheel")
+	cfg := smallCampaign("gossip")
 	cfg.Churn = ChurnConfig{}
 	r := NewCampaign(cfg).RunPhase()
 	if r.Timeouts > r.Sends/10 {

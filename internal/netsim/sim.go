@@ -8,28 +8,21 @@ import (
 )
 
 // Sim owns virtual time and the random source for one simulation run.
-// All state mutation happens on the goroutine driving RunFor/RunUntil, so
-// callbacks need no locking.
+// Virtual time is the timer-wheel event core (clock.Virtual), which fires
+// events in exact (deadline, creation-id) order, so a seeded run is
+// reproducible event for event. All state mutation happens on the
+// goroutine driving RunFor/RunUntil, so callbacks need no locking.
 type Sim struct {
-	clk   clock.SimClock
+	clk   *clock.Virtual
 	rng   *rand.Rand
 	epoch time.Time
 
 	msgFree []*Message // recycled Messages; see AcquireMessage
 }
 
-// NewSim creates a simulator seeded for reproducibility, on the
-// wheel-backed event core.
+// NewSim creates a simulator seeded for reproducibility.
 func NewSim(seed int64) *Sim {
-	return NewSimWithClock(seed, clock.NewVirtual())
-}
-
-// NewSimWithClock creates a simulator on an explicit event core — the
-// heap-backed clock.NewVirtualHeap for the campaign A/B baseline, or an
-// already-positioned clock shared with other harness pieces. Both cores
-// fire in identical (deadline, id) order, so a seeded run produces the
-// same event trace on either.
-func NewSimWithClock(seed int64, clk clock.SimClock) *Sim {
+	clk := clock.NewVirtual()
 	return &Sim{
 		clk:   clk,
 		rng:   rand.New(rand.NewSource(seed)),
@@ -38,7 +31,7 @@ func NewSimWithClock(seed int64, clk clock.SimClock) *Sim {
 }
 
 // Clock exposes the virtual clock, e.g. to inject into middleware logic.
-func (s *Sim) Clock() clock.SimClock { return s.clk }
+func (s *Sim) Clock() *clock.Virtual { return s.clk }
 
 // Rand returns the simulation's random source.
 func (s *Sim) Rand() *rand.Rand { return s.rng }
@@ -48,7 +41,7 @@ func (s *Sim) Now() time.Time { return s.clk.Now() }
 
 // NowNanos returns the current virtual instant in nanoseconds since the
 // Unix epoch without taking the clock lock — the form hot event callbacks
-// use for per-event timestamps. See clock.SimClock.NowNanos.
+// use for per-event timestamps. See clock.Virtual.NowNanos.
 func (s *Sim) NowNanos() int64 { return s.clk.NowNanos() }
 
 // Elapsed returns virtual time since the simulation began.
@@ -62,7 +55,7 @@ func (s *Sim) Schedule(d time.Duration, f func()) clock.Timer {
 
 // Post runs f after virtual delay d with no cancellation handle — the
 // allocation-free hot path for events that always run (transmission
-// completions, deliveries). See clock.SimClock.
+// completions, deliveries). See clock.Virtual.Post.
 func (s *Sim) Post(d time.Duration, f func()) { s.clk.Post(d, f) }
 
 // PostArg is Post for a callback taking one argument, letting callers
