@@ -148,9 +148,10 @@ soak-smoke:
 test-recv:
 	$(GO) test -race -count=3 -run $(RECV_RUN) $(RECV_PKGS)
 
-# test-qos runs the QoS / queue-policy suite (header wire compatibility,
-# per-(peer,class) FIFO properties, value-of-update shedding, deadline
-# reconnect drain, drop-rate reward) race-enabled and repeated.
+# test-qos runs the QoS suite (header wire compatibility, the pending
+# queue's per-(peer, class, key) FIFO property, value-of-update shedding,
+# deadline reconnect drain, the clock-free zero-QoS send path, drop-rate
+# reward) race-enabled and repeated.
 test-qos:
 	$(GO) test -race -count=3 -run $(QOS_RUN) $(QOS_PKGS)
 

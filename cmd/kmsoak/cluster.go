@@ -47,9 +47,8 @@ type clusterConfig struct {
 	inj      *faults.Injector
 	reg      *stats.Registry
 	duration time.Duration
-	// policy and maxPending configure every node's transport pending
-	// queue (-queue-policy / -max-pending).
-	policy     transport.QueuePolicy
+	// maxPending bounds every node's transport pending queues
+	// (-max-pending).
 	maxPending int
 }
 
@@ -103,7 +102,6 @@ func boot(cfg clusterConfig) (*cluster, error) {
 				MaxDialAttempts:   1 << 20,
 				RedialBackoffMax:  time.Second,
 				BackoffSeed:       cfg.seed + int64(i),
-				QueuePolicy:       cfg.policy,
 				MaxPendingPerPeer: cfg.maxPending,
 			},
 		})
@@ -228,11 +226,9 @@ func (c *cluster) startWorkloads(cfg clusterConfig) error {
 	c.relay.comp.SelfTrigger(relayTick{})
 
 	// QoS telemetry node0 → node1 over TCP: keyed, deadlined sensor
-	// updates at a rate an outage window cannot absorb, so the configured
-	// queue policy decides what reaches the wire. Under -queue-policy
-	// latest-value the coalesce counters climb while the freshest value
-	// per key still arrives; under reject the queue-full counters climb
-	// instead.
+	// updates at a rate an outage window cannot absorb, so the messages'
+	// own keys and deadlines decide what reaches the wire: the coalesce
+	// counters climb while the freshest value per key still arrives.
 	telemTo := c.nodes[1%len(c.nodes)]
 	tr := newTelemetryReceiver(c.reg)
 	trComp := telemTo.sys.Create(tr)
@@ -423,8 +419,7 @@ func newRelayDriver(reg *stats.Registry, self core.Address, hops []core.Address)
 // each update carrying a latest-value key ("sensorN") and an absolute
 // deadline telemetryDeadline out. While the destination channel rides an
 // outage the bursts pile into the pending queue faster than any backlog
-// drain can clear, which is exactly the overload the queue policies
-// differ on.
+// drain can clear, which is the overload the keys and deadlines shed.
 type telemetryDriver struct {
 	netPort *kompics.Port
 	comp    *kompics.Component

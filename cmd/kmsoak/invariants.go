@@ -87,7 +87,8 @@ func checkGoroutines(baseline int) error {
 // queueMonitor samples every node's outgoing-registry depth while the
 // run is hot and keeps the high-water mark; the invariant is that no
 // single channel queue ever exceeded the transport's configured bound
-// (the overflow policy is fail-fast, so deeper means the bound broke).
+// (an arrival that does not fit is rejected, so deeper means the bound
+// broke).
 type queueMonitor struct {
 	c    *cluster
 	reg  *stats.Registry

@@ -60,7 +60,6 @@ func run(args []string) (int, error) {
 	scheduleName := fs.String("schedule", "rolling-outage", "fault campaign: "+scheduleNames)
 	basePort := fs.Int("base-port", 17000, "first port; each node takes two (TCP/UDP and UDT)")
 	budget := fs.Duration("recovery-budget", 10*time.Second, "max allowed down→up recovery latency")
-	policyName := fs.String("queue-policy", "reject", "transport queue policy: reject | drop-oldest | latest-value | deadline")
 	maxPending := fs.Int("max-pending", 4096, "per-channel pending-queue bound (MaxPendingPerPeer)")
 	metricsAddr := fs.String("metrics-addr", "", "serve /metrics and /debug/vars here (empty = off)")
 	induce := fs.String("induce", "", "deliberately break an invariant: leak | outage (CI regression)")
@@ -71,11 +70,6 @@ func run(args []string) (int, error) {
 	}
 	if *nodes < 2 {
 		return 2, fmt.Errorf("-nodes must be at least 2")
-	}
-
-	policy, err := transport.PolicyByName(*policyName)
-	if err != nil {
-		return 2, err
 	}
 	if *maxPending <= 0 {
 		return 2, fmt.Errorf("-max-pending must be positive")
@@ -119,12 +113,12 @@ func run(args []string) (int, error) {
 		defer srv.Close()
 	}
 
-	fmt.Printf("kmsoak: %d nodes on 127.0.0.1:%d+, schedule=%s seed=%d duration=%v queue-policy=%s\n",
-		*nodes, *basePort, *scheduleName, *seed, *duration, policy.Name())
+	fmt.Printf("kmsoak: %d nodes on 127.0.0.1:%d+, schedule=%s seed=%d duration=%v\n",
+		*nodes, *basePort, *scheduleName, *seed, *duration)
 	c, err := boot(clusterConfig{
 		nodes: *nodes, basePort: *basePort, seed: *seed,
 		inj: inj, reg: reg, duration: *duration + 15*time.Second,
-		policy: policy, maxPending: *maxPending,
+		maxPending: *maxPending,
 	})
 	if err != nil {
 		return 2, err
@@ -198,7 +192,7 @@ wait:
 	}
 
 	summary(reg, runner, *verbose)
-	dropReport(c, reg, policy.Name())
+	dropReport(c, reg)
 
 	// Shut everything down, then the zero-leak gate: after teardown every
 	// pooled buffer must be home.
@@ -255,11 +249,11 @@ func summary(reg *stats.Registry, runner *faults.Runner, verbose bool) {
 	}
 }
 
-// dropReport prints the queue-policy drop accounting for the gate report:
+// dropReport prints the pending-queue drop accounting for the gate report:
 // totals by reason summed over the cluster, and the telemetry workload's
-// send/receive balance with the effective drop rate — the number the
-// reject-vs-latest-value comparisons in EXPERIMENTS.md read.
-func dropReport(c *cluster, reg *stats.Registry, policyName string) {
+// send/receive balance with the effective drop rate — the numbers the
+// value-of-update shedding run in EXPERIMENTS.md reads.
+func dropReport(c *cluster, reg *stats.Registry) {
 	var drops, telem transport.PolicyDrops
 	for _, n := range c.nodes {
 		t := n.net.DropStats()
@@ -278,8 +272,8 @@ func dropReport(c *cluster, reg *stats.Registry, policyName string) {
 	if sent > 0 {
 		rate = float64(telem.Total()) / float64(sent)
 	}
-	fmt.Printf("kmsoak: queue-policy=%s drops: full=%d coalesced=%d expired=%d\n",
-		policyName, drops.Full, drops.Coalesced, drops.Expired)
+	fmt.Printf("kmsoak: drops: full=%d coalesced=%d expired=%d\n",
+		drops.Full, drops.Coalesced, drops.Expired)
 	fmt.Printf("kmsoak: telemetry sent=%d recv=%d drop-rate=%.1f%%\n",
 		sent, recv, rate*100)
 }

@@ -6,9 +6,10 @@ package core
 // mailbox. Where the transport-level BenchmarkFaninReceive isolates the
 // inbound registry and read loops, this one additionally covers the
 // decode (decompress + decode) that each receiving read loop runs on
-// every inbound frame, and the inbox hand-off into the component. Run via
+// every inbound frame, and the inbox hand-off into the component. Run
+// with
 //
-//	make bench-fanin
+//	go test -run '^$' -bench FaninReceiveNetwork -benchmem ./internal/core/
 //
 // Unlike the fan-out benchmark — whose payload is incompressible so
 // flate cannot flatter *encode* throughput — the fan-in payload is
@@ -16,8 +17,8 @@ package core
 // raw flag and the receiver never decompresses, which would make the
 // flate case measure nothing. What the flate rows show is what inbound
 // decompress costs across concurrent peers, not codec ratios.
-// The procs=N sub-name keeps GOMAXPROCS runs distinct in
-// BENCH_fanin.json.
+// The procs=N sub-name keeps GOMAXPROCS runs distinct; BENCH_fanin.json
+// is a frozen record of an earlier run, and nothing regenerates it.
 
 import (
 	"fmt"

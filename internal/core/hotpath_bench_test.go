@@ -2,11 +2,12 @@ package core
 
 // Hot-path micro-benchmarks: the encode → frame → decode round trip every
 // remote message pays (§V of the paper measures the end-to-end effect; these
-// isolate the middleware's own per-message overhead). Run via
+// isolate the middleware's own per-message overhead). Run with
 //
-//	make bench-hotpath
+//	go test -run '^$' -bench WirePath -benchmem ./internal/core/
 //
-// which also regenerates BENCH_hotpath.json. The payload is incompressible
+// BENCH_hotpath.json is a frozen record of an earlier run; nothing
+// regenerates it. The payload is incompressible
 // (random) bytes, mirroring the paper's choice of incompressible data so
 // the compression stage cannot flatter throughput.
 

@@ -15,7 +15,7 @@ import (
 //	status_up_total / status_down_total / status_retry_total /
 //	status_fallback_total   — supervision transitions published
 //	queue_channels / queue_depth / queue_max_depth — outgoing registry
-//	drops_<class>_<reason> — queue-policy drops, class ∈ {reliable,
+//	drops_<class>_<reason> — pending-queue drops, class ∈ {reliable,
 //	control, telemetry}, reason ∈ {full, coalesced, expired}
 //	inbound_conns / inbound_frames / inbound_bytes / inbound_deaths
 //
@@ -107,7 +107,7 @@ func (n *Network) QueueStats() transport.QueueTotals {
 	return ep.QueueStats()
 }
 
-// DropStats reports the live endpoint's per-(class, reason) queue-policy
+// DropStats reports the live endpoint's per-(class, reason) pending-queue
 // drop counters (zero while stopped).
 func (n *Network) DropStats() transport.DropTotals {
 	ep := n.endpoint()

@@ -318,7 +318,7 @@ func (n *Network) sendMsg(msg Msg, notifyID uint64, wantNotify bool) {
 	}
 	// The stage encodes off the component thread and hands the payload to
 	// Endpoint.SendQoS in per-(proto, dest) submission order, carrying the
-	// header's QoS annotation to the transport's queue policy.
+	// header's QoS annotation to the transport's pending queue.
 	n.stage.submit(msg, proto, dest, HeaderQoS(hdr), notifyID, wantNotify)
 }
 

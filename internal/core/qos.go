@@ -5,7 +5,7 @@ import "github.com/kompics/kompicsmessaging-go/internal/wire"
 // QoS is the per-message quality-of-service annotation (see
 // internal/wire): a traffic class, an optional latest-value-wins key, and
 // an optional absolute deadline. It is declared in the leaf wire package
-// so the transport's queue policies and the core message types share one
+// so the transport's pending queue and the core message types share one
 // definition; core re-exports it the way it re-exports Transport.
 type QoS = wire.QoS
 
@@ -16,7 +16,8 @@ type QoSClass = wire.Class
 const (
 	// ClassReliable is the default: ordinary at-most-once messages.
 	ClassReliable = wire.ClassReliable
-	// ClassControl marks traffic that should be shed last.
+	// ClassControl marks protocol/control traffic. Like every class it
+	// scopes coalescing and the per-class drop counters, nothing more.
 	ClassControl = wire.ClassControl
 	// ClassTelemetry marks value-of-update state where freshness beats
 	// completeness.

@@ -248,7 +248,7 @@ func (n *Network) lowerNotify(resp core.NotifyResp) {
 	delete(n.pending, resp.ID)
 	if entry.stream != nil {
 		// The outcome rides along so the interceptor can charge transport
-		// queue-policy drops to the episode's overload counter.
+		// pending-queue drops to the episode's overload counter.
 		entry.stream.ic.OnSendResult(entry.proto, resp.Err)
 	}
 	if entry.wantNotify {

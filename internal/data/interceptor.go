@@ -172,7 +172,7 @@ func (ic *Interceptor) OnSent(proto core.Transport) {
 }
 
 // OnSendResult is OnSent carrying the send's outcome. A transport
-// queue-policy drop (*transport.ErrDropped — shed under overload rather
+// pending-queue drop (*transport.ErrDropped — shed under overload rather
 // than failed by the wire) is charged to the episode's drop counter, so
 // the PRP's reward sees overload the episode it happens instead of only
 // through the slower queue-delay signal.

@@ -18,7 +18,7 @@ type EpisodeStats struct {
 	BytesSent int64
 	// MsgsSent counts messages released during the episode.
 	MsgsSent int
-	// MsgsDropped counts released messages the transport's queue policy
+	// MsgsDropped counts released messages the transport's pending queue
 	// shed under overload (*transport.ErrDropped outcomes) during the
 	// episode — queue-full rejections, latest-value coalesces, and
 	// deadline expiries alike.
@@ -129,11 +129,11 @@ type LearnerConfig struct {
 	// responsive, not just fast.
 	LatencyWeight float64
 	// DropWeight scales the overload penalty subtracted from the reward
-	// (reward units per unit drop rate). Zero disables it. With the
-	// transport's queue policies active, an episode's DropRate is the
-	// sharpest overload signal the learner gets — a ratio that overruns
-	// a lane's pending queue sheds messages the same episode, where the
-	// queue-delay penalty only climbs once backlogs are already deep.
+	// (reward units per unit drop rate). Zero disables it. An episode's
+	// DropRate is the sharpest overload signal the learner gets — a
+	// ratio that overruns a lane's pending queue sheds messages the same
+	// episode, where the queue-delay penalty only climbs once backlogs
+	// are already deep.
 	DropWeight float64
 	// Rand is required for reproducible exploration.
 	Rand *rand.Rand

@@ -62,7 +62,7 @@ func TestQoSDropWeightInReward(t *testing.T) {
 	}
 }
 
-// TestQoSInterceptorCountsDropsInEpisode feeds transport queue-policy
+// TestQoSInterceptorCountsDropsInEpisode feeds transport pending-queue
 // outcomes back through OnSendResult: ErrDropped (even wrapped) charges
 // the episode's MsgsDropped, other errors and successes do not, and the
 // counter resets with the episode.

@@ -6,13 +6,13 @@ package transport
 // measures contention on the outgoing registry, fan-in measures the
 // inbound half: accept, per-connection read loops, the inbound
 // registry, and delivery into OnMessage (payloads are small, so socket
-// bandwidth is not the limit). Run via
+// bandwidth is not the limit). Run with
 //
-//	make bench-fanin
+//	go test -run '^$' -bench FaninReceive -benchmem ./internal/transport/
 //
-// which records GOMAXPROCS 1, 4 and NumCPU sections into
-// BENCH_fanin.json. The procs=N sub-name keeps the three runs distinct
-// after benchjson trims the -GOMAXPROCS suffix.
+// Each peer count runs at GOMAXPROCS 1, 4 and NumCPU; the procs=N
+// sub-name keeps the three runs distinct. BENCH_fanin.json is a frozen
+// record of an earlier run; nothing regenerates it.
 
 import (
 	"fmt"

@@ -2,11 +2,12 @@ package transport
 
 // Loopback benchmarks for the wire hot path: real sockets, real syscalls,
 // measuring the per-message cost of Endpoint.Send → outChannel →
-// readFrames/UDP reader → OnMessage. Run via
+// readFrames/UDP reader → OnMessage. Run with
 //
-//	make bench-hotpath
+//	go test -run '^$' -bench WirePath -benchmem ./internal/transport/
 //
-// which also regenerates BENCH_hotpath.json.
+// BENCH_hotpath.json is a frozen record of an earlier run; nothing
+// regenerates it.
 
 import (
 	"fmt"

@@ -8,48 +8,46 @@ import (
 	"github.com/kompics/kompicsmessaging-go/internal/wire"
 )
 
-// BenchmarkQueuePolicy measures the per-push cost of each queue policy on
-// a saturated channel — the policy hot path under overload, where every
-// Push runs the shed logic (reject, head eviction, key coalesce, or
-// expiry sweep). The workload mixes keyed telemetry (16 keys, so the
-// coalescing policy mostly replaces in place), keyless reliable traffic,
-// and deadlines that lapse mid-run for the expiry policy. Steady-state
-// drop handling must not allocate: the displaced-message scratch is
-// policy-owned and reused.
-func BenchmarkQueuePolicy(b *testing.B) {
+// BenchmarkPendingQueue measures the per-push cost of the pending queue
+// on a saturated channel, where every push runs the shed logic, by kind
+// of traffic: zero-QoS messages (rejected at the limit), keyed telemetry
+// over 16 keys (mostly replaced in place), and deadlined telemetry, half
+// of it born dead and the rest lapsing partway through the run (a full
+// queue is swept before each rejection).
+// Steady-state drop handling must not allocate: the displaced-message
+// scratch is owned by the queue and reused.
+func BenchmarkPendingQueue(b *testing.B) {
 	const limit = 64
-	msgs := make([]outMsg, 256)
-	for i := range msgs {
-		p := make([]byte, 4)
-		binary.BigEndian.PutUint32(p, uint32(i))
-		qos := wire.QoS{}
-		switch i % 4 {
-		case 0, 1: // keyed telemetry: the latest-value coalesce target
-			qos = wire.QoS{Class: wire.ClassTelemetry, Key: fmt.Sprintf("k%d", i%16)}
-		case 2: // deadline traffic: lapses partway through the run
-			qos = wire.QoS{Class: wire.ClassTelemetry, Deadline: int64(i%2)*1_000_000 + 1}
+	for _, tc := range []struct {
+		name string
+		qos  func(i int) wire.QoS
+	}{
+		{"zero-qos", func(int) wire.QoS { return wire.QoS{} }},
+		{"keyed", func(i int) wire.QoS {
+			return wire.QoS{Class: wire.ClassTelemetry, Key: fmt.Sprintf("k%d", i%16)}
+		}},
+		{"deadlined", func(i int) wire.QoS {
+			return wire.QoS{Class: wire.ClassTelemetry, Deadline: int64(i%2)*1_000_000 + 1}
+		}},
+	} {
+		msgs := make([]outMsg, 256)
+		for i := range msgs {
+			p := make([]byte, 4)
+			binary.BigEndian.PutUint32(p, uint32(i))
+			msgs[i] = outMsg{payload: p, qos: tc.qos(i)}
 		}
-		msgs[i] = outMsg{payload: p, qos: qos}
-	}
-
-	for _, pol := range Policies() {
-		b.Run(pol.Name(), func(b *testing.B) {
-			pq := pol.NewQueue(limit)
-			q := make([]outMsg, 0, limit)
+		b.Run(tc.name, func(b *testing.B) {
+			p := &pendingQueue{limit: limit, msgs: make([]outMsg, 0, limit)}
+			batch := make([]outMsg, 0, limit)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				var ds []dropped
-				var ok bool
-				q, ds, ok = pq.Push(q, msgs[i&255], int64(i))
-				_, _ = ds, ok
-				if len(q) >= limit && i&1023 == 0 {
+				p.push(msgs[i&255], int64(i))
+				if len(p.msgs) >= limit && i&1023 == 0 {
 					// Occasional drain, as a reconnect or a briefly keeping-up
 					// writer would: the steady state stays saturated.
-					q, ds = pq.Expire(q, int64(i))
-					_ = ds
-					q = q[:0]
-					pq.Drained()
+					p.expire(int64(i))
+					batch = p.drain(batch[:0])
 				}
 			}
 		})

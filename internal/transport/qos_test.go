@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -14,37 +15,6 @@ import (
 	"github.com/kompics/kompicsmessaging-go/internal/faults"
 	"github.com/kompics/kompicsmessaging-go/internal/wire"
 )
-
-// TestQoSPolicyByName pins the CLI names and the error for unknown ones.
-func TestQoSPolicyByName(t *testing.T) {
-	for _, p := range Policies() {
-		got, err := PolicyByName(p.Name())
-		if err != nil {
-			t.Fatalf("PolicyByName(%q): %v", p.Name(), err)
-		}
-		if got.Name() != p.Name() {
-			t.Fatalf("PolicyByName(%q) resolved %q", p.Name(), got.Name())
-		}
-	}
-	if _, err := PolicyByName("coin-flip"); err == nil || !strings.Contains(err.Error(), "latest-value") {
-		t.Fatalf("unknown policy error should list the choices, got %v", err)
-	}
-}
-
-// TestQoSDefaultPolicyIsReject checks that a Config without an explicit
-// QueuePolicy gets the behaviour-identical fail-fast default.
-func TestQoSDefaultPolicyIsReject(t *testing.T) {
-	ep, err := NewEndpoint(Config{
-		ListenAddr: "127.0.0.1:0",
-		OnMessage:  func(_ From, p []byte) { bufpool.Put(p) },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if name := ep.cfg.QueuePolicy.Name(); name != "reject" {
-		t.Fatalf("default queue policy is %q, want reject", name)
-	}
-}
 
 // TestQoSErrDroppedMessages pins the error contract: queue-pressure drops
 // name the protocol and unwrap to ErrQueueFull; value/deadline sheds are
@@ -77,7 +47,7 @@ func TestQoSErrDroppedMessages(t *testing.T) {
 }
 
 // qosMsg builds an unpooled outMsg carrying seq in its payload for the
-// policy-level tests (policies never release, so no pooling needed).
+// queue-level tests (the queue never releases, so no pooling needed).
 func qosMsg(seq uint32, q wire.QoS) outMsg {
 	p := make([]byte, 4)
 	binary.BigEndian.PutUint32(p, seq)
@@ -86,70 +56,67 @@ func qosMsg(seq uint32, q wire.QoS) outMsg {
 
 func qosSeq(m outMsg) uint32 { return binary.BigEndian.Uint32(m.payload) }
 
-// TestQoSLatestValueDistinctKeysKeepOrder drives latestValueQueue
-// directly: coalescing replaces in place, so distinct keys keep their
-// original relative order and the refreshed key keeps its slot.
+// queueSeqs lists the seqs queued in p, in queue order.
+func queueSeqs(p *pendingQueue) []uint32 {
+	out := make([]uint32, len(p.msgs))
+	for i, m := range p.msgs {
+		out[i] = qosSeq(m)
+	}
+	return out
+}
+
+// TestQoSLatestValueDistinctKeysKeepOrder drives pendingQueue directly:
+// coalescing replaces in place, so distinct keys keep their original
+// relative order and the refreshed key keeps its slot.
 func TestQoSLatestValueDistinctKeysKeepOrder(t *testing.T) {
-	pq := LatestValueWins.NewQueue(8)
-	var q []outMsg
+	p := &pendingQueue{limit: 8}
 	for i := uint32(0); i < 3; i++ {
-		var d []dropped
-		var ok bool
-		q, d, ok = pq.Push(q, qosMsg(i, wire.QoS{Key: fmt.Sprintf("k%d", i)}), 0)
-		if !ok || len(d) != 0 {
+		if d, ok := p.push(qosMsg(i, wire.QoS{Key: fmt.Sprintf("k%d", i)}), 0); !ok || len(d) != 0 {
 			t.Fatalf("fresh key %d: ok=%v displaced=%d", i, ok, len(d))
 		}
 	}
 	// Refresh k0: same slot, old message displaced as coalesced.
-	q, d, ok := pq.Push(q, qosMsg(100, wire.QoS{Key: "k0"}), 0)
+	d, ok := p.push(qosMsg(100, wire.QoS{Key: "k0"}), 0)
 	if !ok || len(d) != 1 || d[0].reason != DropCoalesced || qosSeq(d[0].msg) != 0 {
 		t.Fatalf("coalesce: ok=%v displaced=%+v", ok, d)
 	}
-	want := []uint32{100, 1, 2}
-	if len(q) != len(want) {
-		t.Fatalf("queue length %d, want %d", len(q), len(want))
-	}
-	for i, w := range want {
-		if got := qosSeq(q[i]); got != w {
-			t.Fatalf("slot %d holds seq %d, want %d (reordered)", i, got, w)
-		}
+	if got := fmt.Sprint(queueSeqs(p)); got != "[100 1 2]" {
+		t.Fatalf("queue holds %s, want [100 1 2] (reordered)", got)
 	}
 	// Same key, different class: a distinct coalesce scope, appends.
-	q, d, ok = pq.Push(q, qosMsg(200, wire.QoS{Class: wire.ClassControl, Key: "k0"}), 0)
-	if !ok || len(d) != 0 || len(q) != 4 || qosSeq(q[3]) != 200 {
-		t.Fatalf("cross-class push coalesced: ok=%v displaced=%d len=%d", ok, len(d), len(q))
+	d, ok = p.push(qosMsg(200, wire.QoS{Class: wire.ClassControl, Key: "k0"}), 0)
+	if !ok || len(d) != 0 || len(p.msgs) != 4 || qosSeq(p.msgs[3]) != 200 {
+		t.Fatalf("cross-class push coalesced: ok=%v displaced=%d len=%d", ok, len(d), len(p.msgs))
 	}
 	// Keyless messages never coalesce.
-	q, d, ok = pq.Push(q, qosMsg(300, wire.QoS{}), 0)
-	if !ok || len(d) != 0 || len(q) != 5 {
-		t.Fatalf("keyless push coalesced: ok=%v displaced=%d len=%d", ok, len(d), len(q))
+	d, ok = p.push(qosMsg(300, wire.QoS{}), 0)
+	if !ok || len(d) != 0 || len(p.msgs) != 5 {
+		t.Fatalf("keyless push coalesced: ok=%v displaced=%d len=%d", ok, len(d), len(p.msgs))
 	}
-	_ = q
 }
 
 // TestQoSDeadlineBornDead checks that a message whose deadline already
 // passed at enqueue is shed as DropExpired (through displaced, ok=true),
 // not mischarged as queue pressure.
 func TestQoSDeadlineBornDead(t *testing.T) {
-	pq := DeadlineExpiry.NewQueue(4)
-	var q []outMsg
-	q, d, ok := pq.Push(q, qosMsg(1, wire.QoS{Deadline: 50}), 100)
+	p := &pendingQueue{limit: 4}
+	d, ok := p.push(qosMsg(1, wire.QoS{Deadline: 50}), 100)
 	if !ok {
 		t.Fatal("born-dead message charged as queue-full (ok=false)")
 	}
-	if len(q) != 0 || len(d) != 1 || d[0].reason != DropExpired || qosSeq(d[0].msg) != 1 {
-		t.Fatalf("born-dead: queue=%d displaced=%+v", len(q), d)
+	if len(p.msgs) != 0 || len(d) != 1 || d[0].reason != DropExpired || qosSeq(d[0].msg) != 1 {
+		t.Fatalf("born-dead: queue=%d displaced=%+v", len(p.msgs), d)
 	}
 	// At the limit, expired slots are reclaimed before rejecting.
 	for i := uint32(2); i < 6; i++ {
-		q, _, _ = pq.Push(q, qosMsg(i, wire.QoS{Deadline: 200}), 100)
+		p.push(qosMsg(i, wire.QoS{Deadline: 200}), 100)
 	}
-	if len(q) != 4 {
-		t.Fatalf("queue length %d, want 4", len(q))
+	if len(p.msgs) != 4 {
+		t.Fatalf("queue length %d, want 4", len(p.msgs))
 	}
-	q, d, ok = pq.Push(q, qosMsg(9, wire.QoS{Deadline: 400}), 300) // all four queued expired at t=300
-	if !ok || len(d) != 4 || len(q) != 1 || qosSeq(q[0]) != 9 {
-		t.Fatalf("sweep-at-limit: ok=%v displaced=%d queue=%d", ok, len(d), len(q))
+	d, ok = p.push(qosMsg(9, wire.QoS{Deadline: 400}), 300) // all four queued expired at t=300
+	if !ok || len(d) != 4 || len(p.msgs) != 1 || qosSeq(p.msgs[0]) != 9 {
+		t.Fatalf("sweep-at-limit: ok=%v displaced=%d queue=%d", ok, len(d), len(p.msgs))
 	}
 	for _, dr := range d {
 		if dr.reason != DropExpired {
@@ -158,26 +125,60 @@ func TestQoSDeadlineBornDead(t *testing.T) {
 	}
 }
 
-// TestQoSPerClassFIFOProperty is the randomized ordering property over
-// every built-in policy: simulate the channel's push/expire/drain cycle
-// and assert (1) the queue never exceeds its bound, (2) every message is
+// TestQoSSweepRebuildsKeyIndex sweeps a keyed, deadlined message out at
+// the limit. The sweep compacts the queue, so the key index must follow
+// the survivors: the next push with the swept key appends, and the push
+// after that replaces that new slot.
+func TestQoSSweepRebuildsKeyIndex(t *testing.T) {
+	p := &pendingQueue{limit: 3}
+	p.push(qosMsg(0, wire.QoS{Key: "k", Deadline: 100}), 50)
+	p.push(qosMsg(1, wire.QoS{Deadline: 100}), 50)
+	p.push(qosMsg(2, wire.QoS{Key: "j"}), 50)
+
+	// Full at t=200: the sweep takes seqs 0 and 1 and makes room.
+	if d, ok := p.push(qosMsg(3, wire.QoS{}), 200); !ok || len(d) != 2 {
+		t.Fatalf("sweep at limit: ok=%v displaced=%+v", ok, d)
+	}
+	if d, ok := p.push(qosMsg(4, wire.QoS{Key: "k"}), 200); !ok || len(d) != 0 {
+		t.Fatalf("swept key must append: ok=%v displaced=%+v", ok, d)
+	}
+	d, ok := p.push(qosMsg(5, wire.QoS{Key: "k"}), 200)
+	if !ok || len(d) != 1 || d[0].reason != DropCoalesced || qosSeq(d[0].msg) != 4 {
+		t.Fatalf("key must replace its new slot: ok=%v displaced=%+v", ok, d)
+	}
+	if got := fmt.Sprint(queueSeqs(p)); got != "[2 3 5]" {
+		t.Fatalf("queue holds %s, want [2 3 5]", got)
+	}
+	if p.deadlines != 0 {
+		t.Fatalf("deadline count %d after the sweep, want 0", p.deadlines)
+	}
+}
+
+// TestQoSPerClassFIFOProperty is the randomized ordering property of the
+// pending queue: simulate the channel's push/expire/drain cycle and
+// assert (1) the queue never exceeds its bound, (2) every message is
 // accounted exactly once — delivered or dropped, (3) delivery order is
-// FIFO per (peer, class); for LatestValueWins, FIFO per (class, key),
-// since coalescing re-fills a key's existing slot.
+// FIFO per (class, key), with "" for unkeyed messages, since coalescing
+// re-fills a key's existing slot. Each subtest is named for the rule its
+// traffic exercises; "mixed" sends keys and deadlines together.
 func TestQoSPerClassFIFOProperty(t *testing.T) {
-	for _, pol := range Policies() {
-		t.Run(pol.Name(), func(t *testing.T) {
+	for _, tc := range []struct {
+		name             string
+		keyed, deadlined bool
+	}{
+		{"reject", false, false},
+		{"latest-value", true, false},
+		{"deadline", false, true},
+		{"mixed", true, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(42))
 			const limit = 8
-			pq := pol.NewQueue(limit)
-			var q []outMsg
+			p := &pendingQueue{limit: limit}
 			now := int64(1_000)
 			next := uint32(0)
 
-			type meta struct {
-				qos wire.QoS
-			}
-			pushed := map[uint32]meta{}
+			pushed := map[uint32]wire.QoS{}
 			outcome := map[uint32]string{} // "delivered" or the drop reason
 			var delivered []uint32
 
@@ -193,47 +194,39 @@ func TestQoSPerClassFIFOProperty(t *testing.T) {
 				}
 			}
 			drain := func() {
-				var exp []dropped
-				q, exp = pq.Expire(q, now)
-				drops(exp)
-				for _, m := range q {
+				drops(p.expire(now))
+				for _, m := range p.drain(nil) {
 					seq := qosSeq(m)
 					account(seq, "delivered")
 					delivered = append(delivered, seq)
 				}
-				q = q[:0]
-				pq.Drained()
 			}
 
 			for i := 0; i < 3_000; i++ {
 				switch op := rng.Intn(10); {
 				case op < 7: // push
 					qos := wire.QoS{Class: wire.Class(rng.Intn(wire.NumClasses))}
-					if rng.Intn(2) == 0 {
+					if tc.keyed && rng.Intn(2) == 0 {
 						qos.Key = fmt.Sprintf("k%d", rng.Intn(4))
 					}
-					if rng.Intn(3) == 0 {
+					if tc.deadlined && rng.Intn(3) == 0 {
 						qos.Deadline = now + int64(rng.Intn(200)) - 60
 					}
 					seq := next
 					next++
-					pushed[seq] = meta{qos: qos}
-					var ds []dropped
-					var ok bool
-					q, ds, ok = pq.Push(q, qosMsg(seq, qos), now)
+					pushed[seq] = qos
+					ds, ok := p.push(qosMsg(seq, qos), now)
 					drops(ds)
 					if !ok {
 						account(seq, DropQueueFull.String())
 					}
-					if len(q) > limit {
-						t.Fatalf("queue grew to %d, bound is %d", len(q), limit)
+					if len(p.msgs) > limit {
+						t.Fatalf("queue grew to %d, bound is %d", len(p.msgs), limit)
 					}
 				case op < 8: // time passes
 					now += int64(rng.Intn(150))
 				case op < 9: // dequeue-time expiry without a full drain
-					var exp []dropped
-					q, exp = pq.Expire(q, now)
-					drops(exp)
+					drops(p.expire(now))
 				default:
 					drain()
 				}
@@ -245,17 +238,11 @@ func TestQoSPerClassFIFOProperty(t *testing.T) {
 					t.Fatalf("seq %d vanished: neither delivered nor dropped", seq)
 				}
 			}
-			// FIFO: delivered seqs strictly increase per class — per
-			// (class, key) for the coalescing policy.
 			last := map[coalesceKey]uint32{}
 			for _, seq := range delivered {
-				scope := coalesceKey{class: pushed[seq].qos.Class}
-				if pol.Name() == "latest-value" {
-					scope.key = pushed[seq].qos.Key
-				}
+				scope := coalesceKey{class: pushed[seq].Class, key: pushed[seq].Key}
 				if prev, seen := last[scope]; seen && seq <= prev {
-					t.Fatalf("%s: scope %+v delivered seq %d after %d (reordered)",
-						pol.Name(), scope, seq, prev)
+					t.Fatalf("scope %+v delivered seq %d after %d (reordered)", scope, seq, prev)
 				}
 				last[scope] = seq
 			}
@@ -263,106 +250,9 @@ func TestQoSPerClassFIFOProperty(t *testing.T) {
 	}
 }
 
-// TestQoSDropOldestEvictsHead pins a channel in connecting (supervision
-// pattern: dials refused, virtual clock never advanced) under DropOldest:
-// overflowing sends evict the oldest queued messages — notified oldest
-// first with ErrQueueFull-compatible ErrDropped — and the per-class drop
-// counters match the notify accounting exactly.
-func TestQoSDropOldestEvictsHead(t *testing.T) {
-	leakCheck(t)
-	inj := faults.New(1)
-	inj.Add(faults.Spec{Op: faults.OpDial, Action: faults.Refuse})
-	status := make(chan StatusEvent, 64)
-
-	const limit = 4
-	col := newEventCollector()
-	ep, err := NewEndpoint(Config{
-		ListenAddr:        "127.0.0.1:0",
-		OnMessage:         col.onMessage,
-		Protocols:         []wire.Transport{wire.TCP},
-		Faults:            inj,
-		Clock:             clock.NewVirtual(), // never advanced: backoff waits forever
-		MaxPendingPerPeer: limit,
-		MaxDialAttempts:   1000,
-		QueuePolicy:       DropOldest,
-		OnStatus:          func(ev StatusEvent) { status <- ev },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ep.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer ep.Close()
-
-	dest := "127.0.0.1:9" // never actually dialed: the injector refuses first
-	type result struct {
-		i   int
-		err error
-	}
-	results := make(chan result, limit+2)
-	for i := 0; i < limit+2; i++ {
-		i := i
-		ep.SendQoS(wire.TCP, dest, pooled(fmt.Sprintf("m%d", i)), wire.QoS{Class: wire.ClassControl},
-			func(err error) { results <- result{i, err} })
-	}
-	expectStatus(t, status, StatusRetry)
-
-	// Sends 4 and 5 each evicted the then-oldest message: m0, then m1,
-	// notified in eviction order before any later outcome.
-	for want := 0; want < 2; want++ {
-		select {
-		case r := <-results:
-			if r.i != want {
-				t.Fatalf("eviction %d hit message %d, want the oldest (m%d)", want, r.i, want)
-			}
-			if !errors.Is(r.err, ErrQueueFull) {
-				t.Fatalf("evicted m%d: err = %v, want ErrQueueFull compatibility", r.i, r.err)
-			}
-			var de *ErrDropped
-			if !errors.As(r.err, &de) || de.Reason != DropQueueFull || de.Class != wire.ClassControl || de.Limit != limit {
-				t.Fatalf("evicted m%d: err = %#v, want queue-full ErrDropped for control class", r.i, r.err)
-			}
-		case <-time.After(10 * time.Second):
-			t.Fatal("timed out waiting for eviction notify")
-		}
-	}
-
-	ch := ep.findChannel(wire.TCP, dest)
-	if ch == nil {
-		t.Fatal("channel left the registry while retrying")
-	}
-	ch.mu.Lock()
-	queued := len(ch.queue)
-	ch.mu.Unlock()
-	if queued != limit {
-		t.Fatalf("queue holds %d messages, want exactly %d", queued, limit)
-	}
-
-	ds := ep.DropStats()
-	if got := ds.PerClass[wire.ClassControl].Full; got != 2 {
-		t.Fatalf("control-class full drops = %d, want 2", got)
-	}
-	if got := ep.QueueStats().Drops; got.Total() != 2 || got.Full != 2 {
-		t.Fatalf("QueueStats drops = %+v, want 2 full", got)
-	}
-
-	ep.Close()
-	for i := 0; i < limit; i++ {
-		select {
-		case r := <-results:
-			if r.i < 2 || !errors.Is(r.err, ErrClosed) {
-				t.Fatalf("surviving m%d: err = %v, want ErrClosed", r.i, r.err)
-			}
-		case <-time.After(10 * time.Second):
-			t.Fatal("timed out waiting for close notify")
-		}
-	}
-}
-
 // TestQoSLatestValueWinsEndToEnd is the acceptance scenario: an outage
 // pins the channel while a telemetry workload keeps updating a handful of
-// keys. LatestValueWins must shed by value — when the link comes back,
+// keys. The queue must shed by value — when the link comes back,
 // exactly the freshest update per key reaches the peer, every stale one
 // is notified as coalesced, the per-class counters match the notify
 // accounting exactly, and no displaced payload leaks (leakCheck).
@@ -385,7 +275,6 @@ func TestQoSLatestValueWinsEndToEnd(t *testing.T) {
 		ListenAddr:        "127.0.0.1:0",
 		OnMessage:         func(_ From, p []byte) { bufpool.Put(p) },
 		Faults:            inj,
-		QueuePolicy:       LatestValueWins,
 		MaxPendingPerPeer: 8,
 		MaxDialAttempts:   1 << 20,
 		RedialBackoff:     5 * time.Millisecond,
@@ -452,11 +341,8 @@ func TestQoSLatestValueWinsEndToEnd(t *testing.T) {
 	if got := ds.PerClass[wire.ClassTelemetry].Coalesced; got != uint64(coalescedN) {
 		t.Fatalf("telemetry coalesced counter = %d, notify accounting saw %d", got, coalescedN)
 	}
-	if total := ds.Sum(); total.Total() != uint64(coalescedN) {
+	if total := ds.Sum(); total.Total() != uint64(coalescedN) || total.Coalesced != uint64(coalescedN) {
 		t.Fatalf("drop totals %+v, want exactly %d coalesced", total, coalescedN)
-	}
-	if qd := send.QueueStats().Drops; qd.Coalesced != uint64(coalescedN) {
-		t.Fatalf("QueueStats.Drops.Coalesced = %d, want %d", qd.Coalesced, coalescedN)
 	}
 }
 
@@ -483,7 +369,6 @@ func TestQoSDeadlineExpiryReconnectDrain(t *testing.T) {
 		ListenAddr:       "127.0.0.1:0",
 		OnMessage:        func(_ From, p []byte) { bufpool.Put(p) },
 		Faults:           inj,
-		QueuePolicy:      DeadlineExpiry,
 		MaxDialAttempts:  1 << 20,
 		RedialBackoff:    5 * time.Millisecond,
 		RedialBackoffMax: 10 * time.Millisecond,
@@ -535,5 +420,67 @@ func TestQoSDeadlineExpiryReconnectDrain(t *testing.T) {
 	}
 	if got := send.DropStats().PerClass[wire.ClassTelemetry].Expired; got != uint64(expiredN) {
 		t.Fatalf("telemetry expired counter = %d, notify accounting saw %d", got, expiredN)
+	}
+}
+
+// countingClock is a real clock that counts its Now calls.
+type countingClock struct {
+	clock.Real
+	nows atomic.Int64
+}
+
+func (c *countingClock) Now() time.Time {
+	c.nows.Add(1)
+	return c.Real.Now()
+}
+
+// TestQoSZeroQoSNeverReadsClock pins the clock-free send path: zero-QoS
+// sends over a live TCP channel never read the clock, and a deadlined
+// message reads it exactly twice — at enqueue for its own deadline, and
+// at dequeue for the sweep — after which the channel is clock-free again.
+func TestQoSZeroQoSNeverReadsClock(t *testing.T) {
+	leakCheck(t)
+	col := &collector{}
+	recv, err := NewEndpoint(Config{ListenAddr: "127.0.0.1:0", OnMessage: col.onMessage})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := recv.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer recv.Close()
+	clk := &countingClock{}
+	send, err := NewEndpoint(Config{
+		ListenAddr: "127.0.0.1:0",
+		OnMessage:  func(_ From, p []byte) { bufpool.Put(p) },
+		Protocols:  []wire.Transport{wire.TCP},
+		Clock:      clk,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := send.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer send.Close()
+	base := clk.nows.Load() // the drop-warn limiter stamps its start
+
+	dest := recv.Addr(wire.TCP)
+	const n = 1_000
+	for i := 0; i < n; i++ {
+		send.Send(wire.TCP, dest, pooled(fmt.Sprintf("m%d", i)), nil)
+	}
+	waitCount(t, col, n)
+	if got := clk.nows.Load() - base; got != 0 {
+		t.Fatalf("%d zero-QoS sends read the clock %d times, want 0", n, got)
+	}
+
+	deadline := time.Now().Add(time.Hour).UnixNano()
+	send.SendQoS(wire.TCP, dest, pooled("timed"), wire.QoS{Deadline: deadline}, nil)
+	waitCount(t, col, n+1)
+	send.Send(wire.TCP, dest, pooled("after"), nil)
+	waitCount(t, col, n+2)
+	if got := clk.nows.Load() - base; got != 2 {
+		t.Fatalf("one deadlined message read the clock %d times, want 2 (enqueue and dequeue)", got)
 	}
 }

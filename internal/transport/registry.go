@@ -40,16 +40,13 @@ type QueueTotals struct {
 	Channels int
 	Queued   int
 	MaxDepth int
-	// Drops sums the endpoint's queue-policy drops across all classes —
-	// the coarse overload signal; DropStats has the per-class split.
-	Drops PolicyDrops
 }
 
-// PolicyDrops counts queue-policy drops by reason. Counters are
+// PolicyDrops counts pending-queue drops by reason. Counters are
 // cumulative over the endpoint's life.
 type PolicyDrops struct {
-	// Full counts queue-pressure drops (rejected newest or evicted
-	// oldest at MaxPendingPerPeer).
+	// Full counts queue-pressure drops (arrivals rejected at
+	// MaxPendingPerPeer).
 	Full uint64
 	// Coalesced counts latest-value-wins replacements.
 	Coalesced uint64
@@ -60,7 +57,7 @@ type PolicyDrops struct {
 // Total sums all reasons.
 func (d PolicyDrops) Total() uint64 { return d.Full + d.Coalesced + d.Expired }
 
-// DropTotals is the endpoint's queue-policy drop accounting, split per
+// DropTotals is the endpoint's pending-queue drop accounting, split per
 // QoS class.
 type DropTotals struct {
 	PerClass [wire.NumClasses]PolicyDrops
@@ -103,10 +100,10 @@ func (e *Endpoint) QueueStats() QueueTotals {
 		chans = append(chans, c)
 	}
 	e.reg.mu.Unlock()
-	t := QueueTotals{Channels: len(chans), Drops: e.DropStats().Sum()}
+	t := QueueTotals{Channels: len(chans)}
 	for _, c := range chans {
 		c.mu.Lock()
-		depth := len(c.queue)
+		depth := len(c.pending.msgs)
 		c.mu.Unlock()
 		t.Queued += depth
 		if depth > t.MaxDepth {

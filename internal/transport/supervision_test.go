@@ -19,7 +19,8 @@ import (
 // TestQueueOverflowFailFast pins a channel in connecting (dials refused,
 // virtual clock never advanced) and checks that the pending queue stops
 // at MaxPendingPerPeer: overflowing sends fail immediately with
-// ErrQueueFull through notify, queued memory stays bounded, and every
+// ErrQueueFull through notify (a queue-full *ErrDropped, charged to the
+// per-class drop counters), queued memory stays bounded, and every
 // payload — queued or rejected — returns to the pool on close.
 func TestQueueOverflowFailFast(t *testing.T) {
 	leakCheck(t)
@@ -59,9 +60,17 @@ func TestQueueOverflowFailFast(t *testing.T) {
 	overflow := make(chan error, 2)
 	for i := 0; i < 2; i++ {
 		ep.Send(wire.TCP, dest, pooled("overflow"), func(err error) { overflow <- err })
-		if err := expectNotify(t, overflow); !errors.Is(err, ErrQueueFull) {
+		err := expectNotify(t, overflow)
+		if !errors.Is(err, ErrQueueFull) {
 			t.Fatalf("overflow send %d: err = %v, want ErrQueueFull", i, err)
 		}
+		var de *ErrDropped
+		if !errors.As(err, &de) || de.Reason != DropQueueFull || de.Class != wire.ClassReliable || de.Limit != limit {
+			t.Fatalf("overflow send %d: err = %#v, want queue-full ErrDropped for reliable class", i, err)
+		}
+	}
+	if got := ep.DropStats().PerClass[wire.ClassReliable].Full; got != 2 {
+		t.Fatalf("reliable-class full drops = %d, want 2", got)
 	}
 
 	ch := ep.findChannel(wire.TCP, dest)
@@ -69,7 +78,7 @@ func TestQueueOverflowFailFast(t *testing.T) {
 		t.Fatal("supervised channel left the registry while retrying")
 	}
 	ch.mu.Lock()
-	queued := len(ch.queue)
+	queued := len(ch.pending.msgs)
 	st := ch.state
 	ch.mu.Unlock()
 	if queued != limit {
@@ -347,7 +356,7 @@ func TestUDTFallbackKeepsAcceptedSends(t *testing.T) {
 	}
 	ch := epA.findChannel(wire.TCP, tcpAddr)
 	ch.mu.Lock()
-	queued := len(ch.queue)
+	queued := len(ch.pending.msgs)
 	ch.mu.Unlock()
 	if queued != limit {
 		t.Fatalf("TCP queue holds %d, want the bound %d", queued, limit)

@@ -41,13 +41,11 @@ var (
 	// ErrUnsupported reports a protocol the endpoint does not listen on
 	// or cannot dial.
 	ErrUnsupported = errors.New("transport: unsupported protocol")
-	// ErrQueueFull reports a message shed because the destination's
-	// pending queue was at MaxPendingPerPeer. Which message is shed is
-	// the Config.QueuePolicy's call (the arriving one under the default
-	// RejectNewest, the queue head under DropOldest), but shedding is
+	// ErrQueueFull reports an arriving message rejected because the
+	// destination's pending queue was at MaxPendingPerPeer. Shedding is
 	// always through the normal notify path — never a silent drop — so a
-	// peer outage cannot grow memory without bound. Policy drops carry a
-	// typed *ErrDropped; queue-pressure ones unwrap to this error.
+	// peer outage cannot grow memory without bound. Pending-queue drops
+	// carry a typed *ErrDropped; queue-pressure ones unwrap to this error.
 	ErrQueueFull = errors.New("transport: pending queue full")
 )
 
@@ -79,14 +77,10 @@ type Config struct {
 	UDT udt.Config
 	// MaxPendingPerPeer bounds the messages queued per (protocol,
 	// destination) channel while it connects or redials (default 4096).
-	// What happens at the bound is QueuePolicy's decision; under the
-	// default, overflowing sends fail with ErrQueueFull through notify.
+	// At the bound, queued messages past their QoS deadline are swept
+	// out, and a send that still does not fit fails with ErrQueueFull
+	// through notify (see policy.go).
 	MaxPendingPerPeer int
-	// QueuePolicy selects the overload policy for each channel's pending
-	// queue — which messages are shed, and when, once MaxPendingPerPeer
-	// bites (default RejectNewest, the original fail-fast behaviour).
-	// See policy.go for the built-in policies.
-	QueuePolicy QueuePolicy
 	// MaxDialAttempts is how many consecutive dial failures a channel
 	// tolerates before giving up and failing its queue (default 3). A UDT
 	// channel first falls back to TCP and gets as many attempts there.
@@ -152,9 +146,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxPendingPerPeer <= 0 {
 		c.MaxPendingPerPeer = 4096
 	}
-	if c.QueuePolicy == nil {
-		c.QueuePolicy = RejectNewest
-	}
 	if c.MaxDialAttempts <= 0 {
 		c.MaxDialAttempts = 3
 	}
@@ -199,7 +190,7 @@ type Endpoint struct {
 	reg     registry
 	inbound inboundSet
 
-	// dropCounts aggregates queue-policy drops per (class, reason);
+	// dropCounts aggregates pending-queue drops per (class, reason);
 	// written by the channels' drop path, read by DropStats.
 	dropCounts [wire.NumClasses][numDropReasons]atomic.Uint64
 
@@ -331,10 +322,10 @@ func (e *Endpoint) Send(proto wire.Transport, dest string, payload []byte, notif
 }
 
 // SendQoS is Send with a per-message QoS annotation. The annotation rides
-// with the message into the pending queue, where the configured
-// QueuePolicy reads it under overload: Class scopes the drop accounting
-// (and coalescing), Key enables latest-value-wins replacement, Deadline
-// arms deadline expiry. A zero QoS makes SendQoS exactly Send.
+// with the message into the pending queue, which acts on it: Class scopes
+// coalescing and the drop accounting, Key enables latest-value-wins
+// replacement, Deadline arms deadline expiry. A zero QoS makes SendQoS
+// exactly Send.
 func (e *Endpoint) SendQoS(proto wire.Transport, dest string, payload []byte, qos wire.QoS, notify func(error)) {
 	fail := func(err error) {
 		if notify != nil {
@@ -573,8 +564,8 @@ func (e *Endpoint) readFrames(proto wire.Transport, conn net.Conn) {
 
 type outMsg struct {
 	payload []byte
-	// qos is the message's annotation, read by the queue policy while the
-	// message is pending (and echoed in *ErrDropped if it is shed).
+	// qos is the message's annotation, read by the pending queue while
+	// the message waits (and echoed in *ErrDropped if it is shed).
 	qos    wire.QoS
 	notify func(error)
 }
@@ -595,8 +586,8 @@ func (m outMsg) release(err error) {
 // across dozens of typical 65 kB chunks or thousands of small messages.
 const maxCoalesce = 256 << 10
 
-// maxIdleQueueCap bounds the capacity retained by a drained queue or batch
-// scratch slice, so one burst does not pin memory forever.
+// maxIdleQueueCap bounds the capacity retained by a drained pending queue
+// or batch scratch slice, so one burst does not pin memory forever.
 const maxIdleQueueCap = 1024
 
 // outChannel serialises writes to one (destination, protocol) pair on a
@@ -617,18 +608,12 @@ type outChannel struct {
 	// goroutine (under mu inside nextBatch).
 	batch []outMsg
 
-	// pq is this channel's queue-policy state; its methods run under mu
-	// and operate on queue in place. timed caches the policy's NeedsTime
-	// so the default policy's send path never reads the clock.
-	pq    PendingQueue
-	timed bool
-
-	mu     sync.Mutex //kmlint:guarded
-	cond   *sync.Cond
-	queue  []outMsg
-	state  ChannelState
-	closed bool
-	err    error
+	mu      sync.Mutex //kmlint:guarded
+	cond    *sync.Cond
+	pending pendingQueue
+	state   ChannelState
+	closed  bool
+	err     error
 	// redialWake is set by the backoff timer to end a redial wait.
 	redialWake bool
 
@@ -639,34 +624,39 @@ type outChannel struct {
 
 func newOutChannel(ep *Endpoint, key chanKey) *outChannel {
 	c := &outChannel{ep: ep, key: key, state: StateConnecting}
-	c.pq = ep.cfg.QueuePolicy.NewQueue(ep.cfg.MaxPendingPerPeer)
-	c.timed = ep.cfg.QueuePolicy.NeedsTime()
+	c.pending.limit = ep.cfg.MaxPendingPerPeer
 	c.cond = sync.NewCond(&c.mu)
 	return c
 }
 
 func (c *outChannel) enqueue(m outMsg) {
-	// Timed policies need a timestamp, read before taking mu:
+	// The clock is read only for deadlines, and with mu released:
 	// clock.Virtual's Advance holds the clock lock while firing timers
 	// whose callbacks take channel locks, so Now() under c.mu would
-	// invert that order.
+	// invert that order. An undeadlined arrival at a full queue that
+	// holds deadlines reads it in a second pass, for the sweep.
 	var now int64
-	if c.timed {
+	timed := m.qos.Deadline != 0
+	if timed {
 		now = c.ep.cfg.Clock.Now().UnixNano()
 	}
 	c.mu.Lock()
+	if !timed && c.pending.sweepsAtLimit() {
+		c.mu.Unlock()
+		now = c.ep.cfg.Clock.Now().UnixNano()
+		c.mu.Lock()
+	}
 	if c.closed {
 		err := c.err
 		c.mu.Unlock()
 		m.release(err)
 		return
 	}
-	q, displaced, ok := c.pq.Push(c.queue, m, now)
-	c.queue = q
-	// The displaced slice is policy scratch, valid only under mu: copy
+	displaced, ok := c.pending.push(m, now)
+	// The displaced slice is queue scratch, valid only under mu: copy
 	// what this call must release before unlocking. One displacement
-	// (the common case — a coalesce or a head eviction) stays a value
-	// copy; only a multi-message sweep allocates.
+	// (the common case — a coalesce or a born-dead arrival) stays a
+	// value copy; only a multi-message sweep allocates.
 	var d0 dropped
 	var rest []dropped
 	switch len(displaced) {
@@ -694,24 +684,24 @@ func (c *outChannel) enqueue(m outMsg) {
 // writer coalesce — senders that outpace the socket accumulate a batch,
 // senders that don't get the old one-message behaviour.
 //
-// Under a timed policy the queue is run through Expire first, so a
-// message that out-waited its deadline — including across an outage's
+// While a queued message carries a deadline the queue is swept first, so
+// a message that out-waited its deadline — including across an outage's
 // redial backoff — is shed here instead of written; the casualties are
 // released outside mu and the queue is looked at again. The timestamp is
 // read with mu released (same clock lock-order constraint as enqueue);
 // that is safe because only this goroutine drains, so the queue can only
-// have grown in between. The default policy never reads the clock.
+// have grown in between. Without deadlines the clock is never read.
 func (c *outChannel) nextBatch() ([]outMsg, bool) {
 	c.mu.Lock()
 	for {
-		for len(c.queue) == 0 && !c.closed {
+		for len(c.pending.msgs) == 0 && !c.closed {
 			c.cond.Wait()
 		}
 		if c.closed {
 			c.mu.Unlock()
 			return nil, false
 		}
-		if !c.timed {
+		if c.pending.deadlines == 0 {
 			break
 		}
 		c.mu.Unlock()
@@ -720,40 +710,21 @@ func (c *outChannel) nextBatch() ([]outMsg, bool) {
 		if c.closed {
 			continue
 		}
-		q, expired := c.pq.Expire(c.queue, now)
-		c.queue = q
+		expired := c.pending.expire(now)
 		if len(expired) == 0 {
 			break
 		}
-		// Expired is policy scratch, valid only under mu (a concurrent
-		// Push may reuse it): copy before unlocking. Expiry sweeps are
+		// Expired is queue scratch, valid only under mu (a concurrent
+		// push may reuse it): copy before unlocking. Expiry sweeps are
 		// off the happy path, so the allocation is acceptable.
 		drops := append([]dropped(nil), expired...)
-		if len(c.queue) == 0 {
-			c.pq.Drained()
-		}
 		c.mu.Unlock()
 		c.dropMsgs(drops)
 		c.mu.Lock()
 	}
-	c.drainLocked()
+	c.batch = c.pending.drain(c.batch[:0])
 	c.mu.Unlock()
 	return c.batch, true
-}
-
-// drainLocked moves the whole queue into the batch scratch and resets the
-// queue (and the policy's index over it). Caller holds c.mu.
-func (c *outChannel) drainLocked() {
-	c.batch = append(c.batch[:0], c.queue...)
-	for i := range c.queue {
-		c.queue[i] = outMsg{} // drop payload/notify refs for GC
-	}
-	if cap(c.queue) > maxIdleQueueCap {
-		c.queue = nil
-	} else {
-		c.queue = c.queue[:0]
-	}
-	c.pq.Drained()
 }
 
 // releaseBatch clears the drain scratch after its messages have been
@@ -769,7 +740,7 @@ func (c *outChannel) releaseBatch() {
 	}
 }
 
-// Drop-path warn throttling: under sustained overload a policy can shed
+// Drop-path warn throttling: under sustained overload a queue can shed
 // thousands of messages per second, so the warn log is a token bucket
 // (same shape as core's unsendable-message warn) — one line per burst,
 // with the suppressed count carried on the next allowed line.
@@ -778,7 +749,7 @@ const (
 	dropWarnRefillPerSec = 1
 )
 
-// dropOne settles one policy-dropped message: the per-(class, reason)
+// dropOne settles one pending-queue drop: the per-(class, reason)
 // counter is charged exactly once, notify fires with a typed *ErrDropped,
 // the payload returns to bufpool (via release), and a rate-limited warn
 // records the shed. Never called under channel or shard locks — notify is
@@ -798,8 +769,7 @@ func (c *outChannel) dropOne(m outMsg, reason DropReason) {
 		Limit:  e.cfg.MaxPendingPerPeer,
 	})
 	if ok, suppressed := e.dropWarn.Allow(); ok {
-		e.cfg.Logger.Warn("transport: queue policy dropped message",
-			"policy", e.cfg.QueuePolicy.Name(),
+		e.cfg.Logger.Warn("transport: pending queue dropped message",
 			"reason", reason.String(),
 			"class", cls.String(),
 			"proto", c.key.proto.String(),
@@ -808,7 +778,7 @@ func (c *outChannel) dropOne(m outMsg, reason DropReason) {
 	}
 }
 
-// dropMsgs settles a batch of policy drops.
+// dropMsgs settles a batch of pending-queue drops.
 func (c *outChannel) dropMsgs(drops []dropped) {
 	for _, d := range drops {
 		c.dropOne(d.msg, d.reason)
@@ -825,9 +795,7 @@ func (c *outChannel) close(err error) {
 	c.closed = true
 	c.err = err
 	c.state = StateDraining
-	pending := c.queue
-	c.queue = nil
-	c.pq.Drained()
+	pending := c.pending.drain(nil)
 	c.mu.Unlock()
 	c.cond.Broadcast()
 	for _, m := range pending {

@@ -2,22 +2,16 @@ package udt
 
 import (
 	"errors"
-	"os"
 	"sync/atomic"
 )
 
 // Syscall batching (sendmmsg/recvmmsg) is a Linux/64-bit fast path; every
 // use site has a portable sequential fallback so the package builds and
-// behaves identically everywhere. Batching can be force-disabled — even on
-// Linux — by setting KM_UDT_NOBATCH in the environment, which routes all
-// traffic through the fallback path (used in CI to test it on Linux too).
+// behaves identically everywhere. batchingDisabled routes a Linux build
+// through the fallback path too; TestBulkTransferBatchingDisabled sets it.
+// The portable stubs themselves (batch_fallback.go) build and run under
+// GOARCH=386.
 var batchingDisabled atomic.Bool
-
-func init() {
-	if os.Getenv("KM_UDT_NOBATCH") != "" {
-		batchingDisabled.Store(true)
-	}
-}
 
 // errBatchUnsupported reports that batched reads are unavailable on this
 // platform or socket; callers fall back to single-datagram reads.

@@ -3,21 +3,24 @@ package wire
 import "fmt"
 
 // Class is a message's quality-of-service class — the coarse "what kind
-// of traffic is this" annotation the queue policies act on when a
-// channel is overloaded. The zero value is ClassReliable, so messages
-// that never mention QoS keep today's semantics.
+// of traffic is this" annotation. A class does two things in the
+// transport's pending queue: it scopes coalescing (a key only replaces a
+// queued message of the same class) and it splits the drop counters. It
+// does not change shedding order or priority. The zero value is
+// ClassReliable, so messages that never mention QoS keep today's
+// semantics.
 type Class uint8
 
 // The QoS classes. The set is deliberately small (goal-oriented
-// transport filtering distinguishes exactly these regimes): control
-// traffic must survive overload, reliable traffic is the default
-// at-most-once stream, telemetry is value-of-update state where a newer
+// transport filtering distinguishes exactly these regimes): reliable
+// traffic is the default at-most-once stream, control traffic is the
+// protocol's own, telemetry is value-of-update state where a newer
 // reading supersedes an older one.
 const (
 	// ClassReliable is the default: ordinary at-most-once messages.
 	ClassReliable Class = iota
 	// ClassControl marks protocol/control traffic (handshakes, acks,
-	// membership) that should be shed last.
+	// membership), counted apart from application traffic.
 	ClassControl
 	// ClassTelemetry marks value-of-update state (sensor readings,
 	// state-sync deltas) where freshness beats completeness.
@@ -56,8 +59,8 @@ type QoS struct {
 	// an older one. Empty means "never coalesce this message".
 	Key string
 	// Deadline is the optional absolute expiry in Unix nanoseconds
-	// (0 = none). Under the deadline-expiry policy a message still
-	// queued past its deadline is dropped instead of written.
+	// (0 = none). A message still queued past its deadline is dropped
+	// instead of written.
 	Deadline int64
 }
 
