@@ -110,7 +110,7 @@ func boot(cfg clusterConfig) (*cluster, error) {
 		}
 		sys := kompics.NewSystem()
 		netComp := sys.Create(netDef)
-		watcher := newStatusWatcher(cfg.reg, fmt.Sprintf("node%d.", i))
+		watcher := newStatusWatcher(cfg.reg)
 		watcherComp := sys.Create(watcher)
 		kompics.MustConnect(netDef.StatusPort(), watcher.port)
 		sys.Start(netComp)
@@ -282,31 +282,31 @@ type outage struct {
 type statusWatcher struct {
 	port *kompics.Port
 	reg  *stats.Registry
-	pfx  string
 
 	mu      sync.Mutex
 	pending map[string]time.Time // dest key -> DownAt
 	outages []outage
 }
 
-func newStatusWatcher(reg *stats.Registry, pfx string) *statusWatcher {
-	return &statusWatcher{reg: reg, pfx: pfx, pending: make(map[string]time.Time)}
+func newStatusWatcher(reg *stats.Registry) *statusWatcher {
+	return &statusWatcher{reg: reg, pending: make(map[string]time.Time)}
 }
 
 func (w *statusWatcher) Init(ctx *kompics.Context) {
 	w.port = ctx.Requires(core.NetworkStatusPort)
-	ctx.Subscribe(w.port, core.ChannelDown{}, func(e kompics.Event) {
-		ev := e.(core.ChannelDown)
-		w.mu.Lock()
-		w.pending[key(ev.Proto, ev.Dest)] = ev.At
-		w.mu.Unlock()
-	})
-	ctx.Subscribe(w.port, core.ChannelUp{}, func(e kompics.Event) {
-		ev := e.(core.ChannelUp)
+	ctx.Subscribe(w.port, core.ChannelStatus{}, func(e kompics.Event) {
+		ev := e.(core.ChannelStatus)
 		k := key(ev.Proto, ev.Dest)
 		w.mu.Lock()
-		downAt, ok := w.pending[k]
-		if ok {
+		defer w.mu.Unlock()
+		switch ev.Kind {
+		case core.StatusDown:
+			w.pending[k] = ev.At
+		case core.StatusUp:
+			downAt, ok := w.pending[k]
+			if !ok {
+				return
+			}
 			delete(w.pending, k)
 			rec := ev.At.Sub(downAt)
 			w.outages = append(w.outages, outage{
@@ -314,11 +314,6 @@ func (w *statusWatcher) Init(ctx *kompics.Context) {
 			})
 			w.reg.Histogram("recovery_ns").Record(rec.Nanoseconds())
 		}
-		w.mu.Unlock()
-	})
-	ctx.Subscribe(w.port, core.ChannelRetry{}, func(kompics.Event) {})
-	ctx.Subscribe(w.port, core.TransportFallback{}, func(e kompics.Event) {
-		w.reg.Counter(w.pfx + "fallbacks_total").Inc()
 	})
 }
 

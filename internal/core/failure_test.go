@@ -59,7 +59,7 @@ func TestStopThenRestartNetwork(t *testing.T) {
 		t.Fatalf("first send: %+v", r)
 	}
 	awaitDelivery(t, a.app.recvCh, "1")
-	awaitStatus[ChannelUp](t, b.status.ch)
+	awaitStatus(t, b.status.ch, StatusUp)
 
 	// Stop node a's network; OnStop ran before AwaitQuiescence returned,
 	// so its port is free immediately.
@@ -93,7 +93,7 @@ func TestStopThenRestartNetwork(t *testing.T) {
 		t.Fatal("writes into the dead connection never failed")
 	}
 	for { // drain Down (and any Retry) until the channel is up again
-		if _, ok := awaitAnyStatus(t, b.status.ch).(ChannelUp); ok {
+		if awaitAnyStatus(t, b.status.ch).Kind == StatusUp {
 			break
 		}
 	}

@@ -77,26 +77,6 @@ func (n *Network) registerMetrics() {
 	reg.GaugeFunc(pfx+"inbound_deaths", inbound(func(t transport.InboundSummary) int64 { return int64(t.Deaths) }))
 }
 
-// countStatus charges one supervision transition to its counter.
-func (n *Network) countStatus(kind transport.StatusKind) {
-	reg := n.cfg.Metrics
-	if reg == nil {
-		return
-	}
-	name := "status_unknown_total"
-	switch kind {
-	case transport.StatusUp:
-		name = "status_up_total"
-	case transport.StatusDown:
-		name = "status_down_total"
-	case transport.StatusRetry:
-		name = "status_retry_total"
-	case transport.StatusFallback:
-		name = "status_fallback_total"
-	}
-	reg.Counter(n.cfg.MetricsPrefix + name).Inc()
-}
-
 // QueueStats reports the live endpoint's outgoing-registry totals (zero
 // while stopped) — the bounded-queue invariant's read side.
 func (n *Network) QueueStats() transport.QueueTotals {

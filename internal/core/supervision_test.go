@@ -9,6 +9,7 @@ import (
 	"github.com/kompics/kompicsmessaging-go/internal/clock"
 	"github.com/kompics/kompicsmessaging-go/internal/faults"
 	"github.com/kompics/kompicsmessaging-go/internal/kompics"
+	"github.com/kompics/kompicsmessaging-go/internal/stats"
 	"github.com/kompics/kompicsmessaging-go/internal/transport"
 )
 
@@ -17,18 +18,14 @@ import (
 // event sequence without polling.
 type statusApp struct {
 	port *kompics.Port
-	ch   chan kompics.Event
+	ch   chan ChannelStatus
 }
 
-func newStatusApp() *statusApp { return &statusApp{ch: make(chan kompics.Event, 64)} }
+func newStatusApp() *statusApp { return &statusApp{ch: make(chan ChannelStatus, 64)} }
 
 func (s *statusApp) Init(ctx *kompics.Context) {
 	s.port = ctx.Requires(NetworkStatusPort)
-	record := func(e kompics.Event) { s.ch <- e }
-	ctx.Subscribe(s.port, ChannelUp{}, record)
-	ctx.Subscribe(s.port, ChannelDown{}, record)
-	ctx.Subscribe(s.port, ChannelRetry{}, record)
-	ctx.Subscribe(s.port, TransportFallback{}, record)
+	ctx.Subscribe(s.port, ChannelStatus{}, func(e kompics.Event) { s.ch <- e.(ChannelStatus) })
 }
 
 // supApp mirrors appComponent but hands deliveries and notifies to
@@ -62,7 +59,7 @@ func (a *supApp) Init(ctx *kompics.Context) {
 }
 
 // supNode bundles one middleware instance with channel-driven app and
-// status observers.
+// status observers, and the registry its network feeds.
 type supNode struct {
 	self    Address
 	sys     *kompics.System
@@ -70,6 +67,7 @@ type supNode struct {
 	netComp *kompics.Component
 	app     *supApp
 	status  *statusApp
+	metrics *stats.Registry
 }
 
 func (n *supNode) send(e kompics.Event) { n.app.comp.SelfTrigger(sendReq{e: e}) }
@@ -81,7 +79,8 @@ func (n *supNode) send(e kompics.Event) { n.app.comp.SelfTrigger(sendReq{e: e}) 
 func startSupervisedNode(t *testing.T, port int, tcfg transport.Config) *supNode {
 	t.Helper()
 	self := MustParseAddress(fmt.Sprintf("127.0.0.1:%d", port))
-	netDef, err := NewNetwork(NetworkConfig{Self: self, Transport: tcfg})
+	metrics := stats.NewRegistry()
+	netDef, err := NewNetwork(NetworkConfig{Self: self, Transport: tcfg, Metrics: metrics})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,38 +100,50 @@ func startSupervisedNode(t *testing.T, port int, tcfg transport.Config) *supNode
 	if netDef.Addr(TCP) == "" {
 		t.Fatal("listeners did not come up")
 	}
-	return &supNode{self: self, sys: sys, net: netDef, netComp: netComp, app: app, status: status}
+	return &supNode{self: self, sys: sys, net: netDef, netComp: netComp, app: app, status: status, metrics: metrics}
 }
 
-// awaitStatus pops the next supervision event and requires it to be a T:
-// the tests assert the exact event sequence, so an unexpected kind is a
-// failure, not something to skip past.
-func awaitStatus[T kompics.Event](t *testing.T, ch <-chan kompics.Event) T {
+// awaitStatus pops the next supervision event and requires it to be of
+// kind want: the tests assert the exact event sequence, so an unexpected
+// kind is a failure, not something to skip past.
+func awaitStatus(t *testing.T, ch <-chan ChannelStatus, want transport.StatusKind) ChannelStatus {
 	t.Helper()
-	var want T
-	select {
-	case e := <-ch:
-		v, ok := e.(T)
-		if !ok {
-			t.Fatalf("status event %T (%+v), want %T", e, e, want)
-		}
-		return v
-	case <-time.After(10 * time.Second):
-		t.Fatalf("timed out waiting for %T status event", want)
+	ev := awaitAnyStatus(t, ch)
+	if ev.Kind != want {
+		t.Fatalf("status event %v (%+v), want %v", ev.Kind, ev, want)
 	}
-	return want
+	return ev
 }
 
 // awaitAnyStatus pops the next supervision event of whatever kind.
-func awaitAnyStatus(t *testing.T, ch <-chan kompics.Event) kompics.Event {
+func awaitAnyStatus(t *testing.T, ch <-chan ChannelStatus) ChannelStatus {
 	t.Helper()
 	select {
-	case e := <-ch:
-		return e
+	case ev := <-ch:
+		return ev
 	case <-time.After(10 * time.Second):
 		t.Fatal("timed out waiting for a status event")
 	}
-	return nil
+	return ChannelStatus{}
+}
+
+// assertCounters checks the node's supervision counters by name; a want
+// of zero means the counter must be absent from the snapshot.
+func assertCounters(t *testing.T, n *supNode, want map[string]uint64) {
+	t.Helper()
+	snap := n.metrics.Snapshot()
+	for name, w := range want {
+		got, ok := snap[name]
+		if w == 0 {
+			if ok {
+				t.Errorf("%s = %v, want absent", name, got)
+			}
+			continue
+		}
+		if got != w {
+			t.Errorf("%s = %v, want %d", name, got, w)
+		}
+	}
 }
 
 func awaitNotify(t *testing.T, ch <-chan NotifyResp) NotifyResp {
@@ -166,10 +177,11 @@ func awaitAnyDelivery(t *testing.T, ch <-chan *DataMsg) *DataMsg {
 
 // TestNetworkStatusOutageAndRecovery scripts a full peer outage at the
 // middleware level: the app on node a watches its NetworkStatusPort see
-// exactly ChannelUp, ChannelDown, ChannelRetry(1), ChannelRetry(2),
-// ChannelUp while the fault injector kills and revives the path to b
-// under a virtual clock. At-most-once holds across the reconnect: the
-// message whose failure notify fired during the outage never reappears.
+// exactly Up, Down, Retry(1), Retry(2), Up while the fault injector kills
+// and revives the path to b under a virtual clock, and the status
+// counters record each kind. At-most-once holds across the reconnect:
+// the message whose failure notify fired during the outage never
+// reappears.
 func TestNetworkStatusOutageAndRecovery(t *testing.T) {
 	ports := freePorts(t, 2)
 	inj := faults.New(1)
@@ -188,7 +200,7 @@ func TestNetworkStatusOutageAndRecovery(t *testing.T) {
 	if r := awaitNotify(t, a.app.notifyCh); r.ID != 1 || !r.Sent() {
 		t.Fatalf("send before outage: %+v", r)
 	}
-	up := awaitStatus[ChannelUp](t, a.status.ch)
+	up := awaitStatus(t, a.status.ch, StatusUp)
 	if up.Proto != TCP || up.Dest != b.self.AsSocket() {
 		t.Fatalf("up event %+v, want TCP to %v", up, b.self)
 	}
@@ -203,20 +215,20 @@ func TestNetworkStatusOutageAndRecovery(t *testing.T) {
 	if r := awaitNotify(t, a.app.notifyCh); r.ID != 2 || !errors.Is(r.Err, faults.ErrConnReset) {
 		t.Fatalf("send during outage: %+v, want ErrConnReset", r)
 	}
-	down := awaitStatus[ChannelDown](t, a.status.ch)
+	down := awaitStatus(t, a.status.ch, StatusDown)
 	if !errors.Is(down.Err, faults.ErrConnReset) {
 		t.Fatalf("down event carries %v, want the reset", down.Err)
 	}
 
-	// Each ChannelRetry is published after its backoff timer is armed, so
+	// Each Retry is published after its backoff timer is armed, so
 	// advancing the virtual clock by the reported delay deterministically
 	// fires the next dial attempt.
-	r1 := awaitStatus[ChannelRetry](t, a.status.ch)
+	r1 := awaitStatus(t, a.status.ch, StatusRetry)
 	if r1.Attempt != 1 || r1.NextDelay <= 0 {
 		t.Fatalf("first retry %+v", r1)
 	}
 	vc.Advance(r1.NextDelay)
-	r2 := awaitStatus[ChannelRetry](t, a.status.ch)
+	r2 := awaitStatus(t, a.status.ch, StatusRetry)
 	if r2.Attempt != 2 {
 		t.Fatalf("second retry %+v", r2)
 	}
@@ -225,7 +237,7 @@ func TestNetworkStatusOutageAndRecovery(t *testing.T) {
 	inj.Remove(resetID)
 	inj.Remove(refuseID)
 	vc.Advance(r2.NextDelay)
-	up = awaitStatus[ChannelUp](t, a.status.ch)
+	up = awaitStatus(t, a.status.ch, StatusUp)
 	if up.Dest != b.self.AsSocket() {
 		t.Fatalf("revival up event %+v", up)
 	}
@@ -253,13 +265,18 @@ func TestNetworkStatusOutageAndRecovery(t *testing.T) {
 		t.Fatalf("extra delivery %q after recovery", m.Payload)
 	default:
 	}
+	assertCounters(t, a, map[string]uint64{
+		"status_up_total":       2,
+		"status_down_total":     1,
+		"status_retry_total":    2,
+		"status_fallback_total": 0,
+	})
 }
 
 // TestNetworkStatusUDTFallback exhausts UDT dialing (refused by the
 // injector) and watches the middleware degrade the destination to TCP: a
-// TransportFallback indication on the status port, then ChannelUp for
-// the UDT channel now dialing TCP, with the queued message delivered
-// exactly once.
+// Fallback event on the status port, then Up for the UDT channel now
+// dialing TCP, with the queued message delivered exactly once.
 func TestNetworkStatusUDTFallback(t *testing.T) {
 	ports := freePorts(t, 2)
 	inj := faults.New(1)
@@ -277,14 +294,14 @@ func TestNetworkStatusUDTFallback(t *testing.T) {
 	// UDT traffic targets b's port+1 by the offset convention; fallback
 	// un-shifts back to the TCP listener.
 	udtDest := fmt.Sprintf("127.0.0.1:%d", ports[1]+1)
-	fb := awaitStatus[TransportFallback](t, a.status.ch)
-	if fb.From != UDT || fb.To != TCP || fb.Dest != udtDest || fb.ToDest != b.self.AsSocket() {
+	fb := awaitStatus(t, a.status.ch, StatusFallback)
+	if fb.Proto != UDT || fb.To != TCP || fb.Dest != udtDest || fb.ToDest != b.self.AsSocket() {
 		t.Fatalf("fallback event %+v, want UDT %s → TCP %s", fb, udtDest, b.self)
 	}
 	if !errors.Is(fb.Err, faults.ErrDialRefused) {
 		t.Fatalf("fallback carries %v, want the dial failure", fb.Err)
 	}
-	up := awaitStatus[ChannelUp](t, a.status.ch)
+	up := awaitStatus(t, a.status.ch, StatusUp)
 	if up.Proto != UDT || up.Dest != udtDest {
 		t.Fatalf("up event %+v, want the UDT channel, now over TCP", up)
 	}
@@ -307,4 +324,5 @@ func TestNetworkStatusUDTFallback(t *testing.T) {
 		t.Fatalf("duplicate delivery %q across fallback", m.Payload)
 	default:
 	}
+	assertCounters(t, a, map[string]uint64{"status_fallback_total": 1})
 }

@@ -1,6 +1,7 @@
 package filetransfer
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"net"
@@ -183,5 +184,111 @@ func TestTransferOverDATA(t *testing.T) {
 	c := runTransfer(t, core.DATA, 1<<20, true)
 	if c.Bytes != 1<<20 {
 		t.Fatalf("received %d bytes", c.Bytes)
+	}
+}
+
+// seqApp sends numbered messages on its required network port and
+// forwards every delivered message to a channel.
+type seqApp struct {
+	port *kompics.Port
+	comp *kompics.Component
+	recv chan *core.DataMsg
+}
+
+type sendAll struct{ msgs []*core.DataMsg }
+
+func (a *seqApp) Init(ctx *kompics.Context) {
+	a.comp = ctx.Component()
+	a.port = ctx.Requires(core.NetworkPort)
+	ctx.Subscribe(a.port, (*core.Msg)(nil), func(e kompics.Event) {
+		if m, ok := e.(*core.DataMsg); ok {
+			a.recv <- m
+		}
+	})
+	ctx.SubscribeSelf(sendAll{}, func(e kompics.Event) {
+		for _, m := range e.(sendAll).msgs {
+			ctx.Trigger(m, a.port)
+		}
+	})
+}
+
+// TestDATAOrderPerProtocol pins DATA's ordering contract on real loopback
+// sockets: FIFO holds per (peer, underlying protocol), not across TCP and
+// UDT. Every message of an Even-pattern DATA stream arrives exactly once,
+// the TCP and UDT subsequences are each in send order, and both protocols
+// carry a real share of the stream.
+func TestDATAOrderPerProtocol(t *testing.T) {
+	const n = 2000
+	selfA := core.MustParseAddress(fmt.Sprintf("127.0.0.1:%d", freeTestPort(t)))
+	selfB := core.MustParseAddress(fmt.Sprintf("127.0.0.1:%d", freeTestPort(t)))
+	newNode := func(self core.BasicAddress) (*kompics.System, *core.Network, *seqApp) {
+		netDef, err := core.NewNetwork(core.NetworkConfig{Self: self})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys := kompics.NewSystem()
+		t.Cleanup(sys.Shutdown)
+		sys.Start(sys.Create(netDef))
+		return sys, netDef, &seqApp{recv: make(chan *core.DataMsg, n)}
+	}
+	sysA, netA, sender := newNode(selfA)
+	sysB, netB, receiver := newNode(selfB)
+
+	dn, err := data.NewDataNetwork(data.NetworkConfig{
+		NewPRP: func() data.ProtocolRatioPolicy { return data.StaticRatio{R: data.Even} },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dnComp := sysA.Create(dn)
+	senderComp := sysA.Create(sender)
+	kompics.MustConnect(netA.Port(), dn.Required())
+	kompics.MustConnect(dn.Provided(), sender.port)
+	receiverComp := sysB.Create(receiver)
+	kompics.MustConnect(netB.Port(), receiver.port)
+	sysA.Start(dnComp)
+	sysA.Start(senderComp)
+	sysB.Start(receiverComp)
+	sysA.AwaitQuiescence()
+	sysB.AwaitQuiescence()
+
+	msgs := make([]*core.DataMsg, n)
+	for i := range msgs {
+		payload := make([]byte, 4)
+		binary.BigEndian.PutUint32(payload, uint32(i))
+		msgs[i] = &core.DataMsg{Hdr: core.NewHeader(selfA, selfB, core.DATA), Payload: payload}
+	}
+	sender.comp.SelfTrigger(sendAll{msgs: msgs})
+
+	seen := make([]bool, n)
+	last := map[core.Transport]int{core.TCP: -1, core.UDT: -1}
+	count := map[core.Transport]int{}
+	deadline := time.After(60 * time.Second)
+	for got := 0; got < n; got++ {
+		var m *core.DataMsg
+		select {
+		case m = <-receiver.recv:
+		case <-deadline:
+			t.Fatalf("received %d of %d messages (TCP %d, UDT %d)", got, n, count[core.TCP], count[core.UDT])
+		}
+		seq := int(binary.BigEndian.Uint32(m.Payload))
+		proto := m.Hdr.Protocol()
+		prev, ok := last[proto]
+		switch {
+		case !ok:
+			t.Fatalf("message %d delivered over %v, want TCP or UDT", seq, proto)
+		case seq >= n || seen[seq]:
+			t.Fatalf("message %d delivered twice or out of range", seq)
+		case seq <= prev:
+			t.Fatalf("%v subsequence out of order: %d after %d", proto, seq, prev)
+		}
+		seen[seq] = true
+		last[proto] = seq
+		count[proto]++
+	}
+	for _, proto := range []core.Transport{core.TCP, core.UDT} {
+		if count[proto] < n/4 {
+			t.Fatalf("%v carried %d of %d messages, want at least a quarter", proto, count[proto], n)
+		}
 	}
 }

@@ -2,7 +2,7 @@
 // math. A Registry holds lock-cheap named counters, gauges, and
 // log-bucketed histograms, and exports one JSON snapshot of everything —
 // via expvar, an http.Handler, or a plain writer. The transport layer's
-// per-shard counters (queue depths, inbound frames), bufpool's accounting
+// registry totals (queue depths, inbound frames), bufpool's accounting
 // and the status-event stream all land here, which is what gives the soak
 // harness (cmd/kmsoak) a live view of a run instead of a post-mortem.
 //
@@ -104,8 +104,8 @@ func (r *Registry) Gauge(name string) *Gauge {
 }
 
 // GaugeFunc registers (or replaces) a gauge computed at snapshot time —
-// the fit for values that already live elsewhere as cheap reads, like a
-// shard registry's queue depth or bufpool's outstanding count. fn must be
+// the fit for values that already live elsewhere as cheap reads, like the
+// outgoing registry's queue depth or bufpool's outstanding count. fn must be
 // goroutine-safe; it is called outside the registry lock.
 func (r *Registry) GaugeFunc(name string, fn func() int64) {
 	r.mu.Lock()

@@ -157,10 +157,6 @@ func TestPeerDeathMidStreamThenRevival(t *testing.T) {
 	vc.Advance(ev.NextDelay)
 	expectStatus(t, status, StatusUp)
 
-	if st, ok := epA.ChannelState(wire.TCP, addr); !ok || st != StateUp {
-		t.Fatalf("channel state after revival = %v (exists %v), want up", st, ok)
-	}
-
 	epA.Send(wire.TCP, addr, pooled("after"), func(err error) { notify <- err })
 	if err := expectNotify(t, notify); err != nil {
 		t.Fatalf("send after revival: %v", err)

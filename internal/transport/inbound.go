@@ -33,13 +33,12 @@ type inConn struct {
 }
 
 // inboundSet is the endpoint's table of live inbound stream connections.
-// It is one map under one mutex, not striped like the outgoing registry,
-// because its lock is taken twice in a connection's life (accept and
-// teardown) and by monitoring reads — never per frame — whereas SendQoS
-// takes a send shard's lock per message. Stripes would be worth
-// re-admitting only if a measured accept/teardown-churn workload showed
-// goroutines waiting on this mutex (a mutex profile), which no workload
-// in BENCHMARK.json comes near.
+// Like the outgoing registry it is one map under one mutex. Its lock is
+// taken twice in a connection's life (accept and teardown) and by
+// monitoring reads — never per frame, whereas SendQoS takes the outgoing
+// registry's lock per message. Striping either would be worth it only if
+// a measured workload showed goroutines waiting on the mutex (a mutex
+// profile), which no workload in BENCHMARK.json comes near.
 type inboundSet struct {
 	// deaths counts inbound connections that ended from the remote side
 	// or on a read error; endpoint-initiated teardown (Close) is not a

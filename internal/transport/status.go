@@ -6,47 +6,18 @@ import (
 	"github.com/kompics/kompicsmessaging-go/internal/wire"
 )
 
-// ChannelState is the supervision state of one outgoing channel.
+// StatusKind discriminates StatusEvent. The events trace one outgoing
+// channel's life cycle:
 //
-//	connecting ──dial ok──▶ up ──write error──▶ connecting (redial w/ backoff)
-//	connecting ──attempts exhausted──▶ draining ──pending resolved──▶ down
+//	connecting ──dial ok──▶ Up ──write error──▶ Down, connecting (redial)
+//	connecting ──dial failed──▶ Retry (backoff) ──▶ connecting
+//	connecting ──attempts exhausted──▶ Down: queue failed, channel gone
 //
-// A UDT channel whose attempts are exhausted falls back first: it stays
-// in connecting, now dialing TCP, and reaches draining only once its TCP
-// attempts are exhausted too. A channel leaves the registry only when it
-// reaches down (give-up) or the endpoint closes; transient write failures
-// keep it registered so queued and future sends ride through the redial.
-type ChannelState int
-
-const (
-	// StateConnecting: dialing, or waiting out a redial backoff. Sends
-	// queue (up to MaxPendingPerPeer).
-	StateConnecting ChannelState = iota + 1
-	// StateUp: established; the run loop is draining the queue.
-	StateUp
-	// StateDraining: the channel is failing its pending queue on the way
-	// down.
-	StateDraining
-	// StateDown: terminal; the channel is out of the registry.
-	StateDown
-)
-
-func (s ChannelState) String() string {
-	switch s {
-	case StateConnecting:
-		return "connecting"
-	case StateUp:
-		return "up"
-	case StateDraining:
-		return "draining"
-	case StateDown:
-		return "down"
-	default:
-		return "unknown"
-	}
-}
-
-// StatusKind discriminates StatusEvent.
+// A UDT channel whose attempts are exhausted emits Fallback first and
+// stays connecting, now dialing TCP; it gives up (Down) only once its
+// TCP attempts are exhausted too. A channel leaves the registry only when
+// it gives up or the endpoint closes; transient write failures keep it
+// registered so queued and future sends ride through the redial.
 type StatusKind int
 
 const (
@@ -66,8 +37,7 @@ const (
 	// follows differs from a TCP channel's traffic in three ways:
 	//
 	//  1. Later Up, Down and Retry events for this traffic carry the UDT
-	//     channel's own (Proto, Dest), and ChannelState(UDT, Dest)
-	//     reports it; no TCP channel is created for it.
+	//     channel's own (Proto, Dest); no TCP channel is created for it.
 	//  2. It uses a TCP connection of its own, not the host's TCP
 	//     channel: one extra connection per fallen-back destination.
 	//  3. The fallback lasts for the channel's life. If its TCP dials are

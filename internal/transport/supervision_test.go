@@ -79,13 +79,15 @@ func TestQueueOverflowFailFast(t *testing.T) {
 	}
 	ch.mu.Lock()
 	queued := len(ch.pending.msgs)
-	st := ch.state
 	ch.mu.Unlock()
 	if queued != limit {
 		t.Fatalf("queue holds %d messages, want exactly %d", queued, limit)
 	}
-	if st != StateConnecting {
-		t.Fatalf("channel state %v, want connecting", st)
+	// Still connecting: every dial was refused, so no Up was reported.
+	for len(status) > 0 {
+		if ev := <-status; ev.Kind == StatusUp {
+			t.Fatalf("channel reported %+v while every dial is refused", ev)
+		}
 	}
 
 	// Closing the endpoint fails the bounded queue; none of the notifies
@@ -166,10 +168,10 @@ func TestUDTFallbackToTCP(t *testing.T) {
 	}
 	expectDelivery(t, recv, "rerouted")
 
-	if st, ok := epA.ChannelState(wire.UDT, udtAddr); !ok || st != StateUp {
-		t.Fatalf("UDT channel state = %v (exists %v), want up over TCP", st, ok)
+	if epA.findChannel(wire.UDT, udtAddr) == nil {
+		t.Fatal("UDT channel left the registry after falling back")
 	}
-	if _, ok := epA.ChannelState(wire.TCP, tcpAddr); ok {
+	if epA.findChannel(wire.TCP, tcpAddr) != nil {
 		t.Fatal("fallback created a (TCP, tcpAddr) channel")
 	}
 	got := recv.all()
@@ -542,10 +544,10 @@ func TestUDTFallbackThenGiveUp(t *testing.T) {
 	if n := inj.Hits(tcpDial); n != 2 {
 		t.Fatalf("TCP dial rule hit %d times, want 2", n)
 	}
-	if _, ok := ep.ChannelState(wire.UDT, udtAddr); ok {
+	if ep.findChannel(wire.UDT, udtAddr) != nil {
 		t.Fatal("channel still registered after giving up")
 	}
-	if _, ok := ep.ChannelState(wire.TCP, tcpAddr); ok {
+	if ep.findChannel(wire.TCP, tcpAddr) != nil {
 		t.Fatal("fallback created a (TCP, tcpAddr) channel")
 	}
 

@@ -369,19 +369,6 @@ func (e *Endpoint) channelLocked(proto wire.Transport, dest string) *outChannel 
 	return ch
 }
 
-// ChannelState reports the supervision state of the outgoing channel
-// for (proto, dest); ok is false when no such channel exists (never
-// created, or already torn down).
-func (e *Endpoint) ChannelState(proto wire.Transport, dest string) (ChannelState, bool) {
-	ch := e.findChannel(proto, dest)
-	if ch == nil {
-		return StateDown, false
-	}
-	ch.mu.Lock()
-	defer ch.mu.Unlock()
-	return ch.state, true
-}
-
 // dropChannel removes a failed channel so the next Send redials.
 func (c *outChannel) dropChannel() {
 	r := &c.ep.reg
@@ -611,7 +598,6 @@ type outChannel struct {
 	mu      sync.Mutex //kmlint:guarded
 	cond    *sync.Cond
 	pending pendingQueue
-	state   ChannelState
 	closed  bool
 	err     error
 	// redialWake is set by the backoff timer to end a redial wait.
@@ -623,7 +609,7 @@ type outChannel struct {
 }
 
 func newOutChannel(ep *Endpoint, key chanKey) *outChannel {
-	c := &outChannel{ep: ep, key: key, state: StateConnecting}
+	c := &outChannel{ep: ep, key: key}
 	c.pending.limit = ep.cfg.MaxPendingPerPeer
 	c.cond = sync.NewCond(&c.mu)
 	return c
@@ -752,8 +738,8 @@ const (
 // dropOne settles one pending-queue drop: the per-(class, reason)
 // counter is charged exactly once, notify fires with a typed *ErrDropped,
 // the payload returns to bufpool (via release), and a rate-limited warn
-// records the shed. Never called under channel or shard locks — notify is
-// a user callback.
+// records the shed. Never called under the channel or registry lock —
+// notify is a user callback.
 func (c *outChannel) dropOne(m outMsg, reason DropReason) {
 	e := c.ep
 	cls := m.qos.Class
@@ -794,20 +780,12 @@ func (c *outChannel) close(err error) {
 	}
 	c.closed = true
 	c.err = err
-	c.state = StateDraining
 	pending := c.pending.drain(nil)
 	c.mu.Unlock()
 	c.cond.Broadcast()
 	for _, m := range pending {
 		m.release(err)
 	}
-	c.setState(StateDown)
-}
-
-func (c *outChannel) setState(s ChannelState) {
-	c.mu.Lock()
-	c.state = s
-	c.mu.Unlock()
 }
 
 // run supervises the channel: dial under capped exponential backoff,
@@ -816,7 +794,9 @@ func (c *outChannel) setState(s ChannelState) {
 // through the outage. After MaxDialAttempts consecutive dial failures a
 // UDT channel falls back to dialing TCP (fallBack) and starts counting
 // again; any other channel gives up, failing its queue and leaving the
-// registry.
+// registry. Each transition is reported as a StatusEvent, in this order:
+// connecting → Up → Down and connecting again (redial, with a Retry per
+// failed dial) → Down for good once the attempts are exhausted.
 //
 // Notify semantics are per message and in queue order: messages that
 // fully reached the socket before a mid-batch failure succeed, only the
@@ -850,9 +830,6 @@ func (c *outChannel) run() {
 		attempt = 0
 		c.mu.Lock()
 		wasClosed := c.closed
-		if !wasClosed {
-			c.state = StateUp
-		}
 		c.mu.Unlock()
 		if wasClosed { // endpoint shut down mid-dial
 			if conn != nil {
@@ -870,7 +847,6 @@ func (c *outChannel) run() {
 		}
 		c.ep.cfg.Logger.Warn("transport: write failed",
 			"proto", c.key.proto.String(), "dest", c.key.dest, "err", err)
-		c.setState(StateConnecting)
 		c.emit(StatusEvent{Kind: StatusDown, Err: err})
 	}
 }
@@ -983,7 +959,6 @@ func (c *outChannel) wireKey() (wire.Transport, string) {
 // datagram. The fault injector, when configured, can refuse the dial
 // outright; stream connections come back wrapped with its write seam.
 func (c *outChannel) dial() (net.Conn, error) {
-	c.setState(StateConnecting)
 	inj := c.ep.cfg.Faults
 	proto, dest := c.wireKey()
 	if err := inj.Dial(proto, dest); err != nil {
