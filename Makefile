@@ -11,7 +11,8 @@
 #                       FUZZTIME each (default 20s)
 #   make loc            non-test, non-comment, non-blank Go lines in
 #                       internal/core + internal/transport (first line),
-#                       then in the whole module (second line)
+#                       in the whole module (second line), then in
+#                       internal/lint (third line)
 #   make sim-campaign   netsim determinism gate (same seed twice), then one
 #                       large-scale campaign that prints its bench line
 #   make soak           run the kmsoak chaos harness over real loopback
@@ -82,12 +83,13 @@ fuzz:
 	done
 
 # loc prints the size metrics simplification PRs are held to: Go lines in
-# the two packages every message crosses, then in the whole module (the
-# analyzer's testdata excluded), tests, comment-only lines and blank
-# lines excluded.
+# the two packages every message crosses, then in the whole module, then
+# in the analyzer package (the analyzer's testdata excluded throughout),
+# tests, comment-only lines and blank lines excluded.
 loc:
 	@ls internal/core/*.go internal/transport/*.go | grep -v _test | xargs cat | grep -v '^\s*//' | grep -v '^\s*$$' | wc -l
 	@find . -name '*.go' ! -name '*_test.go' ! -path './internal/lint/testdata/*' | xargs cat | grep -v '^\s*//' | grep -v '^\s*$$' | wc -l
+	@ls internal/lint/*.go | grep -v _test | xargs cat | grep -v '^\s*//' | grep -v '^\s*$$' | wc -l
 
 # sim-campaign runs the netsim determinism gate at small scale (the same
 # seeded campaign twice must produce identical event traces and phase

@@ -270,7 +270,7 @@ func (ctx *Context) Subscribe(p *Port, proto Event, fn func(Event)) {
 		panic("kompics: Subscribe on a port owned by another component")
 	}
 	et := eventType(proto)
-	if !allowsType(p.ptype, p.incoming(), et) {
+	if !p.ptype.allowsType(p.incoming(), et) {
 		panic(fmt.Sprintf("kompics: %v is not a declared %s of port type %q",
 			et, p.incoming(), p.ptype.name))
 	}
@@ -278,30 +278,6 @@ func (ctx *Context) Subscribe(p *Port, proto Event, fn func(Event)) {
 		ctx.c.handlers = make(map[*Port][]handlerEntry)
 	}
 	ctx.c.handlers[p] = append(ctx.c.handlers[p], handlerEntry{etype: et, fn: fn})
-}
-
-// allowsType is PortType.Allows on a declared reflect.Type instead of a
-// concrete event instance.
-func allowsType(pt *PortType, d Direction, et reflect.Type) bool {
-	var declared []reflect.Type
-	switch d {
-	case Indication:
-		declared = pt.indications
-	case Request:
-		declared = pt.requests
-	}
-	for _, dt := range declared {
-		if et == dt {
-			return true
-		}
-		if dt.Kind() == reflect.Interface && et.Kind() != reflect.Interface && et.Implements(dt) {
-			return true
-		}
-		if dt.Kind() == reflect.Interface && et.Kind() == reflect.Interface && et.Implements(dt) {
-			return true
-		}
-	}
-	return false
 }
 
 // SubscribeSelf registers fn for events injected with

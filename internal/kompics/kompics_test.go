@@ -360,29 +360,83 @@ func TestDisconnectStopsDelivery(t *testing.T) {
 }
 
 func TestTriggerUndeclaredEventPanics(t *testing.T) {
-	sys := newTestSystem(t)
-	po := &ponger{}
-	sys.Create(po)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("publishing an undeclared event type must panic")
-		}
-	}()
-	po.port.publish(ping{}) // ping is a request; provider may only send indications
+	zoo := NewPortType("Zoo").Request((*animal)(nil))
+	tests := []struct {
+		name     string
+		pt       *PortType
+		provided bool
+		e        Event
+	}{
+		// ping is a request; the provider may only send indications.
+		{"concrete type, wrong direction", testPortType(), true, ping{}},
+		{"interface type, wrong direction", zoo, true, dog{}},
+		{"interface type, not implemented", zoo, false, 42},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			sys := newTestSystem(t)
+			var port *Port
+			sys.Create(definitionFunc(func(ctx *Context) {
+				if tt.provided {
+					port = ctx.Provides(tt.pt)
+				} else {
+					port = ctx.Requires(tt.pt)
+				}
+			}))
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("publishing an undeclared %T must panic", tt.e)
+				}
+			}()
+			port.publish(tt.e)
+		})
+	}
 }
 
+type loudAnimal interface {
+	animal
+	Loud() bool
+}
+
+// TestSubscribeWrongDirectionPanics checks Subscribe's rejections, and
+// beside them the accepted prototypes of the same port type, so both
+// sides of the one type matcher are pinned.
 func TestSubscribeWrongDirectionPanics(t *testing.T) {
-	sys := newTestSystem(t)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("subscribing for an outgoing event type must panic")
-		}
-	}()
-	sys.Create(definitionFunc(func(ctx *Context) {
-		p := ctx.Provides(testPortType())
+	zoo := NewPortType("Zoo").Indication((*animal)(nil))
+	tests := []struct {
+		name     string
+		pt       *PortType
+		provided bool
+		proto    Event
+		reject   bool
+	}{
 		// pong is outgoing (indication) for the provider; handler invalid.
-		ctx.Subscribe(p, pong{}, func(Event) {})
-	}))
+		{"concrete type, wrong direction", testPortType(), true, pong{}, true},
+		{"interface type, wrong direction", zoo, true, (*animal)(nil), true},
+		{"interface type, not implemented", zoo, false, 42, true},
+		{"interface type, declared", zoo, false, (*animal)(nil), false},
+		{"narrower interface type", zoo, false, (*loudAnimal)(nil), false},
+		{"implementation of declared interface", zoo, false, dog{}, false},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			sys := newTestSystem(t)
+			defer func() {
+				if rejected := recover() != nil; rejected != tt.reject {
+					t.Fatalf("Subscribe(%T): rejected = %v, want %v", tt.proto, rejected, tt.reject)
+				}
+			}()
+			sys.Create(definitionFunc(func(ctx *Context) {
+				var p *Port
+				if tt.provided {
+					p = ctx.Provides(tt.pt)
+				} else {
+					p = ctx.Requires(tt.pt)
+				}
+				ctx.Subscribe(p, tt.proto, func(Event) {})
+			}))
+		})
+	}
 }
 
 func TestSubscribeForeignPortPanics(t *testing.T) {

@@ -45,8 +45,15 @@ func (pt *PortType) Request(proto Event) *PortType {
 	return pt
 }
 
-// Allows reports whether an event of type t may travel in direction d.
+// Allows reports whether event e may travel in direction d.
 func (pt *PortType) Allows(d Direction, e Event) bool {
+	return pt.allowsType(d, reflect.TypeOf(e))
+}
+
+// allowsType reports whether events of type t may travel in direction d:
+// t is a declared type of d, or implements a declared interface. t may
+// itself be an interface type, as a Subscribe prototype declares.
+func (pt *PortType) allowsType(d Direction, t reflect.Type) bool {
 	var declared []reflect.Type
 	switch d {
 	case Indication:
@@ -54,7 +61,6 @@ func (pt *PortType) Allows(d Direction, e Event) bool {
 	case Request:
 		declared = pt.requests
 	}
-	t := reflect.TypeOf(e)
 	for _, dt := range declared {
 		if typeMatches(t, dt) {
 			return true
@@ -76,8 +82,8 @@ func eventType(proto Event) reflect.Type {
 	return t
 }
 
-// typeMatches reports whether a concrete event type t satisfies declared
-// type dt (equality, or interface implementation).
+// typeMatches reports whether event type t satisfies declared type dt
+// (equality, or interface implementation).
 func typeMatches(t, dt reflect.Type) bool {
 	if t == dt {
 		return true
@@ -162,7 +168,7 @@ func (p *Port) removeChannel(c *Channel) {
 // direction the owner is allowed to send.
 func (p *Port) publish(e Event) {
 	dir := p.outgoing()
-	if !p.ptype.Allows(dir, e) {
+	if !p.ptype.allowsType(dir, reflect.TypeOf(e)) {
 		panic(fmt.Sprintf("kompics: event %T is not a declared %s of port type %q",
 			e, dir, p.ptype.name))
 	}

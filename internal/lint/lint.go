@@ -90,7 +90,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...interface{}) {
 
 // Analyzers returns the full kmlint suite in reporting order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{BufLeak, SimDet, HandlerBlock, LockSend, ShardLock, LockOrder, GoroLife}
+	return []*Analyzer{BufLeak, SimDet, HandlerBlock, LockSend, Guarded, LockOrder, GoroLife}
 }
 
 // AnalyzerByName resolves a check name, for the driver's -check flag and

@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 )
 
 // LockSend flags channel operations and function-value callbacks performed
@@ -21,6 +20,13 @@ import (
 // whole function by design. The fix kmlint pushes toward is the one
 // udt.Conn.dispatch uses: copy what you need under the lock, Unlock, then
 // send or call.
+//
+// The check is a hook set over the held-lock walk (heldwalk.go), keyed by
+// the receiver's printed form ("c.mu"), which is exact within one function
+// for the field-or-local receivers the codebase uses. It visits only the
+// values a statement evaluates: not assignment left-hand sides, x++
+// operands, a send's channel operand, case lists, deferred calls'
+// arguments, or select comm statements beyond reporting a comm send.
 var LockSend = &Analyzer{
 	Name: "locksend",
 	Doc:  "no channel sends or function-value callbacks while holding a non-deferred mutex lock",
@@ -28,320 +34,41 @@ var LockSend = &Analyzer{
 }
 
 func runLockSend(pass *Pass) {
-	for _, file := range pass.Files {
-		ast.Inspect(file, func(n ast.Node) bool {
-			var body *ast.BlockStmt
-			switch fn := n.(type) {
-			case *ast.FuncDecl:
-				body = fn.Body
-			case *ast.FuncLit:
-				body = fn.Body
-			default:
-				return true
+	w := &heldWalk{
+		info:          pass.Info,
+		key:           types.ExprString,
+		deferReleases: true,
+		skip:          siteLHS | siteIncDec | siteSendChan | siteCase | siteDeferArg | siteComm,
+		onSend: func(s *ast.SendStmt, held heldSet) {
+			reportHeld(pass, s.Pos(), held, "channel send")
+		},
+		onCall: func(call *ast.CallExpr, held heldSet) {
+			if len(held) == 0 {
+				return
 			}
-			if body != nil {
-				ls := &lockScan{pass: pass}
-				ls.scanList(body.List, map[string]bool{})
+			if v := pass.calleeVar(call); v != nil {
+				reportHeld(pass, call.Pos(), held, "callback through function value "+v.Name())
 			}
-			return true // nested literals get their own scan
-		})
+		},
 	}
-}
-
-// lockScan walks one function's statements tracking which mutexes are
-// held. Mutexes are identified by the printed form of the receiver
-// expression ("c.mu"), which is exact within one function for the
-// field-or-local receivers the codebase uses.
-type lockScan struct {
-	pass *Pass
-}
-
-// scanList processes statements in order against the set of held locks,
-// reporting whether the list terminates control flow (return/panic). The
-// set is mutated in place; branch constructs scan each arm with a copy and
-// then reconcile optimistically (a lock released in any live arm is
-// treated as released — false negatives over false positives at merge
-// points). Crucially, arms that terminate do not participate in the merge:
-// the common `if cond { mu.Unlock(); return }` early-exit must not mark
-// the lock released on the fall-through path.
-func (ls *lockScan) scanList(list []ast.Stmt, held map[string]bool) bool {
-	for _, s := range list {
-		if ls.scanStmt(s, held) {
-			return true
-		}
-	}
-	return false
-}
-
-func (ls *lockScan) scanStmt(s ast.Stmt, held map[string]bool) (terminated bool) {
-	switch t := s.(type) {
-	case *ast.ExprStmt:
-		if mu, isLock, _ := lockCall(ls.pass, t.X); mu != "" {
-			if isLock {
-				held[mu] = true
-			} else {
-				delete(held, mu)
-			}
-			return false
-		}
-		ls.checkExpr(t.X, held)
-		return isPanicCall(t.X)
-
-	case *ast.DeferStmt:
-		if mu, isLock, _ := lockCall(ls.pass, t.Call); mu != "" && !isLock {
-			// Deferred unlock: the critical section is panic- and
-			// return-safe; stop tracking this mutex.
-			delete(held, mu)
-		}
-		// Deferred calls run at return, outside any still-held critical
-		// section from this scan's perspective; don't check them.
-		return false
-
-	case *ast.SendStmt:
-		ls.reportIfHeld(t.Pos(), held, "channel send")
-		ls.checkExpr(t.Value, held)
-		return false
-
-	case *ast.GoStmt:
-		// The spawned goroutine does not hold this goroutine's locks;
-		// check only the argument expressions evaluated here.
-		for _, arg := range t.Call.Args {
-			ls.checkExpr(arg, held)
-		}
-		return false
-
-	case *ast.AssignStmt:
-		for _, rhs := range t.Rhs {
-			ls.checkExpr(rhs, held)
-		}
-		return false
-
-	case *ast.ReturnStmt:
-		for _, r := range t.Results {
-			ls.checkExpr(r, held)
-		}
-		return true
-
-	case *ast.BranchStmt:
-		// break/continue/goto leave this linear path; treat like
-		// termination so the enclosing merge ignores this arm's state.
-		return true
-
-	case *ast.IfStmt:
-		if t.Init != nil {
-			ls.scanStmt(t.Init, held)
-		}
-		ls.checkExpr(t.Cond, held)
-		thenHeld := copyHeld(held)
-		thenTerm := ls.scanList(t.Body.List, thenHeld)
-		elseHeld := copyHeld(held)
-		elseTerm := false
-		if t.Else != nil {
-			elseTerm = ls.scanStmt(t.Else, elseHeld)
-		}
-		var arms []map[string]bool
-		if !thenTerm {
-			arms = append(arms, thenHeld)
-		}
-		if !elseTerm {
-			arms = append(arms, elseHeld)
-		}
-		if len(arms) == 0 {
-			return true // both branches terminate and there is an else
-		}
-		reconcile(held, arms...)
-		return false
-
-	case *ast.BlockStmt:
-		return ls.scanList(t.List, held)
-
-	case *ast.LabeledStmt:
-		return ls.scanStmt(t.Stmt, held)
-
-	case *ast.ForStmt:
-		if t.Init != nil {
-			ls.scanStmt(t.Init, held)
-		}
-		if t.Cond != nil {
-			ls.checkExpr(t.Cond, held)
-		}
-		bodyHeld := copyHeld(held)
-		if !ls.scanList(t.Body.List, bodyHeld) {
-			reconcile(held, bodyHeld)
-		}
-		return false
-
-	case *ast.RangeStmt:
-		ls.checkExpr(t.X, held)
-		bodyHeld := copyHeld(held)
-		if !ls.scanList(t.Body.List, bodyHeld) {
-			reconcile(held, bodyHeld)
-		}
-		return false
-
-	case *ast.SwitchStmt:
-		if t.Init != nil {
-			ls.scanStmt(t.Init, held)
-		}
-		if t.Tag != nil {
-			ls.checkExpr(t.Tag, held)
-		}
-		ls.scanClauses(t.Body, held)
-		return false
-
-	case *ast.TypeSwitchStmt:
-		if t.Init != nil {
-			ls.scanStmt(t.Init, held)
-		}
-		ls.scanClauses(t.Body, held)
-		return false
-
-	case *ast.SelectStmt:
-		for _, c := range t.Body.List {
-			cl, ok := c.(*ast.CommClause)
-			if !ok {
-				continue
-			}
-			if send, ok := cl.Comm.(*ast.SendStmt); ok {
-				ls.reportIfHeld(send.Pos(), held, "channel send")
-			}
-		}
-		ls.scanClauses(t.Body, held)
-		return false
-	}
-	return false
-}
-
-func (ls *lockScan) scanClauses(body *ast.BlockStmt, held map[string]bool) {
-	var arms []map[string]bool
-	for _, c := range body.List {
-		armHeld := copyHeld(held)
-		var term bool
-		switch cl := c.(type) {
-		case *ast.CaseClause:
-			term = ls.scanList(cl.Body, armHeld)
-		case *ast.CommClause:
-			term = ls.scanList(cl.Body, armHeld)
-		default:
-			continue
-		}
-		if !term {
-			arms = append(arms, armHeld)
-		}
-	}
-	if len(arms) > 0 {
-		reconcile(held, arms...)
-	}
-}
-
-// checkExpr flags function-value calls made under a held lock anywhere in
-// the expression, without descending into function literals (their bodies
-// run later).
-func (ls *lockScan) checkExpr(e ast.Expr, held map[string]bool) {
-	if len(held) == 0 || e == nil {
-		return
-	}
-	ast.Inspect(e, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if v := ls.pass.calleeVar(call); v != nil {
-			ls.reportIfHeld(call.Pos(), held, "callback through function value "+v.Name())
-		}
+	eachBody(pass.Files, func(_ string, body *ast.BlockStmt) bool {
+		w.walk(body, heldSet{})
 		return true
 	})
 }
 
-func (ls *lockScan) reportIfHeld(pos token.Pos, held map[string]bool, what string) {
-	for _, mu := range sortedKeys(held) {
-		ls.pass.Reportf(pos,
+// reportHeld reports what at pos once, naming the first held mutex in
+// sorted order, if any is held.
+func reportHeld(pass *Pass, pos token.Pos, held heldSet, what string) {
+	mu := ""
+	for k := range held {
+		if mu == "" || k < mu {
+			mu = k
+		}
+	}
+	if mu != "" {
+		pass.Reportf(pos,
 			"%s while holding %s.Lock() without a deferred unlock can deadlock; unlock first or defer the unlock",
 			what, mu)
-		return // one report per site, even if multiple locks are held
-	}
-}
-
-func sortedKeys(m map[string]bool) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// lockCall matches mu.Lock/RLock (isLock=true) and mu.Unlock/RUnlock
-// (false) on sync.Mutex/RWMutex receivers, returning the receiver's
-// printed form.
-func lockCall(pass *Pass, e ast.Expr) (mu string, isLock, ok bool) {
-	call, isCall := ast.Unparen(e).(*ast.CallExpr)
-	if !isCall {
-		return "", false, false
-	}
-	fn := pass.calleeFunc(call)
-	if fn == nil {
-		return "", false, false
-	}
-	switch {
-	case methodIs(fn, "sync", "Mutex", "Lock"),
-		methodIs(fn, "sync", "RWMutex", "Lock"),
-		methodIs(fn, "sync", "RWMutex", "RLock"):
-		isLock = true
-	case methodIs(fn, "sync", "Mutex", "Unlock"),
-		methodIs(fn, "sync", "RWMutex", "Unlock"),
-		methodIs(fn, "sync", "RWMutex", "RUnlock"):
-		isLock = false
-	default:
-		return "", false, false
-	}
-	sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !isSel {
-		return "", false, false
-	}
-	return types.ExprString(sel.X), isLock, true
-}
-
-func copyHeld(held map[string]bool) map[string]bool {
-	out := make(map[string]bool, len(held))
-	for k := range held {
-		out[k] = true
-	}
-	return out
-}
-
-// reconcile keeps a lock held only if every scanned arm still holds it —
-// optimistic at merges, which avoids false positives after
-// lock-in-one-branch patterns.
-func reconcile(held map[string]bool, arms ...map[string]bool) {
-	for mu := range held {
-		for _, arm := range arms {
-			if !arm[mu] {
-				delete(held, mu)
-				break
-			}
-		}
-	}
-	// A lock acquired in every arm is treated as held afterwards.
-	if len(arms) == 0 {
-		return
-	}
-	for mu := range arms[0] {
-		if held[mu] {
-			continue
-		}
-		all := true
-		for _, arm := range arms {
-			if !arm[mu] {
-				all = false
-				break
-			}
-		}
-		if all {
-			held[mu] = true
-		}
 	}
 }

@@ -93,6 +93,13 @@ type mmsgSender struct {
 	name []byte // peer sockaddr for unconnected sockets; nil when connected
 	hdrs [maxBurstPackets]mmsghdr
 	iovs [maxBurstPackets]syscall.Iovec
+
+	// The RawConn callback is bound once, and it passes its input and
+	// results through these fields, so a send allocates nothing.
+	write  func(fd uintptr) bool
+	batch  int  // headers to send
+	n      int  // headers sent
+	failed bool // sendmmsg failed with an error other than EAGAIN/EINTR
 }
 
 // newMmsgSender returns a batched sender for udp→raddr, or nil when
@@ -107,6 +114,7 @@ func newMmsgSender(udp *net.UDPConn, raddr netip.AddrPort, connected bool) *mmsg
 		return nil
 	}
 	s := &mmsgSender{rc: rc}
+	s.write = s.sendmmsg
 	if !connected {
 		s.name = rawSockaddr(udp, raddr)
 		if s.name == nil {
@@ -136,36 +144,37 @@ func (s *mmsgSender) send(pkts [][]byte) bool {
 				h.Namelen = uint32(len(s.name))
 			}
 		}
-		var n int
-		failed := false
-		err := s.rc.Write(func(fd uintptr) bool {
-			for {
-				nn, _, errno := syscall.Syscall6(sysSendmmsg, fd,
-					uintptr(unsafe.Pointer(&s.hdrs[0])), uintptr(len(batch)),
-					syscall.MSG_DONTWAIT, 0, 0)
-				switch errno {
-				case 0:
-					n = int(nn)
-					return true
-				case syscall.EAGAIN:
-					return false // park until writable
-				case syscall.EINTR:
-					continue
-				default:
-					failed = true
-					return true
-				}
-			}
-		})
-		if err != nil {
+		s.batch, s.n, s.failed = len(batch), 0, false
+		if err := s.rc.Write(s.write); err != nil {
 			return true // socket closed: drop the tail, like best-effort send
 		}
-		if failed || n == 0 {
+		if s.failed || s.n == 0 {
 			return false
 		}
-		sent += n
+		sent += s.n
 	}
 	return true
+}
+
+// sendmmsg is send's RawConn callback: one sendmmsg of s.batch headers.
+func (s *mmsgSender) sendmmsg(fd uintptr) bool {
+	for {
+		nn, _, errno := syscall.Syscall6(sysSendmmsg, fd,
+			uintptr(unsafe.Pointer(&s.hdrs[0])), uintptr(s.batch),
+			syscall.MSG_DONTWAIT, 0, 0)
+		switch errno {
+		case 0:
+			s.n = int(nn)
+			return true
+		case syscall.EAGAIN:
+			return false // park until writable
+		case syscall.EINTR:
+			continue
+		default:
+			s.failed = true
+			return true
+		}
+	}
 }
 
 // batchReadSize is the datagrams drained per recvmmsg call.
@@ -179,6 +188,12 @@ type batchReader struct {
 	bufs        [batchReadSize][]byte
 	names       [batchReadSize][]byte
 	unsupported bool
+
+	// The RawConn callback is bound once, and it passes its results
+	// through these fields, so a read allocates nothing.
+	recv      func(fd uintptr) bool
+	n         int  // datagrams drained
+	transient bool // recvmmsg failed with a per-packet socket error
 }
 
 // newBatchReader returns a batched reader for udp, or nil when batching is
@@ -192,6 +207,7 @@ func newBatchReader(udp *net.UDPConn) *batchReader {
 		return nil
 	}
 	r := &batchReader{rc: rc}
+	r.recv = r.recvmmsg
 	for i := range r.hdrs {
 		r.bufs[i] = make([]byte, maxDatagram)
 		r.names[i] = make([]byte, rawSockaddrLen)
@@ -219,40 +235,41 @@ func (r *batchReader) read() (int, error) {
 	for i := range r.hdrs {
 		r.hdrs[i].hdr.Namelen = rawSockaddrLen // kernel shrinks it per packet
 	}
-	var n int
-	var transient bool
-	err := r.rc.Read(func(fd uintptr) bool {
-		for {
-			nn, _, errno := syscall.Syscall6(sysRecvmmsg, fd,
-				uintptr(unsafe.Pointer(&r.hdrs[0])), uintptr(len(r.hdrs)),
-				syscall.MSG_DONTWAIT, 0, 0)
-			switch errno {
-			case 0:
-				n = int(nn)
-				return true
-			case syscall.EAGAIN:
-				return false // park until readable
-			case syscall.EINTR:
-				continue
-			case syscall.ENOSYS:
-				r.unsupported = true
-				return true
-			default:
-				transient = true
-				return true
-			}
-		}
-	})
-	if err != nil {
+	r.n, r.transient = 0, false
+	if err := r.rc.Read(r.recv); err != nil {
 		return 0, err // socket closed
 	}
 	if r.unsupported {
 		return 0, errBatchUnsupported
 	}
-	if transient {
+	if r.transient {
 		return 0, nil
 	}
-	return n, nil
+	return r.n, nil
+}
+
+// recvmmsg is read's RawConn callback: one recvmmsg into every header.
+func (r *batchReader) recvmmsg(fd uintptr) bool {
+	for {
+		nn, _, errno := syscall.Syscall6(sysRecvmmsg, fd,
+			uintptr(unsafe.Pointer(&r.hdrs[0])), uintptr(len(r.hdrs)),
+			syscall.MSG_DONTWAIT, 0, 0)
+		switch errno {
+		case 0:
+			r.n = int(nn)
+			return true
+		case syscall.EAGAIN:
+			return false // park until readable
+		case syscall.EINTR:
+			continue
+		case syscall.ENOSYS:
+			r.unsupported = true
+			return true
+		default:
+			r.transient = true
+			return true
+		}
+	}
 }
 
 // payload returns the bytes of the i-th drained datagram; valid until the
