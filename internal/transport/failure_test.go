@@ -1,8 +1,12 @@
 package transport
 
 import (
+	"context"
 	"errors"
+	"log/slog"
 	"net"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -280,5 +284,82 @@ func TestManyChannelsManyPeers(t *testing.T) {
 	}
 	if n := epA.QueueStats().Channels; n != peers {
 		t.Fatalf("registry has %d channels, want %d", n, peers)
+	}
+}
+
+// warnRecorder is a slog handler keeping the attributes of every Warn
+// record whose message is msg.
+type warnRecorder struct {
+	msg     string
+	mu      sync.Mutex
+	records []map[string]string
+}
+
+func (h *warnRecorder) Enabled(_ context.Context, l slog.Level) bool { return l >= slog.LevelWarn }
+func (h *warnRecorder) Handle(_ context.Context, r slog.Record) error {
+	if r.Message != h.msg {
+		return nil
+	}
+	attrs := map[string]string{}
+	r.Attrs(func(a slog.Attr) bool {
+		attrs[a.Key] = a.Value.String()
+		return true
+	})
+	h.mu.Lock()
+	h.records = append(h.records, attrs)
+	h.mu.Unlock()
+	return nil
+}
+func (h *warnRecorder) WithAttrs([]slog.Attr) slog.Handler { return h }
+func (h *warnRecorder) WithGroup(string) slog.Handler      { return h }
+
+// TestUDTCloseWarnsUndeliveredBytes: when the endpoint closes an outgoing
+// UDT channel whose data was never acknowledged, the connection's linger
+// expires and the teardown logs the bytes it lost, with the protocol and
+// destination, instead of dropping them silently.
+func TestUDTCloseWarnsUndeliveredBytes(t *testing.T) {
+	leakCheck(t)
+	epB, err := NewEndpoint(Config{ListenAddr: "127.0.0.1:0", OnMessage: func(_ From, p []byte) { bufpool.Put(p) },
+		Protocols: []wire.Transport{wire.UDT}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := epB.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer epB.Close()
+	dest := epB.Addr(wire.UDT)
+
+	rec := &warnRecorder{msg: "transport: close failed"}
+	cfg := Config{
+		ListenAddr: "127.0.0.1:0",
+		OnMessage:  func(_ From, p []byte) { bufpool.Put(p) },
+		Protocols:  []wire.Transport{wire.TCP},
+		Logger:     slog.New(rec),
+	}
+	cfg.UDT.LossInjector = func() bool { return true }
+	cfg.UDT.LingerTimeout = 100 * time.Millisecond
+	epA, err := NewEndpoint(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := epA.Start(); err != nil {
+		t.Fatal(err)
+	}
+	notify := make(chan error, 1)
+	epA.Send(wire.UDT, dest, pooled("never acknowledged"), func(err error) { notify <- err })
+	if err := expectNotify(t, notify); err != nil {
+		t.Fatalf("send not accepted: %v", err)
+	}
+	epA.Close()
+
+	rec.mu.Lock()
+	defer rec.mu.Unlock()
+	if len(rec.records) != 1 {
+		t.Fatalf("%d close warnings, want 1", len(rec.records))
+	}
+	got := rec.records[0]
+	if got["proto"] != wire.UDT.String() || got["dest"] != dest || !strings.Contains(got["err"], "bytes undelivered") {
+		t.Fatalf("close warning %v, want proto %v, dest %s and the undelivered bytes", got, wire.UDT, dest)
 	}
 }

@@ -832,22 +832,33 @@ func (c *outChannel) run() {
 		wasClosed := c.closed
 		c.mu.Unlock()
 		if wasClosed { // endpoint shut down mid-dial
-			if conn != nil {
-				conn.Close()
-			}
+			c.closeConn(conn)
 			return
 		}
 		c.emit(StatusEvent{Kind: StatusUp})
 		err = c.pump(conn)
-		if conn != nil {
-			conn.Close()
-		}
+		c.closeConn(conn)
 		if err == nil {
 			return // channel closed while pumping
 		}
 		c.ep.cfg.Logger.Warn("transport: write failed",
 			"proto", c.key.proto.String(), "dest", c.key.dest, "err", err)
 		c.emit(StatusEvent{Kind: StatusDown, Err: err})
+	}
+}
+
+// closeConn closes the channel's connection, if it has one. A close error
+// means bytes the connection accepted were not delivered (UDT's linger
+// expiring with data unacknowledged), so it is logged; closing a
+// connection that a failed write already closed is not.
+func (c *outChannel) closeConn(conn net.Conn) {
+	if conn == nil {
+		return
+	}
+	if err := conn.Close(); err != nil && !errors.Is(err, net.ErrClosed) {
+		proto, dest := c.wireKey()
+		c.ep.cfg.Logger.Warn("transport: close failed",
+			"proto", proto.String(), "dest", dest, "err", err)
 	}
 }
 

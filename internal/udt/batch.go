@@ -13,6 +13,10 @@ import (
 // GOARCH=386.
 var batchingDisabled atomic.Bool
 
+// batchReadSize is the datagrams drained per recvmmsg call, and the
+// datagrams the portable read loop handles between scheduling points.
+const batchReadSize = 16
+
 // errBatchUnsupported reports that batched reads are unavailable on this
 // platform or socket; callers fall back to single-datagram reads.
 var errBatchUnsupported = errors.New("udt: batched socket I/O unsupported")

@@ -177,9 +177,6 @@ func (s *mmsgSender) sendmmsg(fd uintptr) bool {
 	}
 }
 
-// batchReadSize is the datagrams drained per recvmmsg call.
-const batchReadSize = 16
-
 // batchReader drains bursts of datagrams with one recvmmsg per call.
 type batchReader struct {
 	rc          syscall.RawConn

@@ -8,6 +8,7 @@ import (
 	"math"
 	"net"
 	"net/netip"
+	"runtime"
 	"sync"
 	"time"
 
@@ -106,6 +107,9 @@ var (
 	// ErrPeerDead reports a peer declared unreachable by the EXP timer
 	// (Config.PeerDeathEXPs expirations with zero ACK progress).
 	ErrPeerDead = errors.New("udt: peer unreachable")
+	// ErrLingerExpired reports a Close whose LingerTimeout expired before
+	// the peer acknowledged everything written; the rest was dropped.
+	ErrLingerExpired = errors.New("udt: linger expired")
 	// ErrTimeout reports an expired deadline; it satisfies net.Error.
 	ErrTimeout = timeoutError{}
 )
@@ -181,9 +185,11 @@ type Conn struct {
 	// ACKs stop at zero and the 10 ms timer alone acknowledges after.
 	lightAcksLeft int
 
-	// Lifecycle.
+	// Lifecycle. closeOnce makes a second Close wait for the first;
+	// closed is set once the linger ends.
 	established   bool
 	establishedCh chan struct{}
+	closeOnce     sync.Once
 	closed        bool
 	// dead marks a peer declared unreachable by the EXP timer; set with
 	// the buffers already released, so no path may repool after it.
@@ -371,22 +377,30 @@ func (c *Conn) kickSender() {
 
 // Close implements net.Conn: it lingers until queued data drains (bounded
 // by LingerTimeout), notifies the peer, recycles every pooled buffer the
-// connection still owns and releases resources.
+// connection still owns and releases resources. When the linger expires
+// with data still queued or unacknowledged, that data is dropped and Close
+// returns an error wrapping ErrLingerExpired that names the bytes left
+// undelivered. A concurrent or later Close waits for the first to finish
+// and returns nil.
 func (c *Conn) Close() error {
+	var err error
+	c.closeOnce.Do(func() { err = c.teardown() })
+	return err
+}
+
+// teardown is Close's body; closeOnce runs it once.
+func (c *Conn) teardown() error {
 	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil
-	}
 	// Linger: wait for the sender to flush queue and retransmissions.
 	deadline := time.Now().Add(c.cfg.LingerTimeout)
-	for !c.peerClosed && (len(c.sndQueue) > 0 || c.sndUnacked.len() > 0) && time.Now().Before(deadline) {
+	for !c.peerClosed && c.sendPendingLocked() && time.Now().Before(deadline) {
 		t := time.AfterFunc(50*time.Millisecond, c.writeCond.Broadcast)
 		c.writeCond.Wait()
 		t.Stop()
 	}
+	expired := !c.peerClosed && c.sendPendingLocked()
 	c.closed = true
-	c.releaseBuffersLocked()
+	undelivered := c.releaseBuffersLocked()
 	c.mu.Unlock()
 
 	for i := 0; i < 3; i++ {
@@ -402,23 +416,37 @@ func (c *Conn) Close() error {
 		c.udp.Close()
 	}
 	c.wg.Wait()
+	if expired {
+		return fmt.Errorf("%w: %d bytes undelivered", ErrLingerExpired, undelivered)
+	}
 	return nil
+}
+
+// sendPendingLocked reports whether data is queued or unacknowledged.
+// Caller holds mu.
+func (c *Conn) sendPendingLocked() bool {
+	return len(c.sndQueue) > 0 || c.sndUnacked.len() > 0
 }
 
 // releaseBuffersLocked returns every pooled buffer the connection owns —
 // unsent queue, in-flight window, out-of-order window and undelivered
-// segments — to bufpool. Caller holds mu with c.closed or c.dead already
-// set, so no other path will touch these buffers again.
-func (c *Conn) releaseBuffersLocked() {
+// segments — to bufpool, and reports the payload bytes of the send side
+// (queued or unacknowledged) it dropped. Caller holds mu with c.closed or
+// c.dead already set, so no other path will touch these buffers again.
+func (c *Conn) releaseBuffersLocked() (unsent int) {
 	for i, p := range c.sndQueue {
 		if p != nil {
 			bufpool.Put(p)
 			c.sndQueue[i] = nil
 		}
 	}
+	unsent = c.sndQueueBytes
 	c.sndQueue = nil
 	c.sndQueueBytes = 0
-	c.sndUnacked.drain(bufpool.Put)
+	c.sndUnacked.drain(func(p []byte) {
+		unsent += len(p)
+		bufpool.Put(p)
+	})
 	c.rcvOOO.drain(bufpool.Put)
 	for i := c.rcvSegHead; i < len(c.rcvSegs); i++ {
 		bufpool.Put(c.rcvSegs[i])
@@ -426,6 +454,7 @@ func (c *Conn) releaseBuffersLocked() {
 	}
 	c.rcvSegs, c.rcvSegHead, c.rcvSegOff = nil, 0, 0
 	c.loss.clear()
+	return unsent
 }
 
 // LocalAddr implements net.Conn.
@@ -531,7 +560,8 @@ type sendBatch struct {
 // senderLoop sends data packets: each SYN interval grants a byte budget
 // (tickBudget), spent on loss-list retransmissions first and then fresh
 // data, respecting the send window. Packets go out in bursts of up to
-// maxBurstPackets per lock acquisition and (on Linux) per syscall.
+// maxBurstPackets per lock acquisition and (on Linux) per syscall, and
+// the loop yields the processor after every full burst.
 func (c *Conn) senderLoop() {
 	defer c.wg.Done()
 	ticker := time.NewTicker(synInterval)
@@ -565,6 +595,12 @@ func (c *Conn) senderLoop() {
 				break
 			}
 			budget -= float64(n)
+			if len(batch.ends) == maxBurstPackets {
+				// More is likely sendable at once, and sendmmsg on a
+				// socket with buffer room never blocks: give the
+				// processor back before the next burst (DESIGN.md §10).
+				runtime.Gosched()
+			}
 		}
 	}
 }

@@ -2,8 +2,10 @@ package udt
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"math/rand"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -38,6 +40,68 @@ func TestDoubleCloseAndReadAfterClose(t *testing.T) {
 		t.Fatalf("Write after Close = %v, want ErrClosed", err)
 	}
 	_ = server
+}
+
+// lingerPair is a pair whose data packets all vanish before the socket and
+// whose Close lingers 100 ms, with 64 KiB written by the client: every
+// byte stays unacknowledged until the linger expires.
+func lingerPair(t *testing.T) (client *Conn, cleanup func()) {
+	t.Helper()
+	client, _, cleanup = pair(t, Config{
+		LossInjector:  func() bool { return true },
+		LingerTimeout: 100 * time.Millisecond,
+	})
+	if _, err := client.Write(make([]byte, 64<<10)); err != nil {
+		cleanup()
+		t.Fatal(err)
+	}
+	return client, cleanup
+}
+
+// TestCloseReportsExpiredLinger: a linger that expires with data still
+// unacknowledged frees that data, but Close says how many bytes it lost.
+func TestCloseReportsExpiredLinger(t *testing.T) {
+	client, cleanup := lingerPair(t)
+	defer cleanup()
+	err := client.Close()
+	if !errors.Is(err, ErrLingerExpired) {
+		t.Fatalf("Close = %v, want ErrLingerExpired", err)
+	}
+	if want := "65536 bytes undelivered"; !strings.Contains(err.Error(), want) {
+		t.Fatalf("Close = %q, want it to name %q", err, want)
+	}
+	if err := client.Close(); err != nil {
+		t.Fatalf("second Close = %v, want nil", err)
+	}
+}
+
+// TestConcurrentCloseDuringLinger: a second Close while the first lingers
+// waits for it and returns nil; running the teardown twice would close
+// c.done twice and panic.
+func TestConcurrentCloseDuringLinger(t *testing.T) {
+	client, cleanup := lingerPair(t)
+	defer cleanup()
+	errs := make(chan error, 2)
+	for i := 0; i < 2; i++ {
+		go func() { errs <- client.Close() }()
+	}
+	expired := 0
+	for i := 0; i < 2; i++ {
+		select {
+		case err := <-errs:
+			switch {
+			case errors.Is(err, ErrLingerExpired):
+				expired++
+			case err != nil:
+				t.Fatalf("Close = %v", err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("a concurrent Close never returned")
+		}
+	}
+	if expired != 1 {
+		t.Fatalf("%d Close calls reported the expired linger, want 1", expired)
+	}
 }
 
 func TestWriteDeadlineOnFullQueue(t *testing.T) {

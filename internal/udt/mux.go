@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"net"
 	"net/netip"
+	"runtime"
 	"sync"
 	"time"
 )
@@ -101,6 +102,11 @@ func (l *Listener) Close() error {
 // *net.UDPAddr per packet). Other socket errors are transient: a
 // connected socket surfaces ICMP port-unreachable as ECONNREFUSED when a
 // handshake raced the peer's bind, and the handshake retries.
+//
+// Under bulk traffic the socket is never empty, so the loop would run
+// without blocking until Go preempts it (≈ 10 ms): it yields the
+// processor after every full recvmmsg batch, and after every
+// batchReadSize datagrams on the portable path (DESIGN.md §10).
 func readDatagrams(sock *net.UDPConn, handle func(b []byte, from netip.AddrPort)) {
 	if br := newBatchReader(sock); br != nil {
 		for {
@@ -114,16 +120,22 @@ func readDatagrams(sock *net.UDPConn, handle func(b []byte, from netip.AddrPort)
 			if err != nil {
 				return // socket closed: transient errors come back as 0, nil
 			}
+			if n == batchReadSize {
+				runtime.Gosched()
+			}
 		}
 	}
 	buf := make([]byte, maxDatagram)
-	for {
+	for read := 1; ; read++ {
 		n, _, _, addr, err := sock.ReadMsgUDPAddrPort(buf, nil)
 		if n > 0 {
 			handle(buf[:n], addr)
 		}
 		if errors.Is(err, net.ErrClosed) {
 			return
+		}
+		if read%batchReadSize == 0 {
+			runtime.Gosched()
 		}
 	}
 }
