@@ -12,8 +12,10 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -36,21 +38,37 @@ type jsonDiag struct {
 }
 
 func main() {
-	checkFlag := flag.String("check", "", "run only this comma-separated subset of checks (default: all)")
-	listFlag := flag.Bool("list", false, "list available checks and exit")
-	jsonFlag := flag.Bool("json", false, "emit one JSON diagnostic per line (including suppressed findings with their covering directive)")
-	auditFlag := flag.Bool("audit-ignores", false, "report kmlint:ignore directives that no longer suppress anything (full suite only)")
-	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: kmlint [flags] [packages]\n\npackages use go-style patterns (default ./...)\n\nflags:\n")
-		flag.PrintDefaults()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole command; it returns the exit status: 0 clean, 1
+// findings, 2 a usage or load error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("kmlint", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	checkFlag := fs.String("check", "", "run only this comma-separated subset of checks (default: all)")
+	listFlag := fs.Bool("list", false, "list available checks and exit")
+	jsonFlag := fs.Bool("json", false, "emit one JSON diagnostic per line (including suppressed findings with their covering directive)")
+	auditFlag := fs.Bool("audit-ignores", false, "report kmlint:ignore directives that no longer suppress anything (full suite only)")
+	fs.Usage = func() {
+		fmt.Fprintf(stderr, "usage: kmlint [flags] [packages]\n\npackages use go-style patterns (default ./...)\n\nflags:\n")
+		fs.PrintDefaults()
 	}
-	flag.Parse()
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		return 0
+	} else if err != nil {
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintf(stderr, "kmlint: %v\n", err)
+		return 2
+	}
 
 	if *listFlag {
 		for _, a := range lint.Analyzers() {
-			fmt.Printf("%-14s %s\n", a.Name, a.Doc)
+			fmt.Fprintf(stdout, "%-14s %s\n", a.Name, a.Doc)
 		}
-		return
+		return 0
 	}
 
 	analyzers := lint.Analyzers()
@@ -58,46 +76,40 @@ func main() {
 		// With a partial suite, ignores for the skipped checks would all
 		// look stale; unused auditing needs the full run.
 		if *auditFlag {
-			fmt.Fprintln(os.Stderr, "kmlint: -audit-ignores requires the full suite; drop -check")
-			os.Exit(2)
+			return fail(errors.New("-audit-ignores requires the full suite; drop -check"))
 		}
 		analyzers = analyzers[:0:0]
 		for _, name := range strings.Split(*checkFlag, ",") {
 			a := lint.AnalyzerByName(strings.TrimSpace(name))
 			if a == nil {
-				fmt.Fprintf(os.Stderr, "kmlint: unknown check %q (try -list)\n", name)
-				os.Exit(2)
+				return fail(fmt.Errorf("unknown check %q (try -list)", name))
 			}
 			analyzers = append(analyzers, a)
 		}
 	}
 
-	patterns := flag.Args()
+	patterns := fs.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
 	dirs, err := expandPatterns(patterns)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "kmlint: %v\n", err)
-		os.Exit(2)
+		return fail(err)
 	}
 	if len(dirs) == 0 {
-		fmt.Fprintln(os.Stderr, "kmlint: no packages matched")
-		os.Exit(2)
+		return fail(errors.New("no packages matched"))
 	}
 
 	loader, err := lint.NewLoader(dirs[0])
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "kmlint: %v\n", err)
-		os.Exit(2)
+		return fail(err)
 	}
 	diags, err := lint.Run(loader, dirs, analyzers, lint.RunOptions{
 		ReportUnused:   *auditFlag,
 		KeepSuppressed: *jsonFlag,
 	})
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "kmlint: %v\n", err)
-		os.Exit(2)
+		return fail(err)
 	}
 
 	cwd, _ := os.Getwd()
@@ -109,7 +121,7 @@ func main() {
 		}
 		return name
 	}
-	enc := json.NewEncoder(os.Stdout)
+	enc := json.NewEncoder(stdout)
 	findings := 0
 	for _, d := range diags {
 		d.Pos.Filename = relTo(d.Pos.Filename)
@@ -129,17 +141,17 @@ func main() {
 				Suppressed: d.Suppressed,
 				IgnoredBy:  d.IgnoredBy,
 			}); err != nil {
-				fmt.Fprintf(os.Stderr, "kmlint: %v\n", err)
-				os.Exit(2)
+				return fail(err)
 			}
 			continue
 		}
-		fmt.Println(d.String())
+		fmt.Fprintln(stdout, d.String())
 	}
 	if findings > 0 {
-		fmt.Fprintf(os.Stderr, "kmlint: %d finding(s)\n", findings)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "kmlint: %d finding(s)\n", findings)
+		return 1
 	}
+	return 0
 }
 
 // expandPatterns resolves go-style package patterns to package directories

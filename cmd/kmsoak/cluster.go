@@ -257,8 +257,8 @@ func (c *cluster) quiesce() {
 	}
 }
 
-// shutdown stops every system (network teardown closes endpoints and
-// recycles stage buffers).
+// shutdown stops every system. Shutdown stops each started component, so
+// each network's OnStop closes its endpoint and recycles stage buffers.
 func (c *cluster) shutdown() {
 	for _, n := range c.nodes {
 		n.sys.Shutdown()

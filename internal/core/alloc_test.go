@@ -126,7 +126,7 @@ func newAllocPair(t *testing.T, size int) *allocPair {
 			t.Fatal(err)
 		}
 		sys := kompics.NewSystem()
-		t.Cleanup(func() { shutdownNode(sys, netDef) })
+		t.Cleanup(sys.Shutdown)
 		netComp := sys.Create(netDef)
 		peers[i] = &allocPeer{out: &pooledMsg{
 			hdr:     NewHeader(addrs[i], addrs[1-i], TCP),

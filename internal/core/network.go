@@ -244,9 +244,8 @@ func (n *Network) Init(ctx *kompics.Context) {
 	ctx.OnKill(n.stop)
 }
 
-// stop tears down what OnStart built. Runs on the component thread (as
-// the OnStop/OnKill handler), or once the component's system has shut
-// down.
+// stop tears down what OnStart built. Runs on the component thread, as
+// the OnStop/OnKill handler.
 func (n *Network) stop() {
 	// Codec stage first: its close waits for in-flight encodes, whose
 	// releases still reach the live endpoint and resolve through its

@@ -113,7 +113,7 @@ func startNodeConfig(t *testing.T, cfg NetworkConfig) *node {
 		t.Fatal(err)
 	}
 	sys := kompics.NewSystem()
-	t.Cleanup(func() { shutdownNode(sys, netDef) })
+	t.Cleanup(sys.Shutdown)
 	netComp := sys.Create(netDef)
 	app := &appComponent{}
 	appComp := sys.Create(app)

@@ -11,7 +11,6 @@ import (
 
 	"github.com/kompics/kompicsmessaging-go/internal/bufpool"
 	"github.com/kompics/kompicsmessaging-go/internal/codec"
-	"github.com/kompics/kompicsmessaging-go/internal/kompics"
 )
 
 // coreLeakCheck arms bufpool's debug accounting and asserts at teardown
@@ -28,15 +27,6 @@ func coreLeakCheck(t *testing.T) {
 			t.Errorf("bufpool leak: %d buffer(s) outstanding after shutdown", n)
 		}
 	})
-}
-
-// shutdownNode stops a test node's system, then tears its network down
-// the way OnStop would — System.Shutdown alone leaves the endpoint open —
-// so that when it returns every transport goroutine has exited, the
-// codec stage has settled its jobs, and every buffer is back.
-func shutdownNode(sys *kompics.System, n *Network) {
-	sys.Shutdown()
-	n.stop()
 }
 
 // decodePayload builds a compressible payload (so flate survives encode
@@ -160,8 +150,8 @@ func TestRecvOrderStopMidStreamNoLeak(t *testing.T) {
 	for src, seqs := range seqsBySource(recv.app) {
 		checkFIFO(t, src, seqs, -1)
 	}
-	shutdownNode(recv.sys, recv.net)
-	shutdownNode(sender.sys, sender.net)
+	recv.sys.Shutdown()
+	sender.sys.Shutdown()
 	// Give lingering transport goroutines (failed redials) a moment to
 	// release their buffers before the cleanup assertion runs.
 	time.Sleep(50 * time.Millisecond)

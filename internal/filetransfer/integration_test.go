@@ -3,42 +3,22 @@ package filetransfer
 import (
 	"encoding/binary"
 	"fmt"
-	"math/rand"
-	"net"
 	"testing"
 	"time"
 
 	"github.com/kompics/kompicsmessaging-go/internal/core"
 	"github.com/kompics/kompicsmessaging-go/internal/data"
 	"github.com/kompics/kompicsmessaging-go/internal/kompics"
+	"github.com/kompics/kompicsmessaging-go/internal/testnet"
 )
 
 func freeTestPort(t *testing.T) int {
 	t.Helper()
-	rng := rand.New(rand.NewSource(time.Now().UnixNano()))
-	for i := 0; i < 200; i++ {
-		p := 20000 + 2*rng.Intn(20000)
-		ok := true
-		for _, d := range []int{0, 1} {
-			if l, err := net.Listen("tcp", fmt.Sprintf("127.0.0.1:%d", p+d)); err == nil {
-				l.Close()
-			} else {
-				ok = false
-				break
-			}
-			if l, err := net.ListenPacket("udp", fmt.Sprintf("127.0.0.1:%d", p+d)); err == nil {
-				l.Close()
-			} else {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			return p
-		}
+	p, err := testnet.FreePort(2)
+	if err != nil {
+		t.Fatal(err)
 	}
-	t.Fatal("no free port")
-	return 0
+	return p
 }
 
 // completionWatcher records Complete indications.

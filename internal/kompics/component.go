@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"sync"
+	"time"
 )
 
 // ComponentID uniquely identifies a component within a System.
@@ -82,12 +83,13 @@ func (c *Component) SelfTrigger(e Event) {
 }
 
 // enqueue adds an event arriving at port p to the component's mailbox and
-// schedules the component if necessary.
-func (c *Component) enqueue(p *Port, e Event) {
+// schedules the component if necessary. It reports false, dropping the
+// event, when the component is halted.
+func (c *Component) enqueue(p *Port, e Event) bool {
 	c.mu.Lock()
 	if c.halted {
 		c.mu.Unlock()
-		return
+		return false
 	}
 	if p == c.control {
 		c.controlq.push(queuedEvent{port: p, event: e})
@@ -101,6 +103,27 @@ func (c *Component) enqueue(p *Port, e Event) {
 	c.mu.Unlock()
 	if schedule {
 		c.sys.sched.ready(c)
+	}
+	return true
+}
+
+// shutdownStop is the Stop that System.Shutdown sends: handled like Stop,
+// then done is closed. halt closes done of one still queued.
+type shutdownStop struct{ done chan struct{} }
+
+// stopAndWait sends the component a shutdownStop and waits, at most
+// bound, until it is handled. A halted component is skipped; one that is
+// not started handles it as a no-op.
+func (c *Component) stopAndWait(bound time.Duration) {
+	done := make(chan struct{})
+	if !c.enqueue(c.control, shutdownStop{done: done}) {
+		return
+	}
+	t := time.NewTimer(bound)
+	defer t.Stop()
+	select {
+	case <-done:
+	case <-t.C:
 	}
 }
 
@@ -170,7 +193,7 @@ func (c *Component) runHandlers(qe queuedEvent) {
 }
 
 func (c *Component) handleControl(e Event) {
-	switch e.(type) {
+	switch e := e.(type) {
 	case Start:
 		if c.started {
 			return
@@ -181,14 +204,10 @@ func (c *Component) handleControl(e Event) {
 		}
 		c.control.publish(Started{ID: c.id})
 	case Stop:
-		if !c.started {
-			return
-		}
-		c.started = false
-		for _, f := range c.onStop {
-			f()
-		}
-		c.control.publish(Stopped{ID: c.id})
+		c.stop()
+	case shutdownStop:
+		defer close(e.done) // also when an OnStop handler panics
+		c.stop()
 	case Kill:
 		for _, f := range c.onKill {
 			f()
@@ -198,6 +217,17 @@ func (c *Component) handleControl(e Event) {
 		// User-defined control traffic (e.g. supervisors subscribe to
 		// Started on their required side); nothing to run on the provider.
 	}
+}
+
+func (c *Component) stop() {
+	if !c.started {
+		return
+	}
+	c.started = false
+	for _, f := range c.onStop {
+		f()
+	}
+	c.control.publish(Stopped{ID: c.id})
 }
 
 func (c *Component) fault(r interface{}, during Event) {
@@ -212,12 +242,17 @@ func (c *Component) fault(r interface{}, during Event) {
 }
 
 // halt permanently disables the component: pending and future events are
-// dropped.
+// dropped. A pending shutdownStop is released, so Shutdown does not wait
+// for it.
 func (c *Component) halt() {
 	c.mu.Lock()
 	c.halted = true
 	c.mailbox = ring[queuedEvent]{}
-	c.controlq = ring[queuedEvent]{}
+	for c.controlq.n > 0 {
+		if st, ok := c.controlq.pop().event.(shutdownStop); ok {
+			close(st.done)
+		}
+	}
 	c.mu.Unlock()
 }
 

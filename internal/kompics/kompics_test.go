@@ -789,6 +789,70 @@ func TestShutdownIdempotent(t *testing.T) {
 	sys.Shutdown()
 }
 
+// TestShutdownStopsStartedInReverse checks Shutdown's lifecycle contract as
+// an event stream: OnStop runs once per started component, last created
+// first; never-started and killed components are skipped, a Kill still
+// queued when Shutdown sends its Stop included; a second Shutdown is a
+// no-op.
+func TestShutdownStopsStartedInReverse(t *testing.T) {
+	sys := NewSystem()
+	var mu sync.Mutex
+	var stops []string
+	onStop := func(ctx *Context, name string) {
+		ctx.OnStop(func() {
+			mu.Lock()
+			stops = append(stops, name)
+			mu.Unlock()
+		})
+	}
+	create := func(name string) *Component {
+		return sys.Create(definitionFunc(func(ctx *Context) { onStop(ctx, name) }))
+	}
+	parent := create("parent")
+	create("never-started")
+	child := create("child")
+	killed := create("killed")
+	grandchild := create("grandchild")
+	blocked, release := make(chan struct{}), make(chan struct{})
+	queuedKill := sys.Create(definitionFunc(func(ctx *Context) {
+		onStop(ctx, "killed-while-queued")
+		ctx.SubscribeSelf(ping{}, func(Event) { close(blocked); <-release })
+	}))
+	for _, c := range []*Component{parent, child, killed, grandchild, queuedKill} {
+		sys.Start(c)
+	}
+	sys.Kill(killed)
+	sys.AwaitQuiescence()
+	queuedKill.SelfTrigger(ping{})
+	<-blocked
+	sys.Kill(queuedKill) // queued behind the running handler
+
+	done := make(chan struct{})
+	go func() {
+		sys.Shutdown()
+		close(done)
+	}()
+	waitFor(t, "Shutdown's Stop queued behind the Kill", func() bool {
+		queuedKill.mu.Lock()
+		defer queuedKill.mu.Unlock()
+		return queuedKill.controlq.n == 2
+	})
+	close(release)
+	select {
+	case <-done:
+	case <-time.After(stopBound / 2):
+		t.Fatal("Shutdown waited on a component halted by a queued Kill")
+	}
+	sys.Shutdown()
+
+	mu.Lock()
+	defer mu.Unlock()
+	want := []string{"grandchild", "child", "parent"}
+	if fmt.Sprint(stops) != fmt.Sprint(want) {
+		t.Fatalf("OnStop ran for %v, want %v", stops, want)
+	}
+}
+
 func TestSystemClockDefault(t *testing.T) {
 	sys := newTestSystem(t)
 	if sys.Clock() == nil {

@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"github.com/kompics/kompicsmessaging-go/internal/clock"
 )
@@ -57,17 +58,16 @@ type System struct {
 	nextID atomic.Uint64
 
 	mu         sync.Mutex
-	components map[ComponentID]*Component
+	components []*Component // in creation order
 	closed     bool
 }
 
 // NewSystem creates and starts a component system.
 func NewSystem(opts ...Option) *System {
 	s := &System{
-		workers:    runtime.GOMAXPROCS(0),
-		maxEvents:  16,
-		clock:      clock.Real{},
-		components: make(map[ComponentID]*Component),
+		workers:   runtime.GOMAXPROCS(0),
+		maxEvents: 16,
+		clock:     clock.Real{},
 	}
 	for _, opt := range opts {
 		opt(s)
@@ -94,7 +94,7 @@ func (s *System) Create(def Definition) *Component {
 	def.Init(&Context{c: c})
 
 	s.mu.Lock()
-	s.components[c.id] = c
+	s.components = append(s.components, c)
 	s.mu.Unlock()
 	return c
 }
@@ -113,9 +113,16 @@ func (s *System) Kill(c *Component) { c.enqueue(c.control, Kill{}) }
 // event sources can re-activate the system immediately afterwards.
 func (s *System) AwaitQuiescence() { s.sched.awaitIdle() }
 
-// Shutdown stops the scheduler. Components are not notified; callers that
-// need orderly teardown should Stop/Kill components and AwaitQuiescence
-// first.
+// stopBound bounds how long Shutdown waits for one component's OnStop
+// handlers. It exceeds UDT's 10 s linger, which a network's OnStop may
+// spend draining its send queue.
+const stopBound = 15 * time.Second
+
+// Shutdown stops every started component that is not halted, in reverse
+// creation order (children are created after their parents, so they stop
+// first), waiting for each one's OnStop handlers to return, then closes
+// the scheduler; events still queued are abandoned. A second Shutdown is
+// a no-op. It must not be called from a handler.
 func (s *System) Shutdown() {
 	s.mu.Lock()
 	if s.closed {
@@ -123,7 +130,11 @@ func (s *System) Shutdown() {
 		return
 	}
 	s.closed = true
+	comps := s.components
 	s.mu.Unlock()
+	for i := len(comps) - 1; i >= 0; i-- {
+		comps[i].stopAndWait(stopBound)
+	}
 	s.sched.close()
 }
 

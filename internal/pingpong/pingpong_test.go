@@ -3,7 +3,6 @@ package pingpong
 import (
 	"bytes"
 	"fmt"
-	"math/rand"
 	"net"
 	"sync"
 	"testing"
@@ -12,6 +11,7 @@ import (
 	"github.com/kompics/kompicsmessaging-go/internal/bufpool"
 	"github.com/kompics/kompicsmessaging-go/internal/core"
 	"github.com/kompics/kompicsmessaging-go/internal/kompics"
+	"github.com/kompics/kompicsmessaging-go/internal/testnet"
 )
 
 func TestSerializationRoundTrip(t *testing.T) {
@@ -101,30 +101,11 @@ func (w *rttWatcher) count() int {
 
 func freeTestPort(t *testing.T) int {
 	t.Helper()
-	rng := rand.New(rand.NewSource(time.Now().UnixNano()))
-	for i := 0; i < 200; i++ {
-		p := 20000 + 2*rng.Intn(20000)
-		ok := true
-		for _, d := range []int{0, 1} {
-			l1, err := net.Listen("tcp", fmt.Sprintf("127.0.0.1:%d", p+d))
-			if err != nil {
-				ok = false
-				break
-			}
-			l1.Close()
-			l2, err := net.ListenPacket("udp", fmt.Sprintf("127.0.0.1:%d", p+d))
-			if err != nil {
-				ok = false
-				break
-			}
-			l2.Close()
-		}
-		if ok {
-			return p
-		}
+	p, err := testnet.FreePort(2)
+	if err != nil {
+		t.Fatal(err)
 	}
-	t.Fatal("no free port")
-	return 0
+	return p
 }
 
 // waitForListener blocks until a TCP listener on 127.0.0.1:port accepts,

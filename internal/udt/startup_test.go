@@ -218,11 +218,29 @@ func TestSlowStartFirst64KiB(t *testing.T) {
 	}
 }
 
-// ackProxy relays UDP between one client and a UDT listener. It counts
-// the ACKs the listener's side sends and drops them while drop is set.
+// ackProxy relays UDP between one client and a UDT listener. It records
+// when each ACK from the listener's side reached the relay socket, by the
+// kernel's receive stamp, and drops ACKs while drop is set.
 type ackProxy struct {
-	acks atomic.Int64
 	drop atomic.Bool
+
+	mu   sync.Mutex
+	acks []time.Time
+}
+
+// acksBetween counts the ACKs stamped in [from, to). The stamp is taken
+// on arrival, so a relay goroutine that reads late does not move an ACK
+// into a later window.
+func (p *ackProxy) acksBetween(from, to time.Time) int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	n := 0
+	for _, at := range p.acks {
+		if !at.Before(from) && at.Before(to) {
+			n++
+		}
+	}
+	return n
 }
 
 // proxiedPair is pair with an ackProxy between client and server.
@@ -239,6 +257,9 @@ func proxiedPair(t *testing.T) (client *Conn, server *Conn, p *ackProxy) {
 		t.Fatal(err)
 	}
 	back, err := net.DialUDP("udp", nil, l.Addr().(*net.UDPAddr))
+	if err == nil {
+		err = stampReads(back)
+	}
 	if err != nil {
 		front.Close()
 		t.Fatal(err)
@@ -263,12 +284,14 @@ func proxiedPair(t *testing.T) (client *Conn, server *Conn, p *ackProxy) {
 		defer wg.Done()
 		buf := make([]byte, maxDatagram)
 		for {
-			n, err := back.Read(buf)
+			n, at, err := readStamped(back, buf)
 			if err != nil {
 				return
 			}
 			if n > 0 && buf[0] == ctlAck {
-				p.acks.Add(1)
+				p.mu.Lock()
+				p.acks = append(p.acks, at)
+				p.mu.Unlock()
 				if p.drop.Load() {
 					continue
 				}
@@ -343,19 +366,21 @@ func TestSlowStartLightAcksStop(t *testing.T) {
 	server.mu.Lock()
 	next0 := server.rcvNextSeq
 	server.mu.Unlock()
-	acks0 := p.acks.Load()
-	const window = time.Second
-	time.Sleep(window)
-	acks := p.acks.Load() - acks0
+	from := time.Now()
+	time.Sleep(time.Second)
+	to := time.Now()
 	server.mu.Lock()
 	pkts := int(server.rcvNextSeq - next0)
 	server.mu.Unlock()
+	time.Sleep(100 * time.Millisecond) // the relay reads the window's last ACKs
+	acks := p.acksBetween(from, to)
 
+	window := to.Sub(from)
 	t.Logf("%d ACKs for %d packets in %v", acks, pkts, window)
 	if pkts < 10*lightAckEvery {
 		t.Fatalf("only %d packets arrived in %v; the check would be vacuous", pkts, window)
 	}
-	if limit := int64(window/synInterval) + 2; acks > limit {
+	if limit := int(window/synInterval) + 2; acks > limit {
 		t.Fatalf("%d ACKs in %v after start-up, the 10 ms timer allows %d", acks, window, limit)
 	}
 }

@@ -5,7 +5,6 @@ package vnet
 import (
 	"bytes"
 	"fmt"
-	"math/rand"
 	"net"
 	"sync"
 	"testing"
@@ -14,6 +13,7 @@ import (
 
 	"github.com/kompics/kompicsmessaging-go/internal/core"
 	"github.com/kompics/kompicsmessaging-go/internal/kompics"
+	"github.com/kompics/kompicsmessaging-go/internal/testnet"
 )
 
 func hostAddr(s string) core.BasicAddress { return core.MustParseAddress(s) }
@@ -265,20 +265,9 @@ func TestVNodeReflectionWithoutSerialization(t *testing.T) {
 
 func freeTestPort(t *testing.T) int {
 	t.Helper()
-	rng := rand.New(rand.NewSource(time.Now().UnixNano()))
-	for i := 0; i < 200; i++ {
-		p := 20000 + 2*rng.Intn(20000)
-		if l1, err := net.Listen("tcp", fmt.Sprintf("127.0.0.1:%d", p)); err == nil {
-			l1.Close()
-			if l2, err := net.ListenPacket("udp", fmt.Sprintf("127.0.0.1:%d", p)); err == nil {
-				l2.Close()
-				if l3, err := net.ListenPacket("udp", fmt.Sprintf("127.0.0.1:%d", p+1)); err == nil {
-					l3.Close()
-					return p
-				}
-			}
-		}
+	p, err := testnet.FreePort(2)
+	if err != nil {
+		t.Fatal(err)
 	}
-	t.Fatal("no free port")
-	return 0
+	return p
 }
