@@ -3,7 +3,9 @@
 #   make check          vet + kmlint + build + race-enabled tests (the CI gate)
 #   make test           plain test run (tier-1 verify)
 #   make test-faults    fault-injection, supervision and shutdown suite (the
-#                       two-process kmtransfer transfer included),
+#                       two-process kmtransfer transfer and the stopped or
+#                       killed Network answering every queued notify
+#                       included),
 #                       race-enabled and repeated to shake out nondeterminism
 #   make test-startup   UDT slow-start suite (window rules, light ACKs, time
 #                       to the first 64 KiB), race-enabled and repeated
@@ -23,7 +25,7 @@
 GO ?= go
 
 FAULT_PKGS = ./internal/faults/ ./internal/transport/ ./internal/core/ ./internal/udt/ ./internal/kompics/ ./cmd/kmtransfer/
-FAULT_RUN  = 'Fault|Supervis|Fallback|Overflow|PeerDeath|Revival|Stall|Blackhole|Backoff|Status|StopThenRestart|Shutdown'
+FAULT_RUN  = 'Fault|Supervis|Fallback|Overflow|PeerDeath|Revival|Stall|Blackhole|Backoff|Status|StopThenRestart|Shutdown|WindDown'
 
 STARTUP_PKGS = ./internal/udt/
 STARTUP_RUN  = 'SlowStart'

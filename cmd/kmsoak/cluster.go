@@ -257,6 +257,22 @@ func (c *cluster) quiesce() {
 	}
 }
 
+// drained reports whether the wind-down after stopTraffic is over: every
+// component queue drained, no transfer in flight, and nothing queued on
+// any channel, the condition the queue-drain gate rules on.
+func (c *cluster) drained() bool {
+	c.quiesce()
+	if c.xfer.running.Load() {
+		return false
+	}
+	for _, n := range c.nodes {
+		if n.net.QueueStats().Queued != 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // shutdown stops every system. Shutdown stops each started component, so
 // each network's OnStop closes its endpoint and recycles stage buffers.
 func (c *cluster) shutdown() {
@@ -361,12 +377,14 @@ func (r *rttCollector) Init(ctx *kompics.Context) {
 // xferDriver restarts the bulk transfer every time it completes, until
 // told to stop. The sender acknowledges failed chunks too (at-most-once),
 // so transfers complete sender-side even through an outage window.
+// running is set from a transfer's start to its completion.
 type xferDriver struct {
 	port    *kompics.Port
 	comp    *kompics.Component
 	reg     *stats.Registry
 	next    uint32
 	stopped atomic.Bool
+	running atomic.Bool
 }
 
 type startXfer struct{}
@@ -378,9 +396,11 @@ func (d *xferDriver) Init(ctx *kompics.Context) {
 	d.port = ctx.Requires(filetransfer.TransferPort)
 	begin := func() {
 		d.next++
+		d.running.Store(true)
 		ctx.Trigger(filetransfer.StartTransfer{TransferID: d.next}, d.port)
 	}
 	ctx.Subscribe(d.port, filetransfer.Complete{}, func(e kompics.Event) {
+		d.running.Store(false)
 		d.reg.Counter("transfers_total").Inc()
 		d.reg.Counter("transfer_bytes_total").Add(uint64(e.(filetransfer.Complete).Bytes))
 		if !d.stopped.Load() {

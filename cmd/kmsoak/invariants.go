@@ -14,18 +14,25 @@ import (
 // violation; main collects them all (a failing run reports every broken
 // invariant, not just the first) and exits nonzero if any tripped.
 
+// waitFor polls cond until it holds or wait runs out, whichever comes
+// first; the caller's gate then rules on the state cond observed.
+func waitFor(wait time.Duration, cond func() bool) {
+	for deadline := time.Now().Add(wait); !cond() && time.Now().Before(deadline); {
+		time.Sleep(20 * time.Millisecond)
+	}
+}
+
 // checkBufpool diffs the pool accounting across the whole run: after
 // every system has shut down, each Get must have settled its Put. A
 // nonzero total is a leaked pooled buffer somewhere on the wire path.
 // Teardown releases are asynchronous (channel run loops fail their
-// queues as they unwind), so the gate polls briefly before ruling.
+// queues as they unwind), so the gate polls before ruling.
 func checkBufpool(before bufpool.Accounting) error {
-	deadline := time.Now().Add(3 * time.Second)
-	after := bufpool.Account()
-	for after.Outstanding != before.Outstanding && time.Now().Before(deadline) {
-		time.Sleep(100 * time.Millisecond)
+	var after bufpool.Accounting
+	waitFor(3*time.Second, func() bool {
 		after = bufpool.Account()
-	}
+		return after.Outstanding == before.Outstanding
+	})
 	leaked := after.Outstanding - before.Outstanding
 	if leaked == 0 {
 		return nil

@@ -171,11 +171,11 @@ wait:
 	}
 	runner.Stop() // no-op when complete; clears stragglers otherwise
 
-	// Wind down: stop self-restarting drivers, let in-flight windows
-	// resolve, drain every component queue.
+	// Wind down: stop self-restarting drivers, then wait until in-flight
+	// windows have resolved and every queue has drained; the gates below
+	// rule on whatever is left once the wait ends.
 	c.stopTraffic()
-	time.Sleep(500 * time.Millisecond)
-	c.quiesce()
+	waitFor(3*time.Second, c.drained)
 	monitor.halt()
 
 	// The gates. Collect every violation, then report them all.
@@ -198,7 +198,6 @@ wait:
 	// pooled buffer must be home.
 	c.shutdown()
 	inj.Close()
-	time.Sleep(200 * time.Millisecond)
 	if err := checkBufpool(poolBaseline); err != nil {
 		failures = append(failures, err)
 	}

@@ -110,23 +110,6 @@ func NewFrameReader(r io.Reader) *bufio.Reader {
 	return bufio.NewReaderSize(r, readBufSize)
 }
 
-// FrameBuffered reports whether r's buffer already holds the whole of the
-// next frame, header and payload, within maxFrame — so a ReadFrame on r
-// returns it without reading from the underlying stream. A frame that
-// straddles the buffer's end, or one too large to accept, reports false.
-func FrameBuffered(r *bufio.Reader, maxFrame int) bool {
-	if maxFrame <= 0 {
-		maxFrame = DefaultMaxFrame
-	}
-	avail := r.Buffered()
-	if avail < frameHeaderLen {
-		return false
-	}
-	hdr, _ := r.Peek(frameHeaderLen) // buffered: Peek cannot read or fail
-	n := int64(binary.BigEndian.Uint32(hdr))
-	return n <= int64(maxFrame) && int64(avail) >= frameHeaderLen+n
-}
-
 // ReadFrame reads one length-prefixed frame into a buffer drawn from
 // bufpool. io.EOF is returned unchanged when the stream ends cleanly
 // between frames; a stream that ends mid-header or mid-payload yields

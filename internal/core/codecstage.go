@@ -81,7 +81,7 @@ func (st *codecStage) send(j *codecJob) {
 	var cb func(error)
 	if j.want {
 		id := j.id
-		cb = func(err error) { n.inbox.push(inboxItem{id: id, err: err}) }
+		cb = func(err error) { n.notify(id, true, err) }
 	}
 	st.ep.SendQoS(j.proto, j.dest, j.payload, j.qos, cb)
 }

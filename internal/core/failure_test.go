@@ -1,8 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"net"
 	"testing"
+	"time"
 
 	"github.com/kompics/kompicsmessaging-go/internal/transport"
 )
@@ -110,5 +112,58 @@ func TestStopThenRestartNetwork(t *testing.T) {
 		if string(m.Payload) != "probe" {
 			t.Fatalf("unexpected delivery %q", m.Payload)
 		}
+	}
+}
+
+// TestWindDownNotifiesQueuedOnStop and TestWindDownNotifiesQueuedOnKill
+// queue 20 NotifyReqs toward a port nobody listens on, the channel parked
+// in a one-hour redial backoff, and then stop or kill the sending Network.
+// The endpoint's Close fails every queued send, and each outcome must
+// reach the app as exactly one failed NotifyResp within 3 s, although the
+// Network component no longer handles events.
+func TestWindDownNotifiesQueuedOnStop(t *testing.T) {
+	testWindDownNotifies(t, func(n *supNode) { n.sys.Stop(n.netComp) })
+}
+
+func TestWindDownNotifiesQueuedOnKill(t *testing.T) {
+	testWindDownNotifies(t, func(n *supNode) { n.sys.Kill(n.netComp) })
+}
+
+func testWindDownNotifies(t *testing.T, halt func(*supNode)) {
+	const queued = 20
+	ports := freePorts(t, 2)
+	a := startSupervisedNode(t, ports[0], transport.Config{
+		RedialBackoff:    time.Hour,
+		RedialBackoffMax: time.Hour,
+	})
+	dead := MustParseAddress(fmt.Sprintf("127.0.0.1:%d", ports[1]))
+	for id := uint64(1); id <= queued; id++ {
+		a.send(NotifyReq{ID: id, Msg: &DataMsg{Hdr: NewHeader(a.self, dead, TCP), Payload: []byte("x")}})
+	}
+	awaitStatus(t, a.status.ch, StatusRetry)
+	waitFor(t, "every request queued", func() bool { return a.net.QueueStats().Queued == queued })
+
+	halt(a)
+	answered := make(map[uint64]bool, queued)
+	deadline := time.After(3 * time.Second)
+	for len(answered) < queued {
+		select {
+		case r := <-a.app.notifyCh:
+			if r.Sent() {
+				t.Fatalf("request %d reported sent to a dead port", r.ID)
+			}
+			if answered[r.ID] {
+				t.Fatalf("request %d answered twice", r.ID)
+			}
+			answered[r.ID] = true
+		case <-deadline:
+			t.Fatalf("%d of %d queued requests answered within 3 s", len(answered), queued)
+		}
+	}
+	a.sys.AwaitQuiescence()
+	select {
+	case r := <-a.app.notifyCh:
+		t.Fatalf("extra notify %+v after every request was answered", r)
+	default:
 	}
 }

@@ -6,8 +6,8 @@ package core
 // mailbox. Where the transport-level BenchmarkFaninReceive isolates the
 // inbound registry and read loops, this one additionally covers the
 // decode (decompress + decode) that each receiving read loop runs on
-// every inbound frame, and the inbox hand-off into the component. Run
-// with
+// every inbound frame, and the Trigger from that loop into the receiving
+// app's mailbox. Run with
 //
 //	go test -run '^$' -bench FaninReceiveNetwork -benchmem ./internal/core/
 //

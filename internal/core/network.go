@@ -99,7 +99,6 @@ type Network struct {
 	port       *kompics.Port
 	statusPort *kompics.Port
 	ep         *transport.Endpoint
-	comp       *kompics.Component
 	ctx        *kompics.Context
 	epsMu      sync.Mutex // guards ep swaps across restarts
 	// stageLimit is the inflight bound the codec stage is built with at
@@ -116,9 +115,6 @@ type Network struct {
 	// dests caches each destination's wire string (wireDest); touched only
 	// on the component thread, so it needs no lock.
 	dests map[destKey]string
-	// inbox carries decoded messages, send outcomes and status events
-	// from other goroutines into component context (inbox.go).
-	inbox inbox
 }
 
 // destKey identifies a cached wire destination: an address's IP and port,
@@ -192,8 +188,6 @@ func (n *Network) setEndpoint(ep *transport.Endpoint) {
 // Init implements kompics.Definition.
 func (n *Network) Init(ctx *kompics.Context) {
 	n.ctx = ctx
-	n.comp = ctx.Component()
-	n.inbox.comp = n.comp
 	n.port = ctx.Provides(NetworkPort)
 	n.statusPort = ctx.Provides(NetworkStatusPort)
 
@@ -203,13 +197,11 @@ func (n *Network) Init(ctx *kompics.Context) {
 		n.tcfg.Protocols = n.cfg.Protocols
 	}
 	n.tcfg.Logger = n.cfg.Logger
-	// Supervision events are raised on transport goroutines; hop into
-	// component context through the inbox before publishing them on the
-	// status port.
-	n.tcfg.OnStatus = func(ev transport.StatusEvent) {
-		n.inbox.push(inboxItem{status: &ev})
-	}
-	n.tcfg.OnMessages = n.receive
+	// Supervision events and inbound payloads arrive on transport
+	// goroutines and are published from there: Trigger is goroutine-safe
+	// and each subscriber's mailbox is FIFO.
+	n.tcfg.OnStatus = n.publishStatus
+	n.tcfg.OnMessage = n.receive
 	// Reject a bad transport config at Create instead of faulting the
 	// component at Start.
 	if _, err := transport.NewEndpoint(n.tcfg); err != nil {
@@ -223,7 +215,6 @@ func (n *Network) Init(ctx *kompics.Context) {
 		req := e.(NotifyReq)
 		n.sendMsg(req.Msg, req.ID, true)
 	})
-	ctx.SubscribeSelf(drainInbox{}, func(kompics.Event) { n.drain() })
 	n.registerMetrics()
 
 	// Endpoints are single-use: each Start builds a fresh one, so the
@@ -249,9 +240,11 @@ func (n *Network) Init(ctx *kompics.Context) {
 func (n *Network) stop() {
 	// Codec stage first: its close waits for in-flight encodes, whose
 	// releases still reach the live endpoint and resolve through its
-	// notify contract; then the endpoint, whose Close waits for the read
-	// loops — each decodes its batch before reading the next, so once
-	// Close returns no inbound frame is left undecoded.
+	// notify contract; then the endpoint, whose Close fails what is still
+	// queued (each notify triggers its NotifyResp directly, so subscribers
+	// get it although this component is stopping) and waits for the read
+	// loops — each decodes and triggers a frame before reading the next,
+	// so once Close returns no inbound frame is left undelivered.
 	if st := n.stage; st != nil {
 		n.stage = nil
 		st.close()
@@ -261,26 +254,20 @@ func (n *Network) stop() {
 	}
 }
 
-// receive is every endpoint's OnMessages callback: it decodes one inbound
-// batch on the transport goroutine that read it and queues the messages
-// on the inbox in one push. Ownership of the pooled payloads passes here
-// and on to decodeWire, which consumes each. A stream connection has a
-// single read goroutine, so its messages reach the inbox in wire order;
-// other peers decode in parallel on their own read goroutines, and a slow
-// decode stalls only its own connection.
-func (n *Network) receive(_ transport.From, payloads [][]byte) {
-	// Transport batches hold at most 64 frames, so msgs stays in buf.
-	var buf [64]Msg
-	msgs := buf[:0]
-	for _, p := range payloads {
-		m, err := n.decodeWire(p)
-		if err != nil {
-			n.warn(n.recvWarn, "core: dropping inbound message", err)
-		} else if m != nil { // nil: an empty payload, silently ignored
-			msgs = append(msgs, m)
-		}
+// receive is every endpoint's OnMessage callback: it decodes one inbound
+// payload on the transport goroutine that read it and triggers the
+// message on the port from there. Ownership of the pooled payload passes
+// here and on to decodeWire, which consumes it. A stream connection has a
+// single read goroutine, so its messages reach subscribers' mailboxes in
+// wire order; other peers decode in parallel on their own read
+// goroutines, and a slow decode stalls only its own connection.
+func (n *Network) receive(_ transport.From, payload []byte) {
+	m, err := n.decodeWire(payload)
+	if err != nil {
+		n.warn(n.recvWarn, "core: dropping inbound message", err)
+	} else if m != nil { // nil: an empty payload, silently ignored
+		n.ctx.Trigger(m, n.port)
 	}
-	n.inbox.pushMsgs(msgs)
 }
 
 // sendMsg routes one outgoing message: local reflection, or serialise +
@@ -366,9 +353,10 @@ const (
 
 // notify resolves one send: a NotifyResp on the port when the sender
 // asked for one, otherwise a rate-limited warn on failure (a dead peer
-// under fan-out load fails every message). Callable from codec workers as
-// well as the component thread — Trigger is goroutine-safe and the
-// limiter locks.
+// under fan-out load fails every message). Callable from any goroutine —
+// the component thread, codec workers, and the endpoint's notify
+// callbacks, including those Close fires after the component stopped —
+// as Trigger is goroutine-safe and the limiter locks.
 func (n *Network) notify(id uint64, want bool, err error) {
 	if !want {
 		if err != nil {

@@ -40,7 +40,8 @@ var NetworkStatusPort = kompics.NewPortType("NetworkStatus").
 func (n *Network) StatusPort() *kompics.Port { return n.statusPort }
 
 // publishStatus counts a transport supervision event and triggers it on
-// the status port. Runs in component context.
+// the status port. It is the endpoint's OnStatus callback, so it runs on
+// channel goroutines; the registry and Trigger are goroutine-safe.
 func (n *Network) publishStatus(ev transport.StatusEvent) {
 	if reg := n.cfg.Metrics; reg != nil {
 		reg.Counter(n.cfg.MetricsPrefix + "status_" + ev.Kind.String() + "_total").Inc()

@@ -43,11 +43,11 @@ const bufpoolPkg = "internal/bufpool"
 // layer (facts.go) now derives the same property from the callee's own
 // body — a parameter is a transfer sink when its value provably reaches
 // bufpool.Put, a store, a channel, or another inferred sink — and exports
-// it across packages, so Endpoint.deliver, Network.receive,
-// pktRing.storeOwned, outMsg.release and Endpoint.Send all classify
-// themselves. The one name that survives is OnMessage(s): transport.Config's
-// function-field callbacks whose handoff is documented API, with no body
-// behind the field for inference to read.
+// it across packages, so Network.receive, pktRing.storeOwned,
+// outMsg.release and Endpoint.Send all classify themselves. The one name
+// that survives is OnMessage: transport.Config's function-field callback
+// whose handoff is documented API, with no body behind the field for
+// inference to read.
 
 func runBufLeak(pass *Pass) {
 	for _, file := range pass.Files {
@@ -518,10 +518,9 @@ func (lk *leakScan) callReleases(call *ast.CallExpr) bool {
 	if len(argUses) == 0 {
 		return false
 	}
-	// Callee is a function value; only the documented OnMessage(s)
-	// contract transfers ownership (transport.Config.OnMessage and
-	// OnMessages are func fields — fixtures and core bind them under both
-	// spellings).
+	// Callee is a function value; only the documented OnMessage contract
+	// transfers ownership (transport.Config.OnMessage is a func field —
+	// fixtures bind it as OnMessage and onMessage).
 	name := ""
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.SelectorExpr:
@@ -532,10 +531,10 @@ func (lk *leakScan) callReleases(call *ast.CallExpr) bool {
 	return isOnMessageSink(name)
 }
 
-// isOnMessageSink matches the documented ownership-transfer callbacks by
-// name: transport.Config's OnMessage and OnMessages function fields.
+// isOnMessageSink matches the documented ownership-transfer callback by
+// name: transport.Config's OnMessage function field.
 func isOnMessageSink(name string) bool {
-	return strings.EqualFold(name, "onmessage") || strings.EqualFold(name, "onmessages")
+	return strings.EqualFold(name, "onmessage")
 }
 
 // usesNode reports whether any identifier under n resolves to the tracked

@@ -435,8 +435,6 @@ func (f *Facts) taintTransfers(rec *funcRec, seed types.Object) bool {
 			ts.assign(t)
 		case *ast.DeclStmt:
 			ts.declare(t)
-		case *ast.RangeStmt:
-			ts.rangeOver(t)
 		case *ast.SendStmt:
 			if ts.exprTaints(t.Value) {
 				ts.transferred = true
@@ -553,30 +551,10 @@ func (ts *taintScan) declare(t *ast.DeclStmt) {
 	}
 }
 
-// rangeOver makes the value variable of a range over a tainted batch a
-// local alias (for _, p := range payloads): each element is a buffer. A
-// basic-typed element (a byte of a buffer) carries no ownership.
-func (ts *taintScan) rangeOver(t *ast.RangeStmt) {
-	id, ok := t.Value.(*ast.Ident)
-	if !ok || !ts.exprTaints(t.X) {
-		return
-	}
-	obj := ts.info.Defs[id]
-	if obj == nil {
-		obj = ts.info.Uses[id]
-	}
-	if obj == nil {
-		return
-	}
-	if _, basic := obj.Type().Underlying().(*types.Basic); !basic {
-		ts.tainted[obj] = true
-	}
-}
-
 // call applies the transfer rules at a call site: bufpool recycling,
 // summarized transfer parameters/receivers, and the one contract that
-// stays name-based — OnMessage(s), transport.Config's function-field
-// callbacks, whose ownership handoff is documented API, not inferable
+// stays name-based — OnMessage, transport.Config's function-field
+// callback, whose ownership handoff is documented API, not inferable
 // from a body the analyzer can see.
 func (ts *taintScan) call(call *ast.CallExpr) {
 	var taintedArgs []int

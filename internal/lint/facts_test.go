@@ -2,11 +2,11 @@ package lint
 
 // facts_test validates the interprocedural summaries against the real
 // module, not fixtures: before the facts layer, bufleak carried a
-// hardcoded table of ownership-transfer sinks (Endpoint.deliver,
-// Endpoint.Send, the core receive callback, pktRing.storeOwned,
-// outMsg.release). The table is gone; these tests pin that inference
-// rederives every entry, so a regression in the taint walk surfaces here
-// and not as a silent hole in bufleak.
+// hardcoded table of ownership-transfer sinks (Endpoint.Send, the core
+// receive callback, pktRing.storeOwned, outMsg.release). The table is
+// gone; these tests pin that inference rederives every entry still in the
+// code, so a regression in the taint walk surfaces here and not as a
+// silent hole in bufleak.
 
 import (
 	"go/types"
@@ -70,7 +70,6 @@ func TestInferredTransferFacts(t *testing.T) {
 		rel, typ, method string
 		param            int // -1: receiver transfer
 	}{
-		{"internal/transport", "Endpoint", "deliver", 1},
 		{"internal/transport", "Endpoint", "Send", 2},
 		{"internal/transport", "outMsg", "release", -1},
 		{"internal/udt", "pktRing", "storeOwned", 1},

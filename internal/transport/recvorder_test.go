@@ -16,12 +16,10 @@ import (
 )
 
 // faninCollector records, per origin (From), the sequence numbers it
-// receives in arrival order — the receive-side mirror of seqCollector —
-// and, when wired as OnMessages, the size of every batch.
+// receives in arrival order — the receive-side mirror of seqCollector.
 type faninCollector struct {
-	mu      sync.Mutex
-	seqs    map[From][]uint32
-	batches []int
+	mu   sync.Mutex
+	seqs map[From][]uint32
 }
 
 func newFaninCollector() *faninCollector {
@@ -35,15 +33,6 @@ func (c *faninCollector) onMessage(from From, p []byte) {
 	}
 	c.mu.Unlock()
 	bufpool.Put(p)
-}
-
-func (c *faninCollector) onMessages(from From, payloads [][]byte) {
-	c.mu.Lock()
-	c.batches = append(c.batches, len(payloads))
-	c.mu.Unlock()
-	for _, p := range payloads {
-		c.onMessage(from, p)
-	}
 }
 
 func (c *faninCollector) total() int {
@@ -320,19 +309,16 @@ func TestRecvOrderDeathsAcrossReconnects(t *testing.T) {
 	}
 }
 
-// rawTCPReceiver starts a TCP-only endpoint delivering to col, per batch
-// (OnMessages) or through the per-payload OnMessage adapter, and dials a
+// rawTCPReceiver starts a TCP-only endpoint delivering to col and dials a
 // raw client connection to it, so the test controls exactly how the bytes
 // are written.
-func rawTCPReceiver(t *testing.T, col *faninCollector, perBatch bool) (*Endpoint, net.Conn) {
+func rawTCPReceiver(t *testing.T, col *faninCollector) (*Endpoint, net.Conn) {
 	t.Helper()
-	cfg := Config{ListenAddr: "127.0.0.1:0", Protocols: []wire.Transport{wire.TCP}}
-	if perBatch {
-		cfg.OnMessages = col.onMessages
-	} else {
-		cfg.OnMessage = col.onMessage
-	}
-	recv, err := NewEndpoint(cfg)
+	recv, err := NewEndpoint(Config{
+		ListenAddr: "127.0.0.1:0",
+		Protocols:  []wire.Transport{wire.TCP},
+		OnMessage:  col.onMessage,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,12 +371,9 @@ func checkOneOrigin(t *testing.T, col *faninCollector, n int) {
 // TestRecvOrderRawTCPBatchedReads drives the buffered TCP read path from a
 // raw client: 2 000 frames of mixed sizes arrive once as a single Write
 // (many frames per read, frames straddling the read buffer's edge) and
-// once one byte per Write (every header and payload split across reads),
-// each way through OnMessages and through the OnMessage adapter. Every
-// frame is delivered in order, the connection's InboundTotals count
-// exactly the frames and payload bytes sent, no batch exceeds
-// maxReadBatch, and the single Write is delivered in batches of more than
-// one frame.
+// once one byte per Write (every header and payload split across reads).
+// Every frame reaches OnMessage in order, and the connection's
+// InboundTotals count exactly the frames and payload bytes sent.
 func TestRecvOrderRawTCPBatchedReads(t *testing.T) {
 	const frames = 2000
 	stream, payloadBytes := seqFrames(nil, 0, frames)
@@ -412,51 +395,30 @@ func TestRecvOrderRawTCPBatchedReads(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			for _, perBatch := range []bool{true, false} {
-				name := "OnMessage"
-				if perBatch {
-					name = "OnMessages"
+			t.Run("OnMessage", func(t *testing.T) {
+				leakCheck(t)
+				col := newFaninCollector()
+				recv, conn := rawTCPReceiver(t, col)
+				if err := tc.write(conn); err != nil {
+					t.Fatal(err)
 				}
-				t.Run(name, func(t *testing.T) {
-					leakCheck(t)
-					col := newFaninCollector()
-					recv, conn := rawTCPReceiver(t, col, perBatch)
-					if err := tc.write(conn); err != nil {
-						t.Fatal(err)
-					}
-					want := InboundSummary{Conns: 1, Frames: frames, Bytes: payloadBytes}
-					waitForCond(t, "every frame accounted", func() bool {
-						return recv.InboundTotals() == want
-					})
-					checkOneOrigin(t, col, frames)
-					if !perBatch {
-						return
-					}
-					col.mu.Lock()
-					defer col.mu.Unlock()
-					largest := 0
-					for _, n := range col.batches {
-						largest = max(largest, n)
-					}
-					if largest > maxReadBatch {
-						t.Fatalf("a batch of %d frames, bound %d", largest, maxReadBatch)
-					}
-					if tc.name == "one write" && largest < 2 {
-						t.Fatalf("%d frames in one Write arrived in %d batches of one", frames, len(col.batches))
-					}
+				want := InboundSummary{Conns: 1, Frames: frames, Bytes: payloadBytes}
+				waitForCond(t, "every frame accounted", func() bool {
+					return recv.InboundTotals() == want
 				})
-			}
+				checkOneOrigin(t, col, frames)
+			})
 		})
 	}
 }
 
 // TestRecvOrderReadBatchStraddle: a frame cut at the end of what has been
-// written ends the batch before it and is delivered only once its last
-// byte arrives, in a batch of its own — no later write is needed.
+// written is delivered only once its last byte arrives, after the frames
+// before it — no later write is needed.
 func TestRecvOrderReadBatchStraddle(t *testing.T) {
 	leakCheck(t)
 	col := newFaninCollector()
-	_, conn := rawTCPReceiver(t, col, true)
+	_, conn := rawTCPReceiver(t, col)
 	stream, _ := seqFrames(nil, 0, 10)
 	whole := len(stream)
 	stream, _ = seqFrames(stream, 10, 11)
@@ -474,19 +436,14 @@ func TestRecvOrderReadBatchStraddle(t *testing.T) {
 	}
 	waitForCond(t, "the completed frame", func() bool { return col.total() == 11 })
 	checkOneOrigin(t, col, 11)
-	col.mu.Lock()
-	defer col.mu.Unlock()
-	if last := col.batches[len(col.batches)-1]; last != 1 {
-		t.Fatalf("the completed frame arrived in a batch of %d, want 1", last)
-	}
 }
 
-// TestRecvOrderReadBatchLoneFrame: after a batch, a single frame written
+// TestRecvOrderReadBatchLoneFrame: after a burst, a single frame written
 // on its own is delivered without any later write to flush it.
 func TestRecvOrderReadBatchLoneFrame(t *testing.T) {
 	leakCheck(t)
 	col := newFaninCollector()
-	_, conn := rawTCPReceiver(t, col, true)
+	_, conn := rawTCPReceiver(t, col)
 	stream, _ := seqFrames(nil, 0, 100)
 	if _, err := conn.Write(stream); err != nil {
 		t.Fatal(err)

@@ -10,7 +10,6 @@
 package transport
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -103,31 +102,23 @@ type Config struct {
 	// (up/down/retry/fallback). Called from channel goroutines outside
 	// endpoint locks; implementations must be goroutine-safe and fast.
 	OnStatus func(StatusEvent)
-	// OnMessages receives inbound payloads in batches; exactly one of
-	// OnMessages and OnMessage is required. A batch is a contiguous run
-	// of one origin's payloads in wire order: every complete frame one
-	// buffered TCP read brought in, or a single payload (UDT, UDP, and a
-	// TCP frame that needed more reads). The read loop never waits for
-	// bytes to grow a batch. Both the framed (TCP/UDT) and the datagram
-	// (UDP) paths funnel into this callback under one contract:
+	// OnMessage receives every inbound payload and is required. Both the
+	// framed (TCP/UDT) and the datagram (UDP) paths call it under one
+	// contract:
 	//
 	//   - It is called from transport goroutines (one read loop per
 	//     stream connection, one for the UDP socket); implementations
 	//     must be goroutine-safe. A slow callback applies backpressure
 	//     to its own connection only — frames from other peers arrive on
 	//     other goroutines.
-	//   - Ownership of each payload buffer (drawn from bufpool) passes to
+	//   - Ownership of the payload buffer (drawn from bufpool) passes to
 	//     the callback at the call: once done with the bytes it must
 	//     return them with bufpool.Put exactly once, and it must not
 	//     touch the slice after Put. Dropping a buffer is memory-safe
-	//     but costs a future allocation. The payloads slice itself is
-	//     the reader's scratch, valid only during the call.
+	//     but costs a future allocation.
 	//   - from identifies the origin; payloads sharing a From arrive in
 	//     wire order, and consumers that process messages concurrently
 	//     must preserve that per-(Proto, Peer) FIFO themselves.
-	OnMessages func(from From, payloads [][]byte)
-	// OnMessage is the per-payload form of OnMessages, under the same
-	// contract; the endpoint calls it once per payload of each batch.
 	OnMessage func(from From, payload []byte)
 	// Logger receives connection-level diagnostics (default slog.Default).
 	Logger *slog.Logger
@@ -163,13 +154,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Logger == nil {
 		c.Logger = slog.Default()
-	}
-	if on := c.OnMessage; c.OnMessages == nil && on != nil {
-		c.OnMessages = func(from From, payloads [][]byte) {
-			for _, p := range payloads {
-				on(from, p)
-			}
-		}
 	}
 	return c
 }
@@ -208,8 +192,8 @@ type chanKey struct {
 
 // NewEndpoint validates cfg and prepares an endpoint; call Start to bind.
 func NewEndpoint(cfg Config) (*Endpoint, error) {
-	if (cfg.OnMessage == nil) == (cfg.OnMessages == nil) {
-		return nil, errors.New("transport: exactly one of Config.OnMessages and Config.OnMessage is required")
+	if cfg.OnMessage == nil {
+		return nil, errors.New("transport: Config.OnMessage is required")
 	}
 	if cfg.ListenAddr == "" {
 		return nil, errors.New("transport: Config.ListenAddr is required")
@@ -443,7 +427,6 @@ func (e *Endpoint) startUDP() error {
 		// loop does not re-format (and re-allocate) it per datagram.
 		// Owned by this goroutine only; no lock.
 		peers := make(map[netip.AddrPort]string)
-		var one [1][]byte // the batch of one each datagram is delivered as
 		for {
 			n, src, err := sock.ReadFromUDPAddrPort(buf)
 			if err != nil {
@@ -464,8 +447,7 @@ func (e *Endpoint) startUDP() error {
 			// it to bufpool) while this goroutine reuses buf.
 			payload := bufpool.Get(n)
 			copy(payload, buf[:n])
-			one[0] = payload
-			e.deliver(From{Proto: wire.UDP, Peer: peer}, one[:])
+			e.cfg.OnMessage(From{Proto: wire.UDP, Peer: peer}, payload)
 		}
 	}()
 	return nil
@@ -476,32 +458,15 @@ func (e *Endpoint) startUDP() error {
 // for a bounded footprint under address churn.
 const maxUDPPeerCache = 1 << 14
 
-// maxReadBatch bounds the frames one OnMessages call carries, and with it
-// the decode work core's receive callback does on this read loop before
-// its one inbox push: a buffer full of tiny frames still reaches the
-// component in pieces.
-const maxReadBatch = 64
-
-// deliver hands one inbound batch to the configured callback — the single
-// funnel for both the framed (readFrames) and the datagram (UDP read loop)
-// paths. Ownership of each pooled payload passes to cfg.OnMessages at this
-// call, per the contract documented on Config.OnMessages; the transport
-// never touches those slices again.
-func (e *Endpoint) deliver(from From, payloads [][]byte) {
-	e.cfg.OnMessages(from, payloads)
-}
-
 // readFrames pumps length-prefixed frames from an inbound stream
 // connection to the message callback until the stream ends or the
 // endpoint closes. The connection is in the inbound set for its whole
 // life; per-frame accounting is on its own atomics.
 //
 // TCP reads go through one frame buffer per connection, so a read(2)
-// brings in up to 32 KiB of frames instead of costing two per frame, and
-// every frame already complete in that buffer goes up in the same
-// OnMessages batch. UDT stays unbuffered, so its batches hold one frame:
-// its Read is a copy out of the userspace receive ring, not a syscall, so
-// a buffer would only add a copy.
+// brings in up to 32 KiB of frames instead of costing two per frame. UDT
+// stays unbuffered: its Read is a copy out of the userspace receive ring,
+// not a syscall, so a buffer would only add a copy.
 func (e *Endpoint) readFrames(proto wire.Transport, conn net.Conn) {
 	ic, ok := e.inbound.add(proto, conn)
 	if !ok {
@@ -512,38 +477,20 @@ func (e *Endpoint) readFrames(proto wire.Transport, conn net.Conn) {
 		e.inbound.remove(ic)
 		conn.Close()
 	}()
-	var (
-		r  io.Reader = conn
-		br *bufio.Reader
-	)
+	var r io.Reader = conn
 	if proto == wire.TCP {
-		br = codec.NewFrameReader(conn)
-		r = br
+		r = codec.NewFrameReader(conn)
 	}
-	// batch is this loop's scratch; each payload in it is owned by the
-	// callback from the OnMessages call on.
-	batch := make([][]byte, 0, 1)
 	for {
 		payload, err := codec.ReadFrame(r, e.cfg.MaxFrame)
 		if err != nil {
 			return
 		}
-		batch = append(batch, payload)
 		size := len(payload)
-		for br != nil && len(batch) < maxReadBatch && codec.FrameBuffered(br, e.cfg.MaxFrame) {
-			p, err := codec.ReadFrame(br, e.cfg.MaxFrame)
-			if err != nil {
-				break // unreachable for a buffered frame; the next read reports it
-			}
-			batch = append(batch, p)
-			size += len(p)
-		}
 		// Count after delivery, so totals never run ahead of the callback.
-		e.deliver(ic.from, batch)
-		ic.frames.Add(uint64(len(batch)))
+		e.cfg.OnMessage(ic.from, payload)
+		ic.frames.Add(1)
 		ic.bytes.Add(uint64(size))
-		clear(batch)
-		batch = batch[:0]
 	}
 }
 

@@ -107,13 +107,6 @@ func TestNewEndpointValidation(t *testing.T) {
 	if _, err := NewEndpoint(Config{ListenAddr: "127.0.0.1:0"}); err == nil {
 		t.Fatal("missing OnMessage accepted")
 	}
-	if _, err := NewEndpoint(Config{
-		ListenAddr: "127.0.0.1:0",
-		OnMessage:  func(From, []byte) {},
-		OnMessages: func(From, [][]byte) {},
-	}); err == nil {
-		t.Fatal("both OnMessage and OnMessages accepted")
-	}
 	if _, err := NewEndpoint(Config{OnMessage: func(From, []byte) {}}); err == nil {
 		t.Fatal("missing ListenAddr accepted")
 	}
