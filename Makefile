@@ -20,7 +20,7 @@
 #                       large-scale campaign that prints its bench line
 #   make soak           run the kmsoak chaos harness over real loopback
 #                       sockets (exit nonzero if any liveness gate trips)
-#   make bench          full benchmark sweep (figures + ablations)
+#   make bench          regenerate every figure of the paper (kmbench -fig all)
 
 GO ?= go
 
@@ -164,4 +164,4 @@ test-qos:
 	$(GO) test -race -count=3 -run $(QOS_RUN) $(QOS_PKGS)
 
 bench:
-	$(GO) test -bench . -benchmem
+	$(GO) run ./cmd/kmbench -fig all

@@ -250,6 +250,23 @@ func TestFigure8Shape(t *testing.T) {
 	}
 }
 
+// TestFigure8EverySetup runs figure 8 on its default setups, briefly:
+// every setup × scenario cell must produce a row of answered pings.
+func TestFigure8EverySetup(t *testing.T) {
+	rows, err := Figure8(Fig8Options{Pings: 5, Warmup: 5 * time.Second, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := len(netsim.Setups()) * len(Figure8Scenarios()); len(rows) != want {
+		t.Fatalf("rows = %d, want %d (setups × scenarios)", len(rows), want)
+	}
+	for _, r := range rows {
+		if r.Pings != 5 || r.MeanRTT <= 0 {
+			t.Errorf("%s/%s: %d pings, mean RTT %v", r.Setup, r.Scenario, r.Pings, r.MeanRTT)
+		}
+	}
+}
+
 // --- Figures 2 and 4–6 ------------------------------------------------------------
 
 func tailMean(points []LearnerPoint, n int, f func(LearnerPoint) float64) float64 {

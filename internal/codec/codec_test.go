@@ -440,8 +440,16 @@ func TestFlateInvalidLevelFallsBack(t *testing.T) {
 
 func TestFlateDecompressGarbage(t *testing.T) {
 	c := NewFlate(flate.DefaultCompression)
-	if _, err := c.Decompress([]byte{0xFF, 0x00, 0x12}); err == nil {
-		t.Fatal("decompressing garbage succeeded")
+	packed, err := c.Compress(bytes.Repeat([]byte("compressible text "), 1000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Garbage, and a stream cut short, which must not pass as a shorter
+	// payload.
+	for _, in := range [][]byte{{0xFF, 0x00, 0x12}, packed[:len(packed)/2]} {
+		if _, err := c.Decompress(in); err == nil {
+			t.Fatalf("decompressing garbage %x succeeded", in)
+		}
 	}
 }
 

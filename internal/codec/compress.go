@@ -86,6 +86,12 @@ type flateDecoder struct {
 	fr  io.ReadCloser // always implements flate.Resetter
 }
 
+// inflateScratch recycles the buffers Decompress inflates into: one per
+// call in flight, shared by every Flate. Each has room for one byte over
+// the frame limit plus ReadFrom's minimum read, so inflating never grows
+// it.
+var inflateScratch = sync.Pool{New: func() any { return bytes.NewBuffer(make([]byte, 0, DefaultMaxFrame+1+bytes.MinRead)) }}
+
 // NewFlate creates a DEFLATE compressor. Levels follow compress/flate;
 // out-of-range values fall back to flate.DefaultCompression.
 func NewFlate(level int) *Flate {
@@ -126,7 +132,9 @@ func (f *Flate) AppendCompress(dst, src []byte) ([]byte, error) {
 }
 
 // Decompress implements Compressor. The returned slice is drawn from
-// bufpool; the caller owns it and may recycle it with bufpool.Put.
+// bufpool; the caller owns it and may recycle it with bufpool.Put. Output
+// past DefaultMaxFrame fails with ErrValueOutOfBounds, having buffered no
+// more than that, so a small frame cannot make its receiver inflate more.
 func (f *Flate) Decompress(src []byte) ([]byte, error) {
 	d, _ := f.dec.Get().(*flateDecoder)
 	if d == nil {
@@ -136,20 +144,19 @@ func (f *Flate) Decompress(src []byte) ([]byte, error) {
 	if err := d.fr.(flate.Resetter).Reset(&d.src, nil); err != nil {
 		return nil, fmt.Errorf("codec: flate reset: %w", err)
 	}
-	scratch := bufpool.GetBuffer()
-	_, err := scratch.ReadFrom(io.LimitReader(d.fr, maxChunk+1))
+	scratch := inflateScratch.Get().(*bytes.Buffer)
+	defer inflateScratch.Put(scratch)
+	scratch.Reset()
+	_, err := scratch.ReadFrom(io.LimitReader(d.fr, DefaultMaxFrame+1))
 	d.src.Reset(nil)
 	f.dec.Put(d)
 	if err != nil {
-		bufpool.PutBuffer(scratch)
 		return nil, fmt.Errorf("codec: flate decompress: %w", err)
 	}
-	if scratch.Len() > maxChunk {
-		bufpool.PutBuffer(scratch)
-		return nil, fmt.Errorf("%w: decompressed payload", ErrValueOutOfBounds)
+	if scratch.Len() > DefaultMaxFrame {
+		return nil, fmt.Errorf("%w: decompressed payload over %d bytes", ErrValueOutOfBounds, DefaultMaxFrame)
 	}
 	out := bufpool.Get(scratch.Len())
 	copy(out, scratch.Bytes())
-	bufpool.PutBuffer(scratch)
 	return out, nil
 }

@@ -5,8 +5,11 @@ package codec
 
 import (
 	"bytes"
+	"compress/flate"
+	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -148,5 +151,61 @@ func TestAppendCompressGrowsDst(t *testing.T) {
 	}
 	if !bytes.Equal(round, in) {
 		t.Fatal("corrupted round trip after dst growth")
+	}
+}
+
+// TestFlateDecompressRefusesInflationBomb feeds Decompress 64 MiB of
+// zeros deflated to well under one frame: it must fail with
+// ErrValueOutOfBounds, having buffered no more than about one frame
+// limit of output rather than the whole inflated stream.
+func TestFlateDecompressRefusesInflationBomb(t *testing.T) {
+	var packed bytes.Buffer
+	fw, err := flate.NewWriter(&packed, flate.BestSpeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	zeros := make([]byte, 1<<20)
+	for i := 0; i < 64; i++ {
+		if _, err := fw.Write(zeros); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := fw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if packed.Len() > DefaultMaxFrame {
+		t.Fatalf("deflated bomb is %d bytes, want it to fit one frame", packed.Len())
+	}
+
+	c := NewFlate(-1)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	out, err := c.Decompress(packed.Bytes())
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrValueOutOfBounds) {
+		t.Fatalf("Decompress = %d bytes, err %v; want ErrValueOutOfBounds", len(out), err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 8*DefaultMaxFrame {
+		t.Fatalf("Decompress allocated %d bytes for a refused payload, want < %d",
+			grew, 8*DefaultMaxFrame)
+	}
+}
+
+// TestFlateDecompressAtTheLimit pins the limit's edge: output of exactly
+// DefaultMaxFrame bytes inflates, one byte more is refused.
+func TestFlateDecompressAtTheLimit(t *testing.T) {
+	c := NewFlate(flate.BestSpeed)
+	for _, size := range []int{DefaultMaxFrame, DefaultMaxFrame + 1} {
+		packed, err := c.Compress(make([]byte, size))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := c.Decompress(packed)
+		switch {
+		case size <= DefaultMaxFrame && (err != nil || len(out) != size):
+			t.Fatalf("%d B: Decompress = %d B, %v; want all of it", size, len(out), err)
+		case size > DefaultMaxFrame && !errors.Is(err, ErrValueOutOfBounds):
+			t.Fatalf("%d B: Decompress = %d B, %v; want ErrValueOutOfBounds", size, len(out), err)
+		}
 	}
 }

@@ -11,9 +11,12 @@ import (
 	"github.com/kompics/kompicsmessaging-go/internal/bufpool"
 )
 
-// DefaultMaxFrame is the default upper bound on a single frame's payload.
-// The paper's implementation used 65 kB Netty serialisation buffers; we
-// allow some headroom for headers and compression expansion.
+// DefaultMaxFrame is the upper bound on a single frame's payload, and on a
+// serialised message either side of compression: the transport frames and
+// reads against it, core refuses to encode a larger message, and
+// Flate.Decompress refuses to inflate past it. The paper's implementation
+// used 65 kB Netty serialisation buffers; we allow some headroom for
+// headers and compression expansion.
 const DefaultMaxFrame = 1 << 20
 
 // FrameHeaderLen is the size of the length prefix on stream transports,
@@ -25,7 +28,7 @@ const frameHeaderLen = FrameHeaderLen
 
 // AppendFrame appends one length-prefixed frame (header + payload) to dst
 // and returns the extended slice. It performs no size validation — callers
-// batching pre-validated messages (transport.Send checks against MaxFrame)
+// batching pre-validated messages (transport.Send checks against DefaultMaxFrame)
 // use it to pack several frames into one pooled buffer for a single
 // vectored or coalesced write.
 func AppendFrame(dst, payload []byte) []byte {

@@ -384,7 +384,9 @@ func (n *Network) warn(l *stats.LogLimiter, msg string, err error) {
 // encode serialises and optionally compresses a message into a buffer
 // drawn from bufpool. Ownership of the returned slice passes to the
 // caller — sendMsg hands it to transport.Send, which recycles it once the
-// write outcome is decided.
+// write outcome is decided. A message whose serialised form would not fit
+// one frame uncompressed fails with transport.ErrTooLarge before
+// compression, so no receiver is sent what its Decompress would refuse.
 func (n *Network) encode(msg Msg) ([]byte, error) {
 	scratch := bufpool.GetBuffer()
 	scratch.WriteByte(wireRaw)
@@ -393,6 +395,10 @@ func (n *Network) encode(msg Msg) ([]byte, error) {
 		return nil, fmt.Errorf("%w: %T (%v)", ErrNoSerializer, msg, err)
 	}
 	raw := scratch.Bytes()
+	if len(raw) > codec.DefaultMaxFrame {
+		bufpool.PutBuffer(scratch)
+		return nil, fmt.Errorf("%w: %T serialises to %d bytes", transport.ErrTooLarge, msg, len(raw))
+	}
 	if _, isNoop := n.cfg.Compressor.(codec.Noop); !isNoop {
 		if packed, ok := n.compress(raw); ok {
 			bufpool.PutBuffer(scratch)

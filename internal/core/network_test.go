@@ -1,14 +1,21 @@
 package core
 
 import (
+	"bytes"
+	"compress/flate"
+	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
 	"sync"
 	"testing"
 	"time"
 
+	"github.com/kompics/kompicsmessaging-go/internal/bufpool"
+	"github.com/kompics/kompicsmessaging-go/internal/codec"
 	"github.com/kompics/kompicsmessaging-go/internal/kompics"
+	"github.com/kompics/kompicsmessaging-go/internal/transport"
 )
 
 // freePorts reserves n distinct even base ports whose +1 neighbour is also
@@ -329,5 +336,117 @@ func TestEncodeSkipsUselessCompression(t *testing.T) {
 	}
 	if len(packed) >= len(raw) {
 		t.Fatal("compressed frame not smaller")
+	}
+}
+
+// TestWireRoundTrip takes messages through the path every remote message
+// crosses without sockets: encode, frame, unframe, decodeWire. The payload
+// must come back intact under both compressors, incompressible and
+// compressible, at a control and a bulk size.
+func TestWireRoundTrip(t *testing.T) {
+	self := MustParseAddress("10.0.0.1:1000")
+	rnd := rand.New(rand.NewSource(1))
+	for _, comp := range []codec.Compressor{codec.Noop{}, codec.NewFlate(-1)} {
+		n, err := NewNetwork(NetworkConfig{Self: self, Compressor: comp})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, size := range []int{1 << 10, 64 << 10} {
+			random := make([]byte, size)
+			rnd.Read(random)
+			for _, payload := range [][]byte{random, bytes.Repeat([]byte("kompics "), size/8)} {
+				msg := &DataMsg{Hdr: NewHeader(self, MustParseAddress("10.0.0.2:2000"), TCP), Payload: payload}
+				wire, err := n.encode(msg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var frame bytes.Buffer
+				if err := codec.WriteFrame(&frame, wire, 0); err != nil {
+					t.Fatal(err)
+				}
+				bufpool.Put(wire)
+				inbound, err := codec.ReadFrame(&frame, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := n.decodeWire(inbound)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got.(*DataMsg).Payload, payload) {
+					t.Fatalf("%s, %d B: payload corrupted in round trip", comp.Name(), size)
+				}
+			}
+		}
+	}
+}
+
+// TestDecodeWireRefusesInflationBomb hands decodeWire compressed frames
+// that fit one frame but inflate past it: 64 MiB of zeros, and a
+// well-formed DataMsg whose 2 MiB payload is zeros. Both must be refused
+// with ErrValueOutOfBounds, not inflated and decoded.
+func TestDecodeWireRefusesInflationBomb(t *testing.T) {
+	self := MustParseAddress("10.0.0.1:1000")
+	n, err := NewNetwork(NetworkConfig{Self: self})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// deflated returns what write produces as a compressed wire payload,
+	// in a pooled buffer because decodeWire consumes its input.
+	deflated := func(write func(io.Writer) error) []byte {
+		var packed bytes.Buffer
+		packed.WriteByte(wireCompressed)
+		fw, err := flate.NewWriter(&packed, flate.BestSpeed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := write(fw); err != nil {
+			t.Fatal(err)
+		}
+		if err := fw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if packed.Len() > codec.DefaultMaxFrame {
+			t.Fatalf("deflated payload is %d bytes, want it to fit one frame", packed.Len())
+		}
+		payload := bufpool.Get(packed.Len())
+		copy(payload, packed.Bytes())
+		return payload
+	}
+	zeros := make([]byte, 1<<20)
+	bomb := deflated(func(w io.Writer) error {
+		for i := 0; i < 64; i++ {
+			if _, err := w.Write(zeros); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	msg := &DataMsg{Hdr: NewHeader(self, MustParseAddress("10.0.0.2:2000"), TCP), Payload: make([]byte, 2<<20)}
+	big := deflated(func(w io.Writer) error { return n.cfg.Registry.Encode(w, msg) })
+
+	for name, payload := range map[string][]byte{"64 MiB of zeros": bomb, "2 MiB DataMsg": big} {
+		if got, err := n.decodeWire(payload); !errors.Is(err, codec.ErrValueOutOfBounds) {
+			t.Errorf("%s: decodeWire = %T, %v; want ErrValueOutOfBounds", name, got, err)
+		}
+	}
+}
+
+// TestNetworkRefusesOversizedMessage sends a DataMsg whose 2 MiB payload
+// is zeros. It would deflate to a few KiB, but its serialised form is over
+// one frame, so the sender fails it with transport.ErrTooLarge instead of
+// shipping what the receiver's Decompress would refuse.
+func TestNetworkRefusesOversizedMessage(t *testing.T) {
+	ports := freePorts(t, 2)
+	a := startNode(t, ports[0])
+	b := startNode(t, ports[1])
+	msg := &DataMsg{Hdr: NewHeader(a.self, b.self, TCP), Payload: make([]byte, 2<<20)}
+	a.appTrigger(NotifyReq{ID: 9, Msg: msg})
+	waitFor(t, "notify response", func() bool { return a.app.notifyCount() == 1 })
+	a.app.mu.Lock()
+	resp := a.app.notifies[0]
+	a.app.mu.Unlock()
+	if resp.ID != 9 || !errors.Is(resp.Err, transport.ErrTooLarge) {
+		t.Fatalf("notify = %+v, want a failure wrapping transport.ErrTooLarge", resp)
 	}
 }

@@ -18,9 +18,10 @@ import (
 //     closure or goroutine that outlives the statement).
 //
 // Dropping a pooled buffer is memory-safe but silently reverts the wire
-// hot path to one allocation per message — the -62% allocs/op recorded in
-// BENCH_hotpath.json depends on buffers cycling. The classic bug this
-// catches is an early error return between Get and Put.
+// hot path to one allocation per message — TestAllocsPerStreamedMessage's
+// bound of 3 heap allocations per streamed message depends on buffers
+// cycling. The classic bug this catches is an early error return between
+// Get and Put.
 //
 // The analysis is per-function and syntactic over the statement tree:
 // loops are assumed to run at least once, a release anywhere in a branch

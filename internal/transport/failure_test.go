@@ -205,7 +205,7 @@ func TestInboundGarbageFramesDropped(t *testing.T) {
 	}
 	defer ep.Close()
 
-	// A frame header claiming 512 MB (over MaxFrame) must abort the
+	// A frame header claiming 512 MB (over codec.DefaultMaxFrame) must abort the
 	// connection.
 	rogue, err := net.Dial("tcp", ep.Addr(wire.TCP))
 	if err != nil {

@@ -68,8 +68,6 @@ type Config struct {
 	ListenAddr string
 	// Protocols enables listeners; defaults to TCP, UDP and UDT.
 	Protocols []wire.Transport
-	// MaxFrame bounds a single message frame (default codec.DefaultMaxFrame).
-	MaxFrame int
 	// DialTimeout bounds outgoing connection establishment (default 5 s).
 	DialTimeout time.Duration
 	// UDT tunes the UDT transport.
@@ -127,9 +125,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if len(c.Protocols) == 0 {
 		c.Protocols = []wire.Transport{wire.TCP, wire.UDP, wire.UDT}
-	}
-	if c.MaxFrame <= 0 {
-		c.MaxFrame = codec.DefaultMaxFrame
 	}
 	if c.DialTimeout <= 0 {
 		c.DialTimeout = 5 * time.Second
@@ -321,7 +316,7 @@ func (e *Endpoint) SendQoS(proto wire.Transport, dest string, payload []byte, qo
 		fail(fmt.Errorf("%w: %v", ErrUnsupported, proto))
 		return
 	}
-	if len(payload) > e.cfg.MaxFrame || (proto == wire.UDP && len(payload) > maxUDPPayload) {
+	if len(payload) > codec.DefaultMaxFrame || (proto == wire.UDP && len(payload) > maxUDPPayload) {
 		fail(fmt.Errorf("%w: %d bytes over %v", ErrTooLarge, len(payload), proto))
 		return
 	}
@@ -482,7 +477,7 @@ func (e *Endpoint) readFrames(proto wire.Transport, conn net.Conn) {
 		r = codec.NewFrameReader(conn)
 	}
 	for {
-		payload, err := codec.ReadFrame(r, e.cfg.MaxFrame)
+		payload, err := codec.ReadFrame(r, codec.DefaultMaxFrame)
 		if err != nil {
 			return
 		}
@@ -1005,7 +1000,7 @@ func (c *outChannel) writeBatch(conn net.Conn, batch []outMsg) (int, error) {
 	// skipping the staging copy; everything else is coalesced.
 	if len(batch) == 1 {
 		if tc, ok := conn.(*net.TCPConn); ok {
-			if _, err := codec.WriteFrameVectored(tc, batch[0].payload, c.ep.cfg.MaxFrame); err != nil {
+			if _, err := codec.WriteFrameVectored(tc, batch[0].payload, codec.DefaultMaxFrame); err != nil {
 				return 0, err
 			}
 			return 1, nil
@@ -1018,7 +1013,7 @@ func (c *outChannel) writeBatch(conn net.Conn, batch []outMsg) (int, error) {
 // at most maxCoalesce bytes and issues one Write per buffer — one syscall
 // per drained batch in the common case. On a short or failed write the
 // count of fully-flushed messages is reconstructed from the byte count.
-// Frame sizes are pre-validated by Send against MaxFrame.
+// Frame sizes are pre-validated by Send against codec.DefaultMaxFrame.
 func writeCoalesced(w io.Writer, batch []outMsg) (int, error) {
 	sent := 0
 	for sent < len(batch) {

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"github.com/kompics/kompicsmessaging-go/internal/bufpool"
+	"github.com/kompics/kompicsmessaging-go/internal/codec"
 	"github.com/kompics/kompicsmessaging-go/internal/wire"
 )
 
@@ -234,7 +235,7 @@ func TestRedialAfterFailure(t *testing.T) {
 
 func TestOversizePayloadRejected(t *testing.T) {
 	a, b, _, _ := newEndpointPair(t)
-	big := bufpool.Get(a.cfg.MaxFrame + 1)
+	big := bufpool.Get(codec.DefaultMaxFrame + 1)
 	done := make(chan error, 1)
 	a.Send(wire.TCP, b.Addr(wire.TCP), big, func(err error) { done <- err })
 	if err := <-done; !errors.Is(err, ErrTooLarge) {

@@ -35,10 +35,6 @@ type Config struct {
 	// MaxRate caps the send rate in bytes/second; 0 means unlimited.
 	// It paces slow start too.
 	MaxRate float64
-	// Increase is the additive rate increase in bytes/second applied per
-	// loss-free ACK after slow start, which after start-up means once per
-	// SYN interval (default 256 KB).
-	Increase float64
 	// HandshakeTimeout bounds connection establishment (default 5 s).
 	HandshakeTimeout time.Duration
 	// LingerTimeout bounds how long Close waits for unsent data to drain
@@ -66,9 +62,6 @@ func (c Config) withDefaults() Config {
 	if c.SndQueue <= 0 {
 		c.SndQueue = 8 << 20
 	}
-	if c.Increase <= 0 {
-		c.Increase = 256 << 10
-	}
 	if c.HandshakeTimeout <= 0 {
 		c.HandshakeTimeout = 5 * time.Second
 	}
@@ -80,6 +73,11 @@ func (c Config) withDefaults() Config {
 	}
 	return c
 }
+
+// rateIncrease is DAIMD's additive rate increase in bytes/second, applied
+// per loss-free ACK after slow start, which after start-up means once per
+// SYN interval.
+const rateIncrease = 256 << 10
 
 // minRate is the floor of the DAIMD controller in bytes/second.
 const minRate = 128 << 10
@@ -1003,7 +1001,7 @@ func (c *Conn) handleAck(b []byte) {
 		if c.slowStart {
 			c.cwnd = min(c.cwnd+int(ackSeq-c.sndFirstUnack), c.cfg.MaxFlowWindow)
 		} else {
-			c.rate += c.cfg.Increase
+			c.rate += rateIncrease
 			if c.cfg.MaxRate > 0 && c.rate > c.cfg.MaxRate {
 				c.rate = c.cfg.MaxRate
 			}

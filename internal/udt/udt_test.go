@@ -90,7 +90,7 @@ func TestSeqCompare(t *testing.T) {
 // --- end-to-end ----------------------------------------------------------------
 
 // pair establishes a client/server connection over loopback.
-func pair(t *testing.T, cfg Config) (client *Conn, server net.Conn, cleanup func()) {
+func pair(t testing.TB, cfg Config) (client *Conn, server net.Conn, cleanup func()) {
 	t.Helper()
 	l, err := Listen("127.0.0.1:0", cfg)
 	if err != nil {
@@ -209,6 +209,52 @@ func TestBulkTransferWithLoss(t *testing.T) {
 		},
 	}
 	transferAndVerify(t, cfg, 2<<20)
+}
+
+// BenchmarkUDTBulkTransfer measures a sustained large transfer: each op
+// streams 8 MiB client→server over loopback and waits for the server's
+// one-byte receipt, so the time includes retransmission, ACK cadence and
+// receive-side reassembly (the §V-C bulk-data path).
+func BenchmarkUDTBulkTransfer(b *testing.B) {
+	const size = 8 << 20
+	client, server, cleanup := pair(b, Config{MaxRate: 1 << 30})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		buf := make([]byte, 256<<10)
+		for {
+			for left := size; left > 0; {
+				n, err := server.Read(buf)
+				if err != nil {
+					return
+				}
+				left -= n
+			}
+			if _, err := server.Write(buf[:1]); err != nil {
+				return
+			}
+		}
+	}()
+	defer func() {
+		cleanup()
+		<-done
+	}()
+
+	chunk := make([]byte, 256<<10)
+	receipt := make([]byte, 1)
+	b.SetBytes(size)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for sent := 0; sent < size; sent += len(chunk) {
+			if _, err := client.Write(chunk); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if _, err := io.ReadFull(client, receipt); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
 }
 
 func TestLossTriggersNaksAndRetransmits(t *testing.T) {
