@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -93,7 +94,7 @@ func boot(cfg clusterConfig) (*cluster, error) {
 			Metrics:       cfg.reg,
 			MetricsPrefix: fmt.Sprintf("node%d.", i),
 			Transport: transport.Config{
-				Faults: cfg.inj,
+				Sockets: cfg.inj.Wrap(transport.NetSockets{}),
 				// Channels must ride outages out, not give up: a huge dial
 				// budget keeps them retrying (and keeps UDT channels from
 				// falling back to TCP mid-campaign), and a short backoff
@@ -294,18 +295,22 @@ type outage struct {
 
 // statusWatcher subscribes to one node's NetworkStatusPort and turns the
 // event stream into recovery-latency measurements — the KompicsTesting
-// idea of asserting over event streams, applied to supervision.
+// idea of asserting over event streams, applied to supervision. It
+// counts each (protocol, kind) in the registry and keeps every channel's
+// last event, which a failed queue-drain gate reports.
 type statusWatcher struct {
 	port *kompics.Port
 	reg  *stats.Registry
 
 	mu      sync.Mutex
 	pending map[string]time.Time // dest key -> DownAt
+	last    map[string]core.ChannelStatus
 	outages []outage
 }
 
 func newStatusWatcher(reg *stats.Registry) *statusWatcher {
-	return &statusWatcher{reg: reg, pending: make(map[string]time.Time)}
+	return &statusWatcher{reg: reg, pending: make(map[string]time.Time),
+		last: make(map[string]core.ChannelStatus)}
 }
 
 func (w *statusWatcher) Init(ctx *kompics.Context) {
@@ -313,8 +318,10 @@ func (w *statusWatcher) Init(ctx *kompics.Context) {
 	ctx.Subscribe(w.port, core.ChannelStatus{}, func(e kompics.Event) {
 		ev := e.(core.ChannelStatus)
 		k := key(ev.Proto, ev.Dest)
+		w.reg.Counter(fmt.Sprintf("status_%v_%v_total", ev.Proto, ev.Kind)).Inc()
 		w.mu.Lock()
 		defer w.mu.Unlock()
+		w.last[k] = ev
 		switch ev.Kind {
 		case core.StatusDown:
 			w.pending[k] = ev.At
@@ -334,6 +341,22 @@ func (w *statusWatcher) Init(ctx *kompics.Context) {
 }
 
 func key(p core.Transport, dest string) string { return fmt.Sprintf("%v|%s", p, dest) }
+
+// notUp lists, sorted, each channel whose last status event is not Up,
+// with the event's kind, age and error.
+func (w *statusWatcher) notUp() []string {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	var out []string
+	for _, ev := range w.last {
+		if ev.Kind != core.StatusUp {
+			out = append(out, fmt.Sprintf("%v %s %v %v ago (%v)",
+				ev.Proto, ev.Dest, ev.Kind, time.Since(ev.At).Round(time.Millisecond), ev.Err))
+		}
+	}
+	sort.Strings(out)
+	return out
+}
 
 // results returns the recovered outages and any still-pending downs.
 func (w *statusWatcher) results() (recovered []outage, unrecovered []string) {

@@ -150,15 +150,17 @@ func (m *queueMonitor) highWater() int {
 }
 
 // check enforces the bounded-queue invariant against the per-channel
-// bound, and that the queues fully drained by the end of the run.
+// bound, and that the queues fully drained by the end of the run. A
+// node that did not drain is reported with its channels whose last
+// status is not Up.
 func (m *queueMonitor) check(bound int) error {
 	if hw := m.highWater(); hw > bound {
 		return fmt.Errorf("queue depth: high-water %d exceeds per-channel bound %d", hw, bound)
 	}
 	for _, n := range m.c.nodes {
 		if q := n.net.QueueStats(); q.Queued != 0 {
-			return fmt.Errorf("queue drain: node%d still has %d queued messages after traffic stopped",
-				n.index, q.Queued)
+			return fmt.Errorf("queue drain: node%d still has %d queued messages after traffic stopped; not up: %v",
+				n.index, q.Queued, n.status.notUp())
 		}
 	}
 	return nil

@@ -74,3 +74,30 @@ func TestSoakShort(t *testing.T) {
 		t.Fatalf("exit %d:\n%s", code, out)
 	}
 }
+
+// TestInducedOutageNamesStuckChannel: a permanent outage of node1 fails
+// the run, and the queue-drain violation names what is stuck: a channel
+// to one of node1's destinations whose last status is not Up.
+func TestInducedOutageNamesStuckChannel(t *testing.T) {
+	base, err := testnet.FreePort(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, out := capture(t, "-duration", "3s", "-nodes", "2", "-seed", "1",
+		"-base-port", fmt.Sprint(base), "-induce", "outage")
+	if code != 1 {
+		t.Fatalf("exit %d with node1 down for good, want 1:\n%s", code, out)
+	}
+	for _, line := range strings.Split(out, "\n") {
+		if !strings.Contains(line, "queue drain:") {
+			continue
+		}
+		for _, port := range []int{base + 2, base + 3} {
+			if strings.Contains(line, fmt.Sprintf(" 127.0.0.1:%d ", port)) {
+				return
+			}
+		}
+		t.Fatalf("queue-drain violation names no dest of node1 (ports %d, %d): %s", base+2, base+3, line)
+	}
+	t.Fatalf("no queue-drain violation:\n%s", out)
+}

@@ -101,6 +101,16 @@ func TestPoisonOnPut(t *testing.T) {
 			t.Fatalf("byte %d = %#x, want poison 0xA5", i, v)
 		}
 	}
+	// Capacities that are not powers of two end the doubling mid-copy.
+	for _, c := range []int{1, 2, 3, 7, 64, 1000, 1 << 20} {
+		b := make([]byte, 1, c)
+		poison(b)
+		for i, v := range b[:c] {
+			if v != 0xA5 {
+				t.Fatalf("capacity %d: byte %d = %#x, want poison 0xA5", c, i, v)
+			}
+		}
+	}
 }
 
 func TestBufferRoundTrip(t *testing.T) {

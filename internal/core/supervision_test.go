@@ -187,7 +187,7 @@ func TestNetworkStatusOutageAndRecovery(t *testing.T) {
 	inj := faults.New(1)
 	vc := clock.NewVirtual()
 	a := startSupervisedNode(t, ports[0], transport.Config{
-		Faults:          inj,
+		Sockets:         inj.Wrap(transport.NetSockets{}),
 		Clock:           vc,
 		MaxDialAttempts: 5,
 	})
@@ -282,7 +282,7 @@ func TestNetworkStatusUDTFallback(t *testing.T) {
 	inj := faults.New(1)
 	inj.Add(faults.Spec{Op: faults.OpDial, Action: faults.Refuse, Proto: UDT})
 	a := startSupervisedNode(t, ports[0], transport.Config{
-		Faults:          inj,
+		Sockets:         inj.Wrap(transport.NetSockets{}),
 		MaxDialAttempts: 1, // degrade on the first refused dial
 	})
 	b := startSupervisedNode(t, ports[1], transport.Config{})

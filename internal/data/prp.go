@@ -301,28 +301,3 @@ func (l *TDRatioLearner) State() int { return int(l.state) }
 
 // Balance returns the current target in the figures' [−1,1] form.
 func (l *TDRatioLearner) Balance() float64 { return l.ratioOf(l.state).Balance() }
-
-// NewTDRatioLearnerWithEstimator builds a learner around a caller-supplied
-// estimator (instrumentation/testing hook); the estimator must match the
-// grid dimensions implied by cfg.
-func NewTDRatioLearnerWithEstimator(cfg LearnerConfig, est rl.Estimator) (*TDRatioLearner, error) {
-	cfg.applyDefaults()
-	if cfg.Rand == nil {
-		return nil, fmt.Errorf("data: LearnerConfig.Rand is required")
-	}
-	states := 2*cfg.Grid + 1
-	actions := 2*cfg.MaxStep + 1
-	sarsa, err := rl.NewSarsa(rl.Config{
-		States: states, Actions: actions,
-		Alpha: cfg.Alpha, Gamma: cfg.Gamma, Lambda: cfg.Lambda,
-		EpsMax: cfg.EpsMax, EpsMin: cfg.EpsMin, EpsDecay: cfg.EpsDecay,
-		Estimator: est,
-		Rand:      cfg.Rand,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("data: building learner: %w", err)
-	}
-	l := &TDRatioLearner{cfg: cfg, sarsa: sarsa, states: states, actions: actions}
-	l.state = l.stateOf(cfg.Initial)
-	return l, nil
-}

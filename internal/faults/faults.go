@@ -1,15 +1,17 @@
 // Package faults provides deterministic, programmable fault injection
-// for the wire layer. Tests install an Injector into transport.Config
-// (and, through it, into the UDT mux datagram path) and script failures
-// — refused dials, reset connections, stalled writes, blackholed
-// datagrams — instead of killing real listeners and sleeping.
+// for the wire layer. Tests hand transport.Config a socket opener that
+// wraps the real one (Injector.Wrap) and script failures — refused
+// dials, reset connections, stalled writes, blackholed datagrams —
+// instead of killing real listeners and sleeping. The transport and UDT
+// code under test is the production code: only the sockets differ.
 //
 // Rules are matched in insertion order against (operation, protocol,
 // destination); a rule may be one-shot (Count=1), bounded (Count=n), or
 // probabilistic (P in (0,1), rolled on a PRNG seeded at construction so
 // runs replay exactly). The package is part of the simdet deterministic
-// cone: it never reads wall-clock time and never touches the network
-// itself — stalls release on rule removal, not on timers.
+// cone: it never reads wall-clock time and never opens a socket itself —
+// the base opener does — and stalls release on rule removal, not on
+// timers.
 package faults
 
 import (
@@ -17,6 +19,7 @@ import (
 	"math/rand"
 	"net"
 	"sync"
+	"time"
 
 	"github.com/kompics/kompicsmessaging-go/internal/wire"
 )
@@ -31,20 +34,22 @@ var (
 	// from a real peer reset.
 	ErrConnReset = errors.New("faults: connection reset")
 	// ErrInjectorClosed is returned to writers released from a stall by
-	// Close (as opposed to Remove/Clear, which let the write proceed).
+	// Close (as opposed to Remove, which lets the write proceed).
 	ErrInjectorClosed = errors.New("faults: injector closed")
 )
 
-// Op selects which transport operation a rule intercepts.
+// Op selects which socket operation a rule intercepts.
 type Op int
 
 const (
-	// OpDial intercepts outgoing dial/handshake attempts.
+	// OpDial intercepts every Dial of the wrapped opener.
 	OpDial Op = iota + 1
-	// OpWrite intercepts writes on established stream connections.
+	// OpWrite intercepts every write on a dialed socket: TCP stream
+	// writes, and the datagrams of a UDP or UDT connection.
 	OpWrite
-	// OpDatagram intercepts individual outgoing datagrams (UDP frames,
-	// UDT data packets).
+	// OpDatagram intercepts individual outgoing datagrams: UDP sends from
+	// the listening socket, and every datagram written on a dialed UDP or
+	// UDT socket or on a UDT listener's socket.
 	OpDatagram
 )
 
@@ -83,8 +88,8 @@ type rule struct {
 	spec Spec
 	hits int
 	// released is closed when the rule is removed; stalled writers wait
-	// on it. closedInjector distinguishes Close (fail the write) from
-	// Remove/Clear (let it proceed).
+	// on it. The injector's closed flag distinguishes Close (fail the
+	// write) from Remove (let it proceed).
 	released chan struct{}
 }
 
@@ -127,16 +132,6 @@ func (i *Injector) Remove(id RuleID) {
 			return
 		}
 	}
-}
-
-// Clear deletes every rule, releasing all stalled writers.
-func (i *Injector) Clear() {
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	for _, r := range i.rules {
-		close(r.released)
-	}
-	i.rules = nil
 }
 
 // Close clears the rule set and marks the injector closed; writers
@@ -196,25 +191,19 @@ func (i *Injector) match(op Op, proto wire.Transport, dest string) *rule {
 	return nil
 }
 
-// Dial is the transport dial seam: a matching Refuse rule fails the
-// attempt with ErrDialRefused.
-func (i *Injector) Dial(proto wire.Transport, dest string) error {
-	if i == nil {
-		return nil
-	}
+// dial rules on a dial: a matching Refuse rule fails the attempt with
+// ErrDialRefused.
+func (i *Injector) dial(proto wire.Transport, dest string) error {
 	if r := i.match(OpDial, proto, dest); r != nil && r.spec.Action == Refuse {
 		return ErrDialRefused
 	}
 	return nil
 }
 
-// Write is the stream-write seam. Reset fails immediately; Stall parks
-// the caller until the rule is removed (nil) or the injector is closed
+// write rules on a write. Reset fails immediately; Stall parks the caller
+// until the rule is removed (nil) or the injector is closed
 // (ErrInjectorClosed).
-func (i *Injector) Write(proto wire.Transport, dest string) error {
-	if i == nil {
-		return nil
-	}
+func (i *Injector) write(proto wire.Transport, dest string) error {
 	r := i.match(OpWrite, proto, dest)
 	if r == nil {
 		return nil
@@ -234,27 +223,65 @@ func (i *Injector) Write(proto wire.Transport, dest string) error {
 	return nil
 }
 
-// DropDatagram is the datagram seam: true means the packet should
+// dropDatagram rules on an outgoing datagram: true means it should
 // vanish on the wire.
-func (i *Injector) DropDatagram(proto wire.Transport, dest string) bool {
-	if i == nil {
-		return false
-	}
+func (i *Injector) dropDatagram(proto wire.Transport, dest string) bool {
 	r := i.match(OpDatagram, proto, dest)
 	return r != nil && r.spec.Action == Drop
 }
 
-// WrapConn installs the injector's write seam on an established stream
-// connection. A Reset rule closes the underlying connection and fails
-// the write; a Stall rule blocks it until released. Read-side traffic
-// is untouched.
-func (i *Injector) WrapConn(conn net.Conn, proto wire.Transport, dest string) net.Conn {
-	if i == nil {
-		return conn
-	}
-	return &faultConn{Conn: conn, inj: i, proto: proto, dest: dest}
+// Opener opens sockets. It is transport.Sockets, restated so that this
+// package need not import transport: a *Sockets is one, and wraps one.
+type Opener interface {
+	Listen(addr string) (net.Listener, error)
+	ListenPacket(proto wire.Transport, addr string) (net.PacketConn, error)
+	Dial(proto wire.Transport, addr string, timeout time.Duration) (net.Conn, error)
 }
 
+// Sockets opens every socket through its base Opener and applies the
+// injector's rules to what it opened (see Op): Dial first rules on
+// OpDial, every write on a dialed socket on OpWrite, and every datagram
+// on OpDatagram. Rules match the protocol a socket was opened for and
+// the address it was dialed or written to. TCP listeners and what they
+// accept are the base's, unwrapped.
+type Sockets struct {
+	Opener
+	inj *Injector
+}
+
+// Wrap returns an Opener that applies the injector's rules to the
+// sockets base opens.
+func (i *Injector) Wrap(base Opener) *Sockets { return &Sockets{Opener: base, inj: i} }
+
+// ListenPacket opens a datagram socket through the base opener; its
+// writes are subject to OpDatagram rules for proto and the destination.
+func (s *Sockets) ListenPacket(proto wire.Transport, addr string) (net.PacketConn, error) {
+	pc, err := s.Opener.ListenPacket(proto, addr)
+	if err != nil {
+		return nil, err
+	}
+	return &packetConn{PacketConn: pc, inj: s.inj, proto: proto}, nil
+}
+
+// Dial fails with ErrDialRefused on a matching Refuse rule, and
+// otherwise dials through the base opener and wraps the socket: its
+// writes are subject to OpWrite rules, and for UDP and UDT to OpDatagram
+// rules too.
+func (s *Sockets) Dial(proto wire.Transport, addr string, timeout time.Duration) (net.Conn, error) {
+	if err := s.inj.dial(proto, addr); err != nil {
+		return nil, err
+	}
+	conn, err := s.Opener.Dial(proto, addr, timeout)
+	if err != nil {
+		return nil, err
+	}
+	return &faultConn{Conn: conn, inj: s.inj, proto: proto, dest: addr}, nil
+}
+
+// faultConn is a dialed socket under the injector's rules. A Reset rule
+// closes the underlying socket and fails the write; a Stall rule blocks
+// it until released; on a datagram socket a Drop rule discards the
+// datagram while reporting it written. Reads are untouched.
 type faultConn struct {
 	net.Conn
 	inj   *Injector
@@ -263,9 +290,27 @@ type faultConn struct {
 }
 
 func (f *faultConn) Write(b []byte) (int, error) {
-	if err := f.inj.Write(f.proto, f.dest); err != nil {
+	if f.proto != wire.TCP && f.inj.dropDatagram(f.proto, f.dest) {
+		return len(b), nil
+	}
+	if err := f.inj.write(f.proto, f.dest); err != nil {
 		f.Conn.Close()
 		return 0, err
 	}
 	return f.Conn.Write(b)
+}
+
+// packetConn is a listening datagram socket under the injector's
+// OpDatagram rules, matched against each datagram's destination.
+type packetConn struct {
+	net.PacketConn
+	inj   *Injector
+	proto wire.Transport
+}
+
+func (p *packetConn) WriteTo(b []byte, addr net.Addr) (int, error) {
+	if p.inj.dropDatagram(p.proto, addr.String()) {
+		return len(b), nil
+	}
+	return p.PacketConn.WriteTo(b, addr)
 }

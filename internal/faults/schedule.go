@@ -225,32 +225,23 @@ func (e Event) String() string {
 	return b.String()
 }
 
+var (
+	opNames     = [...]string{OpDial: "dial", OpWrite: "write", OpDatagram: "datagram"}
+	actionNames = [...]string{Refuse: "refuse", Reset: "reset", Stall: "stall", Drop: "drop"}
+)
+
 func opName(op Op) string {
-	switch op {
-	case OpDial:
-		return "dial"
-	case OpWrite:
-		return "write"
-	case OpDatagram:
-		return "datagram"
-	default:
-		return fmt.Sprintf("Op(%d)", int(op))
+	if op > 0 && int(op) < len(opNames) {
+		return opNames[op]
 	}
+	return fmt.Sprintf("Op(%d)", int(op))
 }
 
 func actionName(a Action) string {
-	switch a {
-	case Refuse:
-		return "refuse"
-	case Reset:
-		return "reset"
-	case Stall:
-		return "stall"
-	case Drop:
-		return "drop"
-	default:
-		return fmt.Sprintf("Action(%d)", int(a))
+	if a > 0 && int(a) < len(actionNames) {
+		return actionNames[a]
 	}
+	return fmt.Sprintf("Action(%d)", int(a))
 }
 
 // FormatEvents renders events one per line — the golden-log and

@@ -32,7 +32,7 @@ func TestRollingOutagePhaseBoundaries(t *testing.T) {
 	r.Start()
 
 	dialDown := func(dest string) bool {
-		return inj.Dial(wire.TCP, dest) == ErrDialRefused
+		return inj.dial(wire.TCP, dest) == ErrDialRefused
 	}
 	a, b := "127.0.0.1:9001", "127.0.0.1:9002"
 
@@ -46,7 +46,7 @@ func TestRollingOutagePhaseBoundaries(t *testing.T) {
 	if dialDown(b) {
 		t.Fatal("peer-b down during peer-a's window")
 	}
-	if !inj.DropDatagram(wire.UDT, a) {
+	if !inj.dropDatagram(wire.UDT, a) {
 		t.Fatal("peer-a datagrams not dropped during outage")
 	}
 	vc.Advance(20 * time.Millisecond) // t=30ms: peer-a restored, gap
@@ -164,7 +164,7 @@ func TestStallWindowReleasesWriters(t *testing.T) {
 	r.Start()
 	vc.Advance(0) // arm the stall
 	done := make(chan error, 1)
-	go func() { done <- inj.Write(wire.TCP, dest) }()
+	go func() { done <- inj.write(wire.TCP, dest) }()
 	select {
 	case err := <-done:
 		t.Fatalf("write not stalled (err=%v)", err)
@@ -195,10 +195,10 @@ func TestReconnectStormPulses(t *testing.T) {
 	resets := 0
 	for i := 0; i < 3; i++ {
 		vc.Advance(0)
-		if inj.Write(wire.TCP, dest) == ErrConnReset {
+		if inj.write(wire.TCP, dest) == ErrConnReset {
 			resets++
 		}
-		if inj.Write(wire.TCP, dest) == ErrConnReset {
+		if inj.write(wire.TCP, dest) == ErrConnReset {
 			t.Fatalf("pulse %d fired twice (Count=1 not honoured)", i)
 		}
 		vc.Advance(5 * time.Millisecond)
@@ -222,11 +222,11 @@ func TestStopCleansUp(t *testing.T) {
 	r := NewRunner(s, inj, vc, 0)
 	r.Start()
 	vc.Advance(0)
-	if inj.Dial(wire.TCP, dest) != ErrDialRefused {
+	if inj.dial(wire.TCP, dest) != ErrDialRefused {
 		t.Fatal("outage not armed")
 	}
 	r.Stop()
-	if err := inj.Dial(wire.TCP, dest); err != nil {
+	if err := inj.dial(wire.TCP, dest); err != nil {
 		t.Fatalf("rule survived Stop: %v", err)
 	}
 	select {

@@ -153,14 +153,6 @@ func (c *Conn) QueuedBytes(d Dir) int { return c.lanes[d].queuedBytes }
 // QueuedMessages reports messages waiting in direction d.
 func (c *Conn) QueuedMessages(d Dir) int { return c.lanes[d].queue.len() }
 
-// InFlight reports whether a message is currently transmitting in
-// direction d.
-func (c *Conn) InFlight(d Dir) bool { return c.lanes[d].busy }
-
-// CurrentRate reports the protocol model's demanded rate in bytes/second
-// for direction d (before link sharing).
-func (c *Conn) CurrentRate(d Dir) float64 { return c.lanes[d].model.demand() }
-
 // Stats returns a copy of the lane statistics for direction d.
 func (c *Conn) Stats(d Dir) LaneStats { return c.lanes[d].stats }
 

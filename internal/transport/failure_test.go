@@ -109,7 +109,7 @@ func TestPeerDeathMidStreamThenRevival(t *testing.T) {
 		ListenAddr:      "127.0.0.1:0",
 		OnMessage:       sender.onMessage,
 		Protocols:       []wire.Transport{wire.TCP},
-		Faults:          inj,
+		Sockets:         inj.Wrap(NetSockets{}),
 		Clock:           vc,
 		MaxDialAttempts: 5,
 		OnStatus:        func(ev StatusEvent) { status <- ev },
@@ -330,14 +330,22 @@ func TestUDTCloseWarnsUndeliveredBytes(t *testing.T) {
 	defer epB.Close()
 	dest := epB.Addr(wire.UDT)
 
+	// Every datagram to dest vanishes once the channel is up: the
+	// handshake completes, the data never does.
+	inj := faults.New(1)
 	rec := &warnRecorder{msg: "transport: close failed"}
 	cfg := Config{
 		ListenAddr: "127.0.0.1:0",
 		OnMessage:  func(_ From, p []byte) { bufpool.Put(p) },
 		Protocols:  []wire.Transport{wire.TCP},
-		Logger:     slog.New(rec),
+		Sockets:    inj.Wrap(NetSockets{}),
+		OnStatus: func(ev StatusEvent) {
+			if ev.Kind == StatusUp {
+				inj.Add(faults.Spec{Op: faults.OpDatagram, Action: faults.Drop, Proto: wire.UDT, Dest: dest})
+			}
+		},
+		Logger: slog.New(rec),
 	}
-	cfg.UDT.LossInjector = func() bool { return true }
 	cfg.UDT.LingerTimeout = 100 * time.Millisecond
 	epA, err := NewEndpoint(cfg)
 	if err != nil {

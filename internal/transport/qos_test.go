@@ -274,7 +274,7 @@ func TestQoSLatestValueWinsEndToEnd(t *testing.T) {
 	send, err := NewEndpoint(Config{
 		ListenAddr:        "127.0.0.1:0",
 		OnMessage:         func(_ From, p []byte) { bufpool.Put(p) },
-		Faults:            inj,
+		Sockets:           inj.Wrap(NetSockets{}),
 		MaxPendingPerPeer: 8,
 		MaxDialAttempts:   1 << 20,
 		RedialBackoff:     5 * time.Millisecond,
@@ -368,7 +368,7 @@ func TestQoSDeadlineExpiryReconnectDrain(t *testing.T) {
 	send, err := NewEndpoint(Config{
 		ListenAddr:       "127.0.0.1:0",
 		OnMessage:        func(_ From, p []byte) { bufpool.Put(p) },
-		Faults:           inj,
+		Sockets:          inj.Wrap(NetSockets{}),
 		MaxDialAttempts:  1 << 20,
 		RedialBackoff:    5 * time.Millisecond,
 		RedialBackoffMax: 10 * time.Millisecond,

@@ -34,7 +34,7 @@ func TestQueueOverflowFailFast(t *testing.T) {
 		ListenAddr:        "127.0.0.1:0",
 		OnMessage:         col.onMessage,
 		Protocols:         []wire.Transport{wire.TCP},
-		Faults:            inj,
+		Sockets:           inj.Wrap(NetSockets{}),
 		Clock:             clock.NewVirtual(), // never advanced: backoff waits forever
 		MaxPendingPerPeer: limit,
 		MaxDialAttempts:   1000,
@@ -130,7 +130,7 @@ func TestUDTFallbackToTCP(t *testing.T) {
 	epA, err := NewEndpoint(Config{
 		ListenAddr:      "127.0.0.1:0",
 		OnMessage:       sender.onMessage,
-		Faults:          inj,
+		Sockets:         inj.Wrap(NetSockets{}),
 		MaxDialAttempts: 1, // degrade on the first refused dial
 		OnStatus:        func(ev StatusEvent) { status <- ev },
 	})
@@ -220,7 +220,7 @@ func TestUDTFallbackKeepsOrderUnderLoad(t *testing.T) {
 	epA, err := NewEndpoint(Config{
 		ListenAddr:      "127.0.0.1:0",
 		OnMessage:       func(_ From, p []byte) { bufpool.Put(p) },
-		Faults:          inj,
+		Sockets:         inj.Wrap(NetSockets{}),
 		MaxDialAttempts: 1,
 	})
 	if err != nil {
@@ -323,7 +323,7 @@ func TestUDTFallbackKeepsAcceptedSends(t *testing.T) {
 	epA, err := NewEndpoint(Config{
 		ListenAddr:        "127.0.0.1:0",
 		OnMessage:         sender.onMessage,
-		Faults:            inj,
+		Sockets:           inj.Wrap(NetSockets{}),
 		MaxPendingPerPeer: limit,
 		MaxDialAttempts:   1,
 		OnStatus: func(ev StatusEvent) {
@@ -412,7 +412,7 @@ func TestUDTFallbackThenReset(t *testing.T) {
 	epA, err := NewEndpoint(Config{
 		ListenAddr:      "127.0.0.1:0",
 		OnMessage:       sender.onMessage,
-		Faults:          inj,
+		Sockets:         inj.Wrap(NetSockets{}),
 		MaxDialAttempts: 1,
 		OnStatus:        func(ev StatusEvent) { status <- ev },
 	})
@@ -492,7 +492,7 @@ func TestUDTFallbackThenGiveUp(t *testing.T) {
 	ep, err := NewEndpoint(Config{
 		ListenAddr:      "127.0.0.1:0",
 		OnMessage:       col.onMessage,
-		Faults:          inj,
+		Sockets:         inj.Wrap(NetSockets{}),
 		Clock:           vc,
 		MaxDialAttempts: 2,
 		OnStatus:        func(ev StatusEvent) { status <- ev },
@@ -571,15 +571,88 @@ func TestUDTFallbackThenGiveUp(t *testing.T) {
 	}
 }
 
-// TestStalledWriteReleases parks an established channel's write on a
-// stall rule and confirms removing the rule lets the message through
+// TestStalledWriteReleases parks an established channel's socket writes
+// on a stall rule and confirms removing the rule lets the message through
 // unharmed — the injector's third failure mode next to refuse and reset.
+// Over TCP the channel's own write parks, so the send is not notified
+// until the release. Over UDT the rule parks the connection's datagram
+// writes below its send queue: the send is accepted at once, and only
+// the delivery waits.
 func TestStalledWriteReleases(t *testing.T) {
+	for _, proto := range []wire.Transport{wire.TCP, wire.UDT} {
+		t.Run(proto.String(), func(t *testing.T) {
+			leakCheck(t)
+			inj := faults.New(1)
+			recv := newEventCollector()
+			epB, err := NewEndpoint(Config{ListenAddr: "127.0.0.1:0", OnMessage: recv.onMessage,
+				Protocols: []wire.Transport{proto}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := epB.Start(); err != nil {
+				t.Fatal(err)
+			}
+			defer epB.Close()
+
+			sender := newEventCollector()
+			epA, err := NewEndpoint(Config{ListenAddr: "127.0.0.1:0", OnMessage: sender.onMessage,
+				Protocols: []wire.Transport{proto}, Sockets: inj.Wrap(NetSockets{})})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := epA.Start(); err != nil {
+				t.Fatal(err)
+			}
+			defer epA.Close()
+
+			addr := epB.Addr(proto)
+			notify := make(chan error, 1)
+			epA.Send(proto, addr, pooled("warmup"), func(err error) { notify <- err })
+			if err := expectNotify(t, notify); err != nil {
+				t.Fatal(err)
+			}
+			expectDelivery(t, recv, "warmup")
+
+			stallID := inj.Add(faults.Spec{Op: faults.OpWrite, Action: faults.Stall})
+			epA.Send(proto, addr, pooled("stalled"), func(err error) { notify <- err })
+			if proto == wire.UDT {
+				if err := expectNotify(t, notify); err != nil {
+					t.Fatalf("send into a stalled UDT connection not accepted: %v", err)
+				}
+			}
+			for inj.Hits(stallID) == 0 {
+				runtime.Gosched() // until the writer is parked on the rule
+			}
+			select {
+			case err := <-notify:
+				t.Fatalf("stalled write completed prematurely: %v", err)
+			case got := <-recv.ch:
+				t.Fatalf("%q delivered through the stall", got)
+			default:
+			}
+			inj.Remove(stallID)
+			if proto == wire.TCP {
+				if err := expectNotify(t, notify); err != nil {
+					t.Fatalf("write released from stall failed: %v", err)
+				}
+			}
+			expectDelivery(t, recv, "stalled")
+		})
+	}
+}
+
+// TestBlackholeUDTChannel drops every datagram of an established UDT
+// channel for a window: sends are accepted, nothing arrives while the
+// rule holds — through at least one round of retransmissions — and once
+// it is removed everything arrives, in order. UDT's own recovery rides
+// the outage out below the transport, which sees no Down.
+func TestBlackholeUDTChannel(t *testing.T) {
 	leakCheck(t)
 	inj := faults.New(1)
+	status := make(chan StatusEvent, 16)
 	recv := newEventCollector()
 	epB, err := NewEndpoint(Config{ListenAddr: "127.0.0.1:0", OnMessage: recv.onMessage,
-		Protocols: []wire.Transport{wire.TCP}})
+		Protocols: []wire.Transport{wire.UDT}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -588,9 +661,9 @@ func TestStalledWriteReleases(t *testing.T) {
 	}
 	defer epB.Close()
 
-	sender := newEventCollector()
-	epA, err := NewEndpoint(Config{ListenAddr: "127.0.0.1:0", OnMessage: sender.onMessage,
-		Protocols: []wire.Transport{wire.TCP}, Faults: inj})
+	epA, err := NewEndpoint(Config{ListenAddr: "127.0.0.1:0", OnMessage: func(_ From, p []byte) { bufpool.Put(p) },
+		Protocols: []wire.Transport{wire.UDT}, Sockets: inj.Wrap(NetSockets{}),
+		OnStatus: func(ev StatusEvent) { status <- ev }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -599,29 +672,43 @@ func TestStalledWriteReleases(t *testing.T) {
 	}
 	defer epA.Close()
 
-	addr := epB.Addr(wire.TCP)
-	notify := make(chan error, 1)
-	epA.Send(wire.TCP, addr, pooled("warmup"), func(err error) { notify <- err })
+	dest := epB.Addr(wire.UDT)
+	notify := make(chan error, 8)
+	send := func(s string) {
+		epA.Send(wire.UDT, dest, pooled(s), func(err error) { notify <- err })
+	}
+	send("warmup")
 	if err := expectNotify(t, notify); err != nil {
 		t.Fatal(err)
 	}
+	expectStatus(t, status, StatusUp)
 	expectDelivery(t, recv, "warmup")
 
-	stallID := inj.Add(faults.Spec{Op: faults.OpWrite, Action: faults.Stall})
-	epA.Send(wire.TCP, addr, pooled("stalled"), func(err error) { notify <- err })
-	for inj.Hits(stallID) == 0 {
-		runtime.Gosched() // until the writer is parked on the rule
+	drop := inj.Add(faults.Spec{Op: faults.OpDatagram, Action: faults.Drop, Proto: wire.UDT, Dest: dest})
+	const n = 5
+	for i := 0; i < n; i++ {
+		send(fmt.Sprintf("m%d", i))
+	}
+	for i := 0; i < n; i++ {
+		if err := expectNotify(t, notify); err != nil {
+			t.Fatalf("send %d into the blackhole not accepted: %v", i, err)
+		}
+	}
+	// The n messages leave in at most n packets, so a hit past n is a
+	// retransmission.
+	waitForCond(t, "a retransmission into the blackhole", func() bool { return inj.Hits(drop) > n })
+	if got := recv.count(); got != 1 {
+		t.Fatalf("%d messages came through the blackhole", got-1)
+	}
+	inj.Remove(drop)
+	for i := 0; i < n; i++ {
+		expectDelivery(t, recv, fmt.Sprintf("m%d", i))
 	}
 	select {
-	case err := <-notify:
-		t.Fatalf("stalled write completed prematurely: %v", err)
+	case ev := <-status:
+		t.Fatalf("status %+v during a blackhole UDT rides out", ev)
 	default:
 	}
-	inj.Remove(stallID)
-	if err := expectNotify(t, notify); err != nil {
-		t.Fatalf("write released from stall failed: %v", err)
-	}
-	expectDelivery(t, recv, "stalled")
 }
 
 // TestBlackholeUDPOneShot drops exactly one outgoing datagram: the
@@ -645,7 +732,7 @@ func TestBlackholeUDPOneShot(t *testing.T) {
 
 	sender := newEventCollector()
 	epA, err := NewEndpoint(Config{ListenAddr: "127.0.0.1:0", OnMessage: sender.onMessage,
-		Protocols: []wire.Transport{wire.UDP}, Faults: inj})
+		Protocols: []wire.Transport{wire.UDP}, Sockets: inj.Wrap(NetSockets{})})
 	if err != nil {
 		t.Fatal(err)
 	}

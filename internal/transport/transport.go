@@ -25,7 +25,6 @@ import (
 	"github.com/kompics/kompicsmessaging-go/internal/bufpool"
 	"github.com/kompics/kompicsmessaging-go/internal/clock"
 	"github.com/kompics/kompicsmessaging-go/internal/codec"
-	"github.com/kompics/kompicsmessaging-go/internal/faults"
 	"github.com/kompics/kompicsmessaging-go/internal/stats"
 	"github.com/kompics/kompicsmessaging-go/internal/udt"
 	"github.com/kompics/kompicsmessaging-go/internal/wire"
@@ -70,7 +69,8 @@ type Config struct {
 	Protocols []wire.Transport
 	// DialTimeout bounds outgoing connection establishment (default 5 s).
 	DialTimeout time.Duration
-	// UDT tunes the UDT transport.
+	// UDT tunes the UDT transport; its HandshakeTimeout defaults to
+	// DialTimeout.
 	UDT udt.Config
 	// MaxPendingPerPeer bounds the messages queued per (protocol,
 	// destination) channel while it connects or redials (default 4096).
@@ -93,9 +93,10 @@ type Config struct {
 	// Clock schedules redial backoff (default clock.Real). Tests inject
 	// clock.Virtual to script outage/recovery without real waiting.
 	Clock clock.Clock
-	// Faults, when non-nil, intercepts dials, stream writes and
-	// outgoing datagrams for failure testing (see internal/faults).
-	Faults *faults.Injector
+	// Sockets opens the endpoint's listeners and outgoing connections
+	// (default NetSockets). Tests pass a wrapper that injects failures
+	// (internal/faults).
+	Sockets Sockets
 	// OnStatus, when non-nil, observes channel supervision transitions
 	// (up/down/retry/fallback). Called from channel goroutines outside
 	// endpoint locks; implementations must be goroutine-safe and fast.
@@ -122,12 +123,54 @@ type Config struct {
 	Logger *slog.Logger
 }
 
+// Sockets opens every socket an Endpoint uses; the transport's protocol
+// logic runs over whatever it returns. Config.Sockets nil means
+// NetSockets. An implementation may wrap the sockets it opens (fault
+// injection does), or open simulated ones: a datagram socket must report
+// *net.UDPAddr addresses, and its reads must fail with net.ErrClosed once
+// it is closed. Sockets of the net package's concrete types keep their
+// fast paths: vectored writes on a *net.TCPConn, batched syscalls for UDT
+// on a *net.UDPConn.
+type Sockets interface {
+	// Listen opens the TCP listener on addr.
+	Listen(addr string) (net.Listener, error)
+	// ListenPacket opens a datagram socket bound to addr: the UDP
+	// listener (proto UDP), or the socket UDT listens on (proto UDT).
+	ListenPacket(proto wire.Transport, addr string) (net.PacketConn, error)
+	// Dial opens a connection to addr within timeout: a TCP stream, or a
+	// connected datagram socket for UDP and for a UDT connection, which
+	// owns it.
+	Dial(proto wire.Transport, addr string, timeout time.Duration) (net.Conn, error)
+}
+
+// NetSockets opens real sockets with the net package.
+type NetSockets struct{}
+
+// Listen implements Sockets.
+func (NetSockets) Listen(addr string) (net.Listener, error) { return net.Listen("tcp", addr) }
+
+// ListenPacket implements Sockets.
+func (NetSockets) ListenPacket(_ wire.Transport, addr string) (net.PacketConn, error) {
+	return net.ListenPacket("udp", addr)
+}
+
+// Dial implements Sockets.
+func (NetSockets) Dial(proto wire.Transport, addr string, timeout time.Duration) (net.Conn, error) {
+	if proto == wire.TCP {
+		return net.DialTimeout("tcp", addr, timeout)
+	}
+	return net.DialTimeout("udp", addr, timeout)
+}
+
 func (c Config) withDefaults() Config {
 	if len(c.Protocols) == 0 {
 		c.Protocols = []wire.Transport{wire.TCP, wire.UDP, wire.UDT}
 	}
 	if c.DialTimeout <= 0 {
 		c.DialTimeout = 5 * time.Second
+	}
+	if c.UDT.HandshakeTimeout <= 0 {
+		c.UDT.HandshakeTimeout = c.DialTimeout
 	}
 	if c.MaxPendingPerPeer <= 0 {
 		c.MaxPendingPerPeer = 4096
@@ -147,6 +190,9 @@ func (c Config) withDefaults() Config {
 	if c.Clock == nil {
 		c.Clock = clock.Real{}
 	}
+	if c.Sockets == nil {
+		c.Sockets = NetSockets{}
+	}
 	if c.Logger == nil {
 		c.Logger = slog.Default()
 	}
@@ -164,7 +210,7 @@ type Endpoint struct {
 
 	tcpLn   net.Listener
 	udtLn   *udt.Listener
-	udpSock *net.UDPConn
+	udpSock net.PacketConn
 
 	reg     registry
 	inbound inboundSet
@@ -233,19 +279,13 @@ func (e *Endpoint) Start() error {
 // Addr returns the bound address for proto, or the empty string when the
 // protocol is not listening. Useful with port 0 (ephemeral) in tests.
 func (e *Endpoint) Addr(proto wire.Transport) string {
-	switch proto {
-	case wire.TCP:
-		if e.tcpLn != nil {
-			return e.tcpLn.Addr().String()
-		}
-	case wire.UDP:
-		if e.udpSock != nil {
-			return e.udpSock.LocalAddr().String()
-		}
-	case wire.UDT:
-		if e.udtLn != nil {
-			return e.udtLn.Addr().String()
-		}
+	switch {
+	case proto == wire.TCP && e.tcpLn != nil:
+		return e.tcpLn.Addr().String()
+	case proto == wire.UDP && e.udpSock != nil:
+		return e.udpSock.LocalAddr().String()
+	case proto == wire.UDT && e.udtLn != nil:
+		return e.udtLn.Addr().String()
 	}
 	return ""
 }
@@ -361,7 +401,7 @@ func (c *outChannel) dropChannel() {
 // --- listeners -----------------------------------------------------------------
 
 func (e *Endpoint) startTCP() error {
-	ln, err := net.Listen("tcp", e.cfg.ListenAddr)
+	ln, err := e.cfg.Sockets.Listen(e.cfg.ListenAddr)
 	if err != nil {
 		return err
 	}
@@ -375,12 +415,12 @@ func (e *Endpoint) startUDT() error {
 	if err != nil {
 		return err
 	}
-	ln, err := udt.Listen(addr, e.cfg.UDT)
+	sock, err := e.cfg.Sockets.ListenPacket(wire.UDT, addr)
 	if err != nil {
 		return err
 	}
-	e.udtLn = ln
-	e.serve(wire.UDT, ln.Accept)
+	e.udtLn = udt.NewListener(sock, e.cfg.UDT)
+	e.serve(wire.UDT, e.udtLn.Accept)
 	return nil
 }
 
@@ -405,15 +445,12 @@ func (e *Endpoint) serve(proto wire.Transport, accept func() (net.Conn, error)) 
 }
 
 func (e *Endpoint) startUDP() error {
-	addr, err := net.ResolveUDPAddr("udp", e.cfg.ListenAddr)
-	if err != nil {
-		return err
-	}
-	sock, err := net.ListenUDP("udp", addr)
+	sock, err := e.cfg.Sockets.ListenPacket(wire.UDP, e.cfg.ListenAddr)
 	if err != nil {
 		return err
 	}
 	e.udpSock = sock
+	udp, _ := sock.(*net.UDPConn)
 	e.wg.Add(1)
 	go func() {
 		defer e.wg.Done()
@@ -423,7 +460,7 @@ func (e *Endpoint) startUDP() error {
 		// Owned by this goroutine only; no lock.
 		peers := make(map[netip.AddrPort]string)
 		for {
-			n, src, err := sock.ReadFromUDPAddrPort(buf)
+			n, src, err := readDatagram(udp, sock, buf)
 			if err != nil {
 				return
 			}
@@ -446,6 +483,23 @@ func (e *Endpoint) startUDP() error {
 		}
 	}()
 	return nil
+}
+
+// readDatagram reads one datagram into buf: straight from udp when the
+// socket is a *net.UDPConn, which reads the source without allocating a
+// *net.UDPAddr, and otherwise through sock into a pooled copy. buf never
+// reaches an interface call, so the read loop's 64 KiB buffer stays on
+// its goroutine's stack instead of costing a heap allocation per
+// endpoint start.
+func readDatagram(udp *net.UDPConn, sock net.PacketConn, buf []byte) (int, netip.AddrPort, error) {
+	if udp != nil {
+		return udp.ReadFromUDPAddrPort(buf)
+	}
+	b := bufpool.Get(len(buf))
+	defer bufpool.Put(b)
+	n, src, err := sock.ReadFrom(b)
+	ua, _ := src.(*net.UDPAddr)
+	return copy(buf, b[:n]), ua.AddrPort(), err
 }
 
 // maxUDPPeerCache bounds the UDP read loop's source-address string cache;
@@ -907,70 +961,26 @@ func (c *outChannel) wireKey() (wire.Transport, string) {
 	return c.key.proto, c.key.dest
 }
 
-// dial opens the stream connection to wireKey; UDP needs none (nil conn)
-// but resolves and caches the destination address once, instead of per
-// datagram. The fault injector, when configured, can refuse the dial
-// outright; stream connections come back wrapped with its write seam.
+// dial opens the connection to wireKey through the endpoint's Sockets: a
+// TCP stream, or a UDT connection over a dialed datagram socket. UDP from
+// the listening socket needs none (nil conn) but resolves and caches the
+// destination address once, instead of per datagram.
 func (c *outChannel) dial() (net.Conn, error) {
-	inj := c.ep.cfg.Faults
 	proto, dest := c.wireKey()
-	if err := inj.Dial(proto, dest); err != nil {
+	if proto == wire.UDP && c.ep.udpSock != nil {
+		var err error
+		c.udpAddr, err = net.ResolveUDPAddr("udp", dest)
 		return nil, err
 	}
-	switch proto {
-	case wire.TCP:
-		conn, err := net.DialTimeout("tcp", dest, c.ep.cfg.DialTimeout)
-		if err != nil {
-			return nil, err
-		}
-		return c.wrapFaults(conn), nil
-	case wire.UDT:
-		cfg := c.ep.cfg.UDT
-		if cfg.HandshakeTimeout <= 0 {
-			cfg.HandshakeTimeout = c.ep.cfg.DialTimeout
-		}
-		if inj != nil {
-			// Blackhole rules apply to UDT's own data packets: merge the
-			// injector into the connection's loss hook.
-			prev := cfg.LossInjector
-			cfg.LossInjector = func() bool {
-				return (prev != nil && prev()) || inj.DropDatagram(wire.UDT, dest)
-			}
-		}
-		conn, err := udt.Dial(dest, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return c.wrapFaults(conn), nil
-	case wire.UDP:
-		if c.ep.udpSock != nil {
-			addr, err := net.ResolveUDPAddr("udp", dest)
-			if err != nil {
-				return nil, err
-			}
-			c.udpAddr = addr
-			return nil, nil // send from the listening socket
-		}
-		conn, err := net.DialTimeout("udp", dest, c.ep.cfg.DialTimeout)
-		if err != nil {
-			return nil, err
-		}
-		return c.wrapFaults(conn), nil
-	default:
-		return nil, fmt.Errorf("%w: %v", ErrUnsupported, proto)
+	sock, err := c.ep.cfg.Sockets.Dial(proto, dest, c.ep.cfg.DialTimeout)
+	if err != nil || proto != wire.UDT {
+		return sock, err
 	}
-}
-
-// wrapFaults installs the injector's write seam on a dialed connection,
-// keyed by the protocol actually on the wire. With no injector the
-// connection is returned untouched, preserving the *net.TCPConn
-// vectored-write fast path.
-func (c *outChannel) wrapFaults(conn net.Conn) net.Conn {
-	if c.ep.cfg.Faults == nil {
-		return conn
+	conn, err := udt.Client(sock, c.ep.cfg.UDT)
+	if err != nil {
+		return nil, err
 	}
-	proto, dest := c.wireKey()
-	return c.ep.cfg.Faults.WrapConn(conn, proto, dest)
+	return conn, nil
 }
 
 // writeBatch sends a drained batch and returns how many of its messages
@@ -979,16 +989,12 @@ func (c *outChannel) wrapFaults(conn net.Conn) net.Conn {
 // boundaries; stream sends are coalesced.
 func (c *outChannel) writeBatch(conn net.Conn, batch []outMsg) (int, error) {
 	if c.key.proto == wire.UDP {
-		inj := c.ep.cfg.Faults
 		for i := range batch {
-			if inj.DropDatagram(wire.UDP, c.key.dest) {
-				continue // blackholed: "sent" as far as this host knows
-			}
 			var err error
 			if conn != nil {
 				_, err = conn.Write(batch[i].payload)
 			} else {
-				_, err = c.ep.udpSock.WriteToUDP(batch[i].payload, c.udpAddr)
+				_, err = c.ep.udpSock.WriteTo(batch[i].payload, c.udpAddr)
 			}
 			if err != nil {
 				return i, err

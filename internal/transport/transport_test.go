@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -352,5 +353,37 @@ func TestOffsetPort(t *testing.T) {
 		if err != nil || got != tc.want {
 			t.Errorf("OffsetPort(%q, %d) = %q, %v; want %q", tc.addr, tc.delta, got, err, tc.want)
 		}
+	}
+}
+
+// TestDefaultSocketsKeepFastPaths: with Config.Sockets nil a dialed TCP
+// channel writes to a *net.TCPConn, so a lone large frame still goes out
+// as one writev, and the socket a UDT channel is built over is a
+// *net.UDPConn, on which udt batches its syscalls
+// (TestDialUsesBatchedSender in internal/udt).
+func TestDefaultSocketsKeepFastPaths(t *testing.T) {
+	tcpPeer := newTestEndpoint(t, wire.TCP)
+	udtPeer := newTestEndpoint(t, wire.UDT)
+	ep, err := NewEndpoint(Config{ListenAddr: "127.0.0.1:0", OnMessage: func(From, []byte) {}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ep.Close()
+
+	conn, err := newOutChannel(ep, chanKey{proto: wire.TCP, dest: tcpPeer.Addr(wire.TCP)}).dial()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, ok := conn.(*net.TCPConn); !ok {
+		t.Fatalf("dialed TCP channel writes to a %T, want *net.TCPConn", conn)
+	}
+	sock, err := ep.cfg.Sockets.Dial(wire.UDT, udtPeer.Addr(wire.UDT), time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sock.Close()
+	if _, ok := sock.(*net.UDPConn); !ok {
+		t.Fatalf("UDT dials a %T, want *net.UDPConn", sock)
 	}
 }

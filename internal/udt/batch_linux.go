@@ -103,10 +103,10 @@ type mmsgSender struct {
 }
 
 // newMmsgSender returns a batched sender for udp→raddr, or nil when
-// batching is disabled or the descriptor is unavailable (callers then
-// write sequentially).
+// there is no udp, batching is disabled or the descriptor is unavailable
+// (callers then write sequentially).
 func newMmsgSender(udp *net.UDPConn, raddr netip.AddrPort, connected bool) *mmsgSender {
-	if batchingDisabled.Load() {
+	if udp == nil || batchingDisabled.Load() {
 		return nil
 	}
 	rc, err := udp.SyscallConn()
@@ -193,10 +193,10 @@ type batchReader struct {
 	transient bool // recvmmsg failed with a per-packet socket error
 }
 
-// newBatchReader returns a batched reader for udp, or nil when batching is
-// disabled or the descriptor is unavailable.
+// newBatchReader returns a batched reader for udp, or nil when there is no
+// udp, batching is disabled or the descriptor is unavailable.
 func newBatchReader(udp *net.UDPConn) *batchReader {
-	if batchingDisabled.Load() {
+	if udp == nil || batchingDisabled.Load() {
 		return nil
 	}
 	rc, err := udp.SyscallConn()

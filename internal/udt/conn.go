@@ -10,6 +10,7 @@ import (
 	"net/netip"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/kompics/kompicsmessaging-go/internal/bufpool"
@@ -40,15 +41,13 @@ type Config struct {
 	// LingerTimeout bounds how long Close waits for unsent data to drain
 	// (default 10 s).
 	LingerTimeout time.Duration
-	// LossInjector, when set, is consulted per outgoing data packet; a
-	// true result drops the packet before the socket. Test hook for
-	// exercising NAK/retransmission machinery deterministically.
-	LossInjector func() bool
 	// PeerDeathEXPs is how many consecutive EXP-timer expirations
-	// without any ACK progress declare the peer unreachable: blocked
+	// without any ACK progress declare the peer unreachable, or, with
+	// nothing in flight, how many EXP intervals without a single packet
+	// from it (an idle side sends a keep-alive every interval): blocked
 	// Read/Write calls fail with ErrPeerDead and every pooled buffer the
-	// connection owns is released (default 20 ≈ 2 s of silence with data
-	// in flight; negative disables detection).
+	// connection owns is released (default 20 ≈ 2 s of silence; negative
+	// disables detection).
 	PeerDeathEXPs int
 }
 
@@ -103,7 +102,8 @@ var (
 	// ErrClosed reports use of a closed connection.
 	ErrClosed = errors.New("udt: connection closed")
 	// ErrPeerDead reports a peer declared unreachable by the EXP timer
-	// (Config.PeerDeathEXPs expirations with zero ACK progress).
+	// (Config.PeerDeathEXPs expirations with zero ACK progress, or as
+	// many intervals of silence while idle).
 	ErrPeerDead = errors.New("udt: peer unreachable")
 	// ErrLingerExpired reports a Close whose LingerTimeout expired before
 	// the peer acknowledged everything written; the rest was dropped.
@@ -133,11 +133,18 @@ const maxIdleSegCap = 1024
 // moves it to the in-order segment queue, and Read recycles each segment
 // once the application has consumed it.
 type Conn struct {
-	udp        *net.UDPConn
-	raddr      netip.AddrPort
-	ownsSocket bool
-	onClose    func() // mux unregistration
-	cfg        Config
+	// The socket: a dialed Conn's own connected one (sock, closed with
+	// the Conn), or an accepted Conn's listener socket (shared), written
+	// to raddr. udp is that socket when it is a *net.UDPConn, which the
+	// allocation-free writes and sendmmsg need; any other socket takes
+	// the portable path, where peer is raddr as a net.Addr.
+	sock    net.Conn
+	shared  net.PacketConn
+	udp     *net.UDPConn
+	raddr   netip.AddrPort
+	peer    net.Addr
+	onClose func() // mux unregistration
+	cfg     Config
 
 	// mmsg batches data-packet sends with sendmmsg where available; nil
 	// means one syscall per packet. Only the sender goroutine touches it
@@ -189,9 +196,11 @@ type Conn struct {
 	establishedCh chan struct{}
 	closeOnce     sync.Once
 	closed        bool
-	// dead marks a peer declared unreachable by the EXP timer; set with
-	// the buffers already released, so no path may repool after it.
-	dead       bool
+	// dead is the error every later Read and Write fails with: ErrPeerDead
+	// once the EXP timer declares the peer unreachable, or the error that
+	// closed a dialed Conn's socket under it. It is set with the buffers
+	// already released, so no path may repool after it.
+	dead       error
 	peerClosed bool
 	done       chan struct{}
 	wg         sync.WaitGroup
@@ -201,6 +210,9 @@ type Conn struct {
 
 	// kick wakes the pacing loop when new data is queued.
 	kick chan struct{}
+	// heard is set by every arriving packet and cleared by each ackLoop
+	// tick, which so counts the ticks of silence.
+	heard atomic.Bool
 
 	// Stats (atomic access not needed: guarded by mu).
 	statRetransmits int
@@ -209,12 +221,14 @@ type Conn struct {
 
 var _ net.Conn = (*Conn)(nil)
 
-func newConn(udp *net.UDPConn, raddr netip.AddrPort, ownsSocket bool, cfg Config) *Conn {
+// newConn builds a connection to raddr over sock, a socket connected to
+// it that the Conn owns, or else over shared, its listener's socket.
+func newConn(sock net.Conn, shared net.PacketConn, raddr netip.AddrPort, cfg Config) *Conn {
 	cfg = cfg.withDefaults()
 	c := &Conn{
-		udp:           udp,
+		sock:          sock,
+		shared:        shared,
 		raddr:         raddr,
-		ownsSocket:    ownsSocket,
 		cfg:           cfg,
 		sndUnacked:    newPktRing(cfg.MaxFlowWindow),
 		rcvOOO:        newPktRing(cfg.RcvBuffer),
@@ -228,12 +242,17 @@ func newConn(udp *net.UDPConn, raddr netip.AddrPort, ownsSocket bool, cfg Config
 	}
 	c.readCond = sync.NewCond(&c.mu)
 	c.writeCond = sync.NewCond(&c.mu)
+	if sock != nil {
+		c.udp, _ = sock.(*net.UDPConn)
+	} else if c.udp, _ = shared.(*net.UDPConn); c.udp == nil {
+		c.peer = net.UDPAddrFromAddrPort(raddr)
+	}
 	return c
 }
 
 // start launches the sender and ACK loops once the handshake completed.
 func (c *Conn) start() {
-	c.mmsg = newMmsgSender(c.udp, c.raddr, c.ownsSocket)
+	c.mmsg = newMmsgSender(c.udp, c.raddr, c.sock != nil)
 	c.wg.Add(2)
 	go c.senderLoop()
 	go c.ackLoop()
@@ -248,19 +267,17 @@ func (c *Conn) Read(b []byte) (int, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for c.rcvSegHead == len(c.rcvSegs) {
-		if c.closed {
+		switch {
+		case c.closed:
 			return 0, ErrClosed
-		}
-		if c.dead {
-			return 0, ErrPeerDead
-		}
-		if c.peerClosed {
+		case c.dead != nil:
+			return 0, c.dead
+		case c.peerClosed:
 			return 0, io.EOF
-		}
-		if !c.readDeadline.IsZero() && !time.Now().Before(c.readDeadline) {
+		case !c.readDeadline.IsZero() && !time.Now().Before(c.readDeadline):
 			return 0, ErrTimeout
 		}
-		c.waitRead()
+		c.wait(c.readCond, c.readDeadline)
 	}
 	n := 0
 	for n < len(b) && c.rcvSegHead < len(c.rcvSegs) {
@@ -281,13 +298,14 @@ func (c *Conn) Read(b []byte) (int, error) {
 	return n, nil
 }
 
-// waitRead blocks on readCond, arranging a wake-up at the deadline.
-func (c *Conn) waitRead() {
+// wait blocks on cond, arranging a wake-up at deadline unless it is zero.
+// Caller holds mu.
+func (c *Conn) wait(cond *sync.Cond, deadline time.Time) {
 	var t *time.Timer
-	if !c.readDeadline.IsZero() {
-		t = time.AfterFunc(time.Until(c.readDeadline), c.readCond.Broadcast)
+	if !deadline.IsZero() {
+		t = time.AfterFunc(time.Until(deadline), cond.Broadcast)
 	}
-	c.readCond.Wait()
+	cond.Wait()
 	if t != nil {
 		t.Stop()
 	}
@@ -312,58 +330,33 @@ func (c *Conn) segCount() int { return len(c.rcvSegs) - c.rcvSegHead }
 // once (plus once per backpressure stall), not once per chunk.
 func (c *Conn) Write(b []byte) (int, error) {
 	total := 0
+	var err error
 	c.mu.Lock()
-	for len(b) > 0 {
-		for c.sndQueueBytes >= c.cfg.SndQueue {
-			if c.dead {
-				c.mu.Unlock()
-				return total, ErrPeerDead
-			}
-			if c.closed || c.peerClosed {
-				c.mu.Unlock()
-				return total, ErrClosed
-			}
-			if !c.writeDeadline.IsZero() && !time.Now().Before(c.writeDeadline) {
-				c.mu.Unlock()
-				return total, ErrTimeout
-			}
-			c.waitWrite()
+	for len(b) > 0 && err == nil {
+		switch {
+		case c.dead != nil:
+			err = c.dead
+		case c.closed || c.peerClosed:
+			err = ErrClosed
+		case c.sndQueueBytes < c.cfg.SndQueue:
+			chunk := b[:min(len(b), mssPayload)]
+			dup := bufpool.Get(len(chunk))
+			copy(dup, chunk)
+			c.sndQueue = append(c.sndQueue, dup)
+			c.sndQueueBytes += len(dup)
+			total += len(chunk)
+			b = b[len(chunk):]
+		case !c.writeDeadline.IsZero() && !time.Now().Before(c.writeDeadline):
+			err = ErrTimeout
+		default:
+			c.wait(c.writeCond, c.writeDeadline)
 		}
-		if c.dead {
-			c.mu.Unlock()
-			return total, ErrPeerDead
-		}
-		if c.closed || c.peerClosed {
-			c.mu.Unlock()
-			return total, ErrClosed
-		}
-		chunk := b
-		if len(chunk) > mssPayload {
-			chunk = chunk[:mssPayload]
-		}
-		dup := bufpool.Get(len(chunk))
-		copy(dup, chunk)
-		c.sndQueue = append(c.sndQueue, dup)
-		c.sndQueueBytes += len(dup)
-		total += len(chunk)
-		b = b[len(chunk):]
 	}
 	c.mu.Unlock()
 	if total > 0 {
 		c.kickSender()
 	}
-	return total, nil
-}
-
-func (c *Conn) waitWrite() {
-	var t *time.Timer
-	if !c.writeDeadline.IsZero() {
-		t = time.AfterFunc(time.Until(c.writeDeadline), c.writeCond.Broadcast)
-	}
-	c.writeCond.Wait()
-	if t != nil {
-		t.Stop()
-	}
+	return total, err
 }
 
 func (c *Conn) kickSender() {
@@ -410,8 +403,8 @@ func (c *Conn) teardown() error {
 	if c.onClose != nil {
 		c.onClose()
 	}
-	if c.ownsSocket {
-		c.udp.Close()
+	if c.sock != nil {
+		c.sock.Close()
 	}
 	c.wg.Wait()
 	if expired {
@@ -456,7 +449,12 @@ func (c *Conn) releaseBuffersLocked() (unsent int) {
 }
 
 // LocalAddr implements net.Conn.
-func (c *Conn) LocalAddr() net.Addr { return c.udp.LocalAddr() }
+func (c *Conn) LocalAddr() net.Addr {
+	if c.sock != nil {
+		return c.sock.LocalAddr()
+	}
+	return c.shared.LocalAddr()
+}
 
 // RemoteAddr implements net.Conn.
 func (c *Conn) RemoteAddr() net.Addr { return net.UDPAddrFromAddrPort(c.raddr) }
@@ -614,7 +612,7 @@ func (c *Conn) sendBurst(batch *sendBatch, budget float64) int {
 	burstBytes := 0
 	queuedFresh := false
 	c.mu.Lock()
-	if c.closed || c.dead || (math.IsInf(budget, 1) && !c.slowStart) {
+	if c.closed || c.dead != nil || (math.IsInf(budget, 1) && !c.slowStart) {
 		c.mu.Unlock()
 		return 0
 	}
@@ -667,17 +665,23 @@ func (c *Conn) sendBurst(batch *sendBatch, budget float64) int {
 	return burstBytes
 }
 
-// flushBatch transmits an encoded burst: the loss injector is consulted per
+// lossHook, when this package's tests set it, is consulted per outgoing
+// data packet; true drops the packet before the socket, exercising NAK
+// and retransmission deterministically.
+var lossHook atomic.Pointer[func() bool]
+
+// flushBatch transmits an encoded burst: the loss hook is consulted per
 // packet outside the lock (a hook touching the connection must not
 // deadlock), survivors go out via one sendmmsg where available, otherwise
 // as sequential writes.
 func (c *Conn) flushBatch(batch *sendBatch) {
 	batch.pkts = batch.pkts[:0]
+	drop := lossHook.Load()
 	start := 0
 	for _, end := range batch.ends {
 		pkt := batch.slab[start:end]
 		start = end
-		if c.cfg.LossInjector != nil && c.cfg.LossInjector() {
+		if drop != nil && (*drop)() {
 			continue
 		}
 		batch.pkts = append(batch.pkts, pkt)
@@ -700,11 +704,32 @@ func (c *Conn) flushBatch(batch *sendBatch) {
 // send writes a raw packet to the peer; errors are ignored (UDP is
 // best-effort and reliability lives above).
 func (c *Conn) send(b []byte) {
-	if c.ownsSocket {
-		_, _ = c.udp.Write(b)
+	switch {
+	case c.sock != nil:
+		_, _ = c.sock.Write(b)
+	case c.udp != nil:
+		_, _ = c.udp.WriteToUDPAddrPort(b, c.raddr)
+	default:
+		_, _ = c.shared.WriteTo(b, c.peer)
+	}
+}
+
+// fail ends an open connection for good: blocked and later Read and
+// Write calls fail with err, and every pooled buffer it owns goes home
+// now rather than at some eventual Close. It is called when the peer is
+// declared dead, and when a dialed Conn's socket closed under it (its own
+// Close marks it closed first).
+func (c *Conn) fail(err error) {
+	c.mu.Lock()
+	if c.closed || c.dead != nil {
+		c.mu.Unlock()
 		return
 	}
-	_, _ = c.udp.WriteToUDPAddrPort(b, c.raddr)
+	c.dead = err
+	c.releaseBuffersLocked()
+	c.mu.Unlock()
+	c.readCond.Broadcast()
+	c.writeCond.Broadcast()
 }
 
 // --- receiver / control --------------------------------------------------------
@@ -717,10 +742,15 @@ const expTicks = 10
 
 // ackLoop emits a cumulative ACK every SYN interval, re-NAKs stale gaps so
 // lost NAKs cannot stall the stream, and runs the sender's EXP timer.
+// With nothing in flight it runs UDT4's keep-alive instead: a keep-alive
+// packet every EXP interval, and death after PeerDeathEXPs intervals
+// without a packet from a peer that has not shut down — so a listener
+// does not keep a connection whose client vanished without a word.
 func (c *Conn) ackLoop() {
 	defer c.wg.Done()
 	ticker := time.NewTicker(synInterval)
 	defer ticker.Stop()
+	ticks, silentTicks := 0, 0
 	staleTicks := 0
 	expCounter := 0
 	expEvents := 0
@@ -751,9 +781,15 @@ func (c *Conn) ackLoop() {
 			c.statNaksSent++
 		}
 
+		ticks++
+		silentTicks++
+		if c.heard.Swap(false) || c.peerClosed {
+			silentTicks = 0
+		}
 		// EXP timer: no ACK progress while data is in flight.
 		kick := false
 		died := false
+		keepalive := false
 		if c.sndUnacked.len() > 0 {
 			if c.sndFirstUnack == lastUnack {
 				expCounter++
@@ -765,11 +801,7 @@ func (c *Conn) ackLoop() {
 				expEvents++
 				if c.cfg.PeerDeathEXPs > 0 && expEvents >= c.cfg.PeerDeathEXPs {
 					// The peer stayed silent through PeerDeathEXPs full
-					// retransmission rounds: declare it dead, fail blocked
-					// I/O promptly and release every station buffer now
-					// rather than at some eventual Close.
-					c.dead = true
-					c.releaseBuffersLocked()
+					// retransmission rounds: declare it dead.
 					died = true
 				} else {
 					c.expireLocked()
@@ -780,13 +812,14 @@ func (c *Conn) ackLoop() {
 		} else {
 			expCounter = 0
 			expEvents = 0
+			keepalive = ticks%expTicks == 0
+			died = c.cfg.PeerDeathEXPs > 0 && silentTicks >= expTicks*c.cfg.PeerDeathEXPs
 		}
 		lastUnack = c.sndFirstUnack
 		c.mu.Unlock()
 
 		if died {
-			c.readCond.Broadcast()
-			c.writeCond.Broadcast()
+			c.fail(ErrPeerDead)
 			continue // stay on duty for ACK/shutdown bookkeeping until Close
 		}
 		if needAck {
@@ -794,6 +827,9 @@ func (c *Conn) ackLoop() {
 		}
 		if len(ranges) > 0 {
 			c.send(encodeNak(ranges))
+		}
+		if keepalive {
+			c.send([]byte{ctlKeepalive})
 		}
 		if kick {
 			c.kickSender()
@@ -863,6 +899,7 @@ func (c *Conn) handlePacket(b []byte) {
 	if len(b) == 0 {
 		return
 	}
+	c.heard.Store(true)
 	switch {
 	case b[0] == pktData:
 		c.handleData(b)
@@ -882,7 +919,7 @@ func (c *Conn) handlePacket(b []byte) {
 		c.mu.Unlock()
 		c.send(encodeHandshake(ctlHsAck, seq, window))
 	case b[0] == ctlKeepalive:
-		// Nothing to do.
+		// Heard: nothing more to do.
 	default:
 		// Unknown packet: drop.
 	}
@@ -898,7 +935,7 @@ func (c *Conn) handleData(b []byte) {
 	var lightAck []byte
 	c.mu.Lock()
 	switch {
-	case c.closed || c.dead:
+	case c.closed || c.dead != nil:
 		// Teardown already recycled the receive buffers; drop.
 	case seqLess(seq, c.rcvNextSeq):
 		// Duplicate of already-delivered data: the sender may have missed
@@ -978,7 +1015,7 @@ func (c *Conn) handleAck(b []byte) {
 		return
 	}
 	c.mu.Lock()
-	if c.dead {
+	if c.dead != nil {
 		// A late ACK cannot resurrect the connection; the windows are
 		// already drained.
 		c.mu.Unlock()
@@ -1057,29 +1094,20 @@ func (c *Conn) handleShutdown() {
 }
 
 func (c *Conn) handleHsAck(b []byte) {
-	initialSeq, window, err := decodeHandshake(b)
-	if err != nil {
-		return
+	if initialSeq, window, err := decodeHandshake(b); err == nil {
+		c.establish(initialSeq, window)
 	}
-	c.mu.Lock()
-	if !c.established {
-		c.established = true
-		c.rcvNextSeq = initialSeq
-		c.rcvLargest = initialSeq
-		c.peerWindow = int(window)
-		close(c.establishedCh)
-	}
-	c.mu.Unlock()
 }
 
-// completeAccept initialises receiver state on the listener side from the
-// client's handshake.
-func (c *Conn) completeAccept(clientSeq uint32, window uint32) {
+// establish initialises receiver state from the peer's handshake: the
+// listener's acknowledgement on the client side, the client's handshake
+// on the listener side. Later handshakes change nothing.
+func (c *Conn) establish(peerSeq uint32, window uint32) {
 	c.mu.Lock()
 	if !c.established {
 		c.established = true
-		c.rcvNextSeq = clientSeq
-		c.rcvLargest = clientSeq
+		c.rcvNextSeq = peerSeq
+		c.rcvLargest = peerSeq
 		c.peerWindow = int(window)
 		close(c.establishedCh)
 	}

@@ -1,8 +1,12 @@
 package udt
 
 import (
+	"bytes"
+	"errors"
 	"io"
+	"math/rand"
 	"net"
+	"runtime"
 	"testing"
 	"time"
 
@@ -20,7 +24,7 @@ func newLoopConn(t *testing.T, cfg Config) *Conn {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { sock.Close() })
-	c := newConn(sock, sock.LocalAddr().(*net.UDPAddr).AddrPort(), false, cfg)
+	c := newConn(nil, sock, sock.LocalAddr().(*net.UDPAddr).AddrPort(), cfg)
 	t.Cleanup(func() {
 		c.mu.Lock()
 		c.closed = true
@@ -254,6 +258,84 @@ func TestBulkTransferBatchingDisabled(t *testing.T) {
 	batchingDisabled.Store(true)
 	defer batchingDisabled.Store(prev)
 	transferAndVerify(t, Config{MaxRate: 100 << 20}, 2<<20)
+}
+
+// TestDialUsesBatchedSender: Dial's socket is a *net.UDPConn, so on
+// linux/amd64 and linux/arm64 the connection flushes bursts with
+// sendmmsg.
+func TestDialUsesBatchedSender(t *testing.T) {
+	if runtime.GOOS != "linux" || (runtime.GOARCH != "amd64" && runtime.GOARCH != "arm64") {
+		t.Skip("sendmmsg batching is linux/amd64 and linux/arm64 only")
+	}
+	client, _, cleanup := pair(t, Config{})
+	defer cleanup()
+	if client.udp == nil || client.mmsg == nil {
+		t.Fatalf("dialed conn: udp %v, mmsg %v; want the batched sender", client.udp, client.mmsg)
+	}
+}
+
+// TestPortableSockets runs a connection over sockets that are not
+// *net.UDPConn, as a wrapped or simulated socket arrives through
+// NewListener and Client: no batching, the same byte stream both ways.
+// A socket closed under a dialed Conn fails its blocked Read at once, not
+// after PeerDeathEXPs rounds; and the listener's side, which never hears
+// the shutdown, declares the silent client dead instead of keeping it.
+func TestPortableSockets(t *testing.T) {
+	lsock, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := NewListener(struct{ net.PacketConn }{lsock}, Config{PeerDeathEXPs: 3})
+	defer l.Close()
+	accepted := make(chan net.Conn, 1)
+	go func() {
+		if c, err := l.Accept(); err == nil {
+			accepted <- c
+		}
+	}()
+	csock, err := net.DialUDP("udp", nil, lsock.LocalAddr().(*net.UDPAddr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	client, err := Client(struct{ net.Conn }{csock}, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	if client.udp != nil || client.mmsg != nil {
+		t.Fatal("a socket that is not a *net.UDPConn took the batched path")
+	}
+	var server net.Conn
+	select {
+	case server = <-accepted:
+	case <-time.After(5 * time.Second):
+		t.Fatal("no accept")
+	}
+	defer server.Close()
+
+	up := make([]byte, 256<<10)
+	rand.New(rand.NewSource(5)).Read(up)
+	go client.Write(up)
+	got := make([]byte, len(up))
+	server.SetReadDeadline(time.Now().Add(10 * time.Second))
+	if _, err := io.ReadFull(server, got); err != nil || !bytes.Equal(got, up) {
+		t.Fatalf("client→server: %v (equal %v)", err, bytes.Equal(got, up))
+	}
+	if _, err := server.Write([]byte("pong")); err != nil {
+		t.Fatal(err)
+	}
+	client.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := io.ReadFull(client, got[:4]); err != nil || string(got[:4]) != "pong" {
+		t.Fatalf("server→client: %q, %v", got[:4], err)
+	}
+
+	csock.Close()
+	if _, err := client.Read(got); !errors.Is(err, net.ErrClosed) {
+		t.Fatalf("Read after the socket closed: %v, want net.ErrClosed", err)
+	}
+	if _, err := server.Read(got); err != ErrPeerDead {
+		t.Fatalf("listener side Read after its client vanished: %v, want ErrPeerDead", err)
+	}
 }
 
 // TestTransferReleasesPooledBuffers runs a transfer under bufpool's leak

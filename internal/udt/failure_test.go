@@ -47,10 +47,8 @@ func TestDoubleCloseAndReadAfterClose(t *testing.T) {
 // byte stays unacknowledged until the linger expires.
 func lingerPair(t *testing.T) (client *Conn, cleanup func()) {
 	t.Helper()
-	client, _, cleanup = pair(t, Config{
-		LossInjector:  func() bool { return true },
-		LingerTimeout: 100 * time.Millisecond,
-	})
+	setLossHook(t, func() bool { return true })
+	client, _, cleanup = pair(t, Config{LingerTimeout: 100 * time.Millisecond})
 	if _, err := client.Write(make([]byte, 64<<10)); err != nil {
 		cleanup()
 		t.Fatal(err)
@@ -166,14 +164,12 @@ func TestHeavyBidirectionalLoss(t *testing.T) {
 	// covered by the EXP timer): integrity must survive.
 	rng := rand.New(rand.NewSource(4))
 	var mu sync.Mutex
-	cfg := Config{
-		LossInjector: func() bool {
-			mu.Lock()
-			defer mu.Unlock()
-			return rng.Float64() < 0.10
-		},
-	}
-	transferAndVerify(t, cfg, 512<<10)
+	setLossHook(t, func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return rng.Float64() < 0.10
+	})
+	transferAndVerify(t, Config{}, 512<<10)
 }
 
 func TestListenerCloseFailsActiveConns(t *testing.T) {
@@ -227,11 +223,10 @@ func TestPeerDeathFailsIOAndReleasesBuffers(t *testing.T) {
 	defer bufpool.SetDebug(false)
 
 	var blackhole atomic.Bool
-	cfg := Config{
+	setLossHook(t, blackhole.Load)
+	client, server, cleanup := pair(t, Config{
 		PeerDeathEXPs: 2, // two silent retransmission rounds suffice here
-		LossInjector:  func() bool { return blackhole.Load() },
-	}
-	client, server, cleanup := pair(t, cfg)
+	})
 	defer cleanup()
 
 	// Healthy exchange first: ACK progress must keep the death counter

@@ -41,9 +41,10 @@ func FuzzHandlePacket(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Cleanup(func() { sock.Close() })
-	cfg := Config{MaxFlowWindow: 64, RcvBuffer: 64, LossInjector: func() bool { return true }}
+	setLossHook(f, func() bool { return true })
+	cfg := Config{MaxFlowWindow: 64, RcvBuffer: 64}
 	f.Fuzz(func(t *testing.T, b []byte) {
-		c := newConn(sock, sock.LocalAddr().(*net.UDPAddr).AddrPort(), false, cfg)
+		c := newConn(nil, sock, sock.LocalAddr().(*net.UDPAddr).AddrPort(), cfg)
 		defer func() {
 			c.mu.Lock()
 			c.closed = true

@@ -15,11 +15,11 @@ import (
 // by the kernel anyway for our MTU-sized sends.
 const maxDatagram = 2048
 
-// Listener accepts UDT connections on a UDP port, demultiplexing datagrams
-// to per-peer connections. It implements net.Listener.
+// Listener accepts UDT connections on a datagram socket, demultiplexing
+// datagrams to per-peer connections. It implements net.Listener.
 type Listener struct {
-	udp *net.UDPConn
-	cfg Config
+	sock net.PacketConn
+	cfg  Config
 
 	mu       sync.Mutex
 	conns    map[netip.AddrPort]*Conn
@@ -31,19 +31,25 @@ type Listener struct {
 
 var _ net.Listener = (*Listener)(nil)
 
-// Listen starts a UDT listener on the given UDP address ("host:port").
+// Listen opens a UDP socket on the given address ("host:port") and
+// starts a UDT listener on it (NewListener).
 func Listen(addr string, cfg Config) (*Listener, error) {
-	uaddr, err := net.ResolveUDPAddr("udp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("udt: resolve %q: %w", addr, err)
-	}
-	sock, err := net.ListenUDP("udp", uaddr)
+	sock, err := net.ListenPacket("udp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("udt: listen %q: %w", addr, err)
 	}
-	tuneSocket(sock)
+	return NewListener(sock, cfg), nil
+}
+
+// NewListener starts a UDT listener on sock, which it owns from then on:
+// Close closes it. Any datagram socket serves whose sources are
+// *net.UDPAddr and whose reads fail with net.ErrClosed once it is
+// closed; a *net.UDPConn gets batched syscalls and larger kernel buffers.
+func NewListener(sock net.PacketConn, cfg Config) *Listener {
+	udp, _ := sock.(*net.UDPConn)
+	tuneSocket(udp)
 	l := &Listener{
-		udp:      sock,
+		sock:     sock,
 		cfg:      cfg.withDefaults(),
 		conns:    make(map[netip.AddrPort]*Conn),
 		acceptCh: make(chan *Conn, 16),
@@ -52,9 +58,13 @@ func Listen(addr string, cfg Config) (*Listener, error) {
 	l.wg.Add(1)
 	go func() {
 		defer l.wg.Done()
-		readDatagrams(sock, l.dispatch)
+		readDatagrams(udp, func(b []byte) (int, netip.AddrPort, error) {
+			n, from, err := sock.ReadFrom(b)
+			ua, _ := from.(*net.UDPAddr)
+			return n, ua.AddrPort(), err
+		}, l.dispatch)
 	}()
-	return l, nil
+	return l
 }
 
 // Accept implements net.Listener.
@@ -68,7 +78,7 @@ func (l *Listener) Accept() (net.Conn, error) {
 }
 
 // Addr implements net.Listener.
-func (l *Listener) Addr() net.Addr { return l.udp.LocalAddr() }
+func (l *Listener) Addr() net.Addr { return l.sock.LocalAddr() }
 
 // Close implements net.Listener: it stops accepting and closes every
 // connection.
@@ -86,7 +96,7 @@ func (l *Listener) Close() error {
 	l.mu.Unlock()
 
 	close(l.done)
-	l.udp.Close()
+	l.sock.Close()
 	for _, c := range conns {
 		c.Close()
 	}
@@ -94,21 +104,24 @@ func (l *Listener) Close() error {
 	return nil
 }
 
-// readDatagrams hands every datagram read from sock to handle until the
-// socket closes; it is the read loop of both a Listener and a Dial'd
-// connection. Where the platform supports it, recvmmsg drains a whole
-// burst per syscall; the portable path reads one datagram per
-// ReadMsgUDPAddrPort call (which, unlike ReadFromUDP, does not allocate a
-// *net.UDPAddr per packet). Other socket errors are transient: a
-// connected socket surfaces ICMP port-unreachable as ECONNREFUSED when a
-// handshake raced the peer's bind, and the handshake retries.
+// readDatagrams hands every datagram read from a socket to handle until
+// the socket closes, and returns the error that ended the reads; it is
+// the read loop of both a Listener and a Client. read reads one datagram
+// and its source from the socket; udp is the socket when it is a
+// *net.UDPConn, and then, where the platform supports it, recvmmsg
+// drains a whole burst per syscall instead, or else ReadMsgUDPAddrPort
+// reads one datagram per call (which, unlike ReadFromUDP, does not
+// allocate a *net.UDPAddr per packet). Other socket errors than
+// net.ErrClosed are transient: a connected socket surfaces ICMP
+// port-unreachable as ECONNREFUSED when a handshake raced the peer's
+// bind, and the handshake retries.
 //
 // Under bulk traffic the socket is never empty, so the loop would run
 // without blocking until Go preempts it (≈ 10 ms): it yields the
 // processor after every full recvmmsg batch, and after every
 // batchReadSize datagrams on the portable path (DESIGN.md §10).
-func readDatagrams(sock *net.UDPConn, handle func(b []byte, from netip.AddrPort)) {
-	if br := newBatchReader(sock); br != nil {
+func readDatagrams(udp *net.UDPConn, read func([]byte) (int, netip.AddrPort, error), handle func(b []byte, from netip.AddrPort)) error {
+	if br := newBatchReader(udp); br != nil {
 		for {
 			n, err := br.read()
 			for i := 0; i < n; i++ {
@@ -118,23 +131,29 @@ func readDatagrams(sock *net.UDPConn, handle func(b []byte, from netip.AddrPort)
 				break // fall through to the portable loop
 			}
 			if err != nil {
-				return // socket closed: transient errors come back as 0, nil
+				return err // socket closed: transient errors come back as 0, nil
 			}
 			if n == batchReadSize {
 				runtime.Gosched()
 			}
 		}
 	}
+	if udp != nil {
+		read = func(b []byte) (int, netip.AddrPort, error) {
+			n, _, _, from, err := udp.ReadMsgUDPAddrPort(b, nil)
+			return n, from, err
+		}
+	}
 	buf := make([]byte, maxDatagram)
-	for read := 1; ; read++ {
-		n, _, _, addr, err := sock.ReadMsgUDPAddrPort(buf, nil)
-		if n > 0 {
-			handle(buf[:n], addr)
+	for n := 1; ; n++ {
+		k, from, err := read(buf)
+		if k > 0 {
+			handle(buf[:k], from)
 		}
 		if errors.Is(err, net.ErrClosed) {
-			return
+			return err
 		}
-		if read%batchReadSize == 0 {
+		if n%batchReadSize == 0 {
 			runtime.Gosched()
 		}
 	}
@@ -170,12 +189,12 @@ func (l *Listener) dispatch(b []byte, raddr netip.AddrPort) {
 	if len(l.acceptCh) == cap(l.acceptCh) {
 		return // backlog full: shed before constructing anything
 	}
-	conn = newConn(l.udp, raddr, false, l.cfg)
+	conn = newConn(nil, l.sock, raddr, l.cfg)
 	conn.sndNextSeq = randomInitialSeq()
 	conn.sndFirstUnack = conn.sndNextSeq
 	conn.lastAcked = clientSeq
 	conn.onClose = func() { l.forget(raddr) }
-	conn.completeAccept(clientSeq, window)
+	conn.establish(clientSeq, window)
 
 	l.mu.Lock()
 	if l.closed {
@@ -208,29 +227,41 @@ func (l *Listener) forget(key netip.AddrPort) {
 	l.mu.Unlock()
 }
 
-// Dial connects to a UDT listener at addr ("host:port").
+// Dial opens a UDP socket connected to a UDT listener at addr
+// ("host:port") and connects over it (Client).
 func Dial(addr string, cfg Config) (*Conn, error) {
-	uaddr, err := net.ResolveUDPAddr("udp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("udt: resolve %q: %w", addr, err)
-	}
-	sock, err := net.DialUDP("udp", nil, uaddr)
+	sock, err := net.Dial("udp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("udt: dial %q: %w", addr, err)
 	}
-	tuneSocket(sock)
-	conn := newConn(sock, unmapAddrPort(uaddr.AddrPort()), true, cfg)
+	return Client(sock, cfg)
+}
+
+// Client connects to a UDT listener over sock, a datagram socket
+// connected to it whose RemoteAddr is a *net.UDPAddr. The Conn owns sock:
+// Close closes it, so does a failed handshake, and a sock closed under
+// the Conn fails its I/O. A *net.UDPConn gets batched syscalls and larger
+// kernel buffers; any other socket takes the portable path.
+func Client(sock net.Conn, cfg Config) (*Conn, error) {
+	ua, _ := sock.RemoteAddr().(*net.UDPAddr)
+	conn := newConn(sock, nil, unmapAddrPort(ua.AddrPort()), cfg)
+	tuneSocket(conn.udp)
 	conn.sndNextSeq = randomInitialSeq()
 	conn.sndFirstUnack = conn.sndNextSeq
 
 	// The client-side read loop lives until the socket closes (on
-	// conn.Close, or below on handshake failure). It joins conn.wg so
-	// Close, which closes the socket before waiting, reaps it — without
-	// this the loop outlived every Dial'd connection until process exit.
+	// conn.Close, below on handshake failure, or under the Conn). It joins
+	// conn.wg so Close, which closes the socket before waiting, reaps it —
+	// without this the loop outlived every dialed connection until
+	// process exit.
 	conn.wg.Add(1)
 	go func() {
 		defer conn.wg.Done()
-		readDatagrams(sock, func(b []byte, _ netip.AddrPort) { conn.handlePacket(b) })
+		err := readDatagrams(conn.udp, func(b []byte) (int, netip.AddrPort, error) {
+			n, err := sock.Read(b)
+			return n, conn.raddr, err
+		}, func(b []byte, _ netip.AddrPort) { conn.handlePacket(b) })
+		conn.fail(fmt.Errorf("udt: socket failed: %w", err))
 	}()
 
 	// Handshake with retry: resend on a ticker until the peer's response
@@ -285,8 +316,12 @@ var ErrListenerClosed = errors.New("udt: listener closed")
 // tuneSocket enlarges kernel buffers: UDT bursts many datagrams per SYN
 // interval and small default buffers drop tails of bursts. Mirrors the
 // paper's tuning of UDT buffer sizes for high-BDP links; best-effort
-// (the kernel may clamp to its rmem/wmem limits).
+// (the kernel may clamp to its rmem/wmem limits). Only a *net.UDPConn
+// is tuned.
 func tuneSocket(sock *net.UDPConn) {
+	if sock == nil {
+		return
+	}
 	const want = 8 << 20
 	_ = sock.SetReadBuffer(want)
 	_ = sock.SetWriteBuffer(want)

@@ -41,15 +41,6 @@ func seqLess(a, b uint32) bool { return int32(a-b) < 0 }
 // seqLeq is seqLess or equal.
 func seqLeq(a, b uint32) bool { return int32(a-b) <= 0 }
 
-// encodeData renders a data packet into buf and returns the slice.
-func encodeData(buf []byte, seq uint32, payload []byte) []byte {
-	buf = buf[:0]
-	buf = append(buf, pktData)
-	buf = binary.BigEndian.AppendUint32(buf, seq)
-	buf = append(buf, payload...)
-	return buf
-}
-
 // decodeData parses a data packet.
 func decodeData(b []byte) (seq uint32, payload []byte, err error) {
 	if len(b) < dataHeaderLen {

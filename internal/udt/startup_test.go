@@ -411,7 +411,7 @@ func TestLostLastAckAvoidsPeerDeath(t *testing.T) {
 		client.mu.Lock()
 		inflight, dead := client.sndUnacked.len(), client.dead
 		client.mu.Unlock()
-		if inflight == 0 && !dead {
+		if inflight == 0 && dead == nil {
 			return
 		}
 		if time.Now().After(deadline) {

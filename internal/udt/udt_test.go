@@ -3,6 +3,7 @@ package udt
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"io"
 	"math/rand"
 	"net"
@@ -88,6 +89,24 @@ func TestSeqCompare(t *testing.T) {
 }
 
 // --- end-to-end ----------------------------------------------------------------
+
+// encodeData renders a data packet into buf and returns the slice, the
+// way sendBurst encodes each packet of a burst.
+func encodeData(buf []byte, seq uint32, payload []byte) []byte {
+	buf = buf[:0]
+	buf = append(buf, pktData)
+	buf = binary.BigEndian.AppendUint32(buf, seq)
+	buf = append(buf, payload...)
+	return buf
+}
+
+// setLossHook installs drop as the loss hook for the rest of the test:
+// every outgoing data packet it returns true for vanishes before the
+// socket.
+func setLossHook(t testing.TB, drop func() bool) {
+	lossHook.Store(&drop)
+	t.Cleanup(func() { lossHook.Store(nil) })
+}
 
 // pair establishes a client/server connection over loopback.
 func pair(t testing.TB, cfg Config) (client *Conn, server net.Conn, cleanup func()) {
@@ -201,14 +220,12 @@ func TestBulkTransferWithLoss(t *testing.T) {
 	// stream must still arrive intact and in order.
 	rng := rand.New(rand.NewSource(99))
 	var mu sync.Mutex
-	cfg := Config{
-		LossInjector: func() bool {
-			mu.Lock()
-			defer mu.Unlock()
-			return rng.Float64() < 0.02
-		},
-	}
-	transferAndVerify(t, cfg, 2<<20)
+	setLossHook(t, func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return rng.Float64() < 0.02
+	})
+	transferAndVerify(t, Config{}, 2<<20)
 }
 
 // BenchmarkUDTBulkTransfer measures a sustained large transfer: each op
@@ -260,14 +277,12 @@ func BenchmarkUDTBulkTransfer(b *testing.B) {
 func TestLossTriggersNaksAndRetransmits(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	var mu sync.Mutex
-	cfg := Config{
-		LossInjector: func() bool {
-			mu.Lock()
-			defer mu.Unlock()
-			return rng.Float64() < 0.05
-		},
-	}
-	client, server, cleanup := pair(t, cfg)
+	setLossHook(t, func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return rng.Float64() < 0.05
+	})
+	client, server, cleanup := pair(t, Config{})
 	defer cleanup()
 
 	data := make([]byte, 1<<20)
@@ -490,12 +505,12 @@ func TestPropertyStreamIntegrity(t *testing.T) {
 	// byte stream.
 	cfgRng := rand.New(rand.NewSource(1))
 	var mu sync.Mutex
-	cfg := Config{LossInjector: func() bool {
+	setLossHook(t, func() bool {
 		mu.Lock()
 		defer mu.Unlock()
 		return cfgRng.Float64() < 0.01
-	}}
-	client, server, cleanup := pair(t, cfg)
+	})
+	client, server, cleanup := pair(t, Config{})
 	defer cleanup()
 
 	f := func(chunks [][]byte) bool {
