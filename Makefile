@@ -73,6 +73,7 @@ lint:
 #
 FUZZTIME ?= 20s
 FUZZ_TARGETS = FuzzReadFrame:./internal/codec/ \
+               FuzzFlateRoundTrip:./internal/codec/ \
                FuzzDecodeWire:./internal/core/ \
                FuzzReadBasicHeader:./internal/core/ \
                FuzzHandlePacket:./internal/udt/ \

@@ -191,6 +191,18 @@ func checkRecoveries(c *cluster, budget time.Duration, expectOutages bool) error
 		}
 	}
 	if expectOutages && total == 0 {
+		// A channel leaves Up only through Down, and every Down either
+		// ended an outage or is still pending (both ruled out above): so
+		// each channel not Up now never came up at all.
+		var neverUp []string
+		for _, n := range c.nodes {
+			for _, ch := range n.status.notUp() {
+				neverUp = append(neverUp, fmt.Sprintf("node%d %s", n.index, ch))
+			}
+		}
+		if len(neverUp) > 0 {
+			return fmt.Errorf("no outage observed: no channel went down, because these never came up (peer never reachable): %v", neverUp)
+		}
 		return fmt.Errorf("no outage observed: the schedule injected faults but no channel ever went down — harness wiring broken")
 	}
 	return nil

@@ -1,12 +1,16 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"log"
 	"os"
 	"strings"
 	"testing"
+	"time"
 
+	"github.com/kompics/kompicsmessaging-go/internal/core"
+	"github.com/kompics/kompicsmessaging-go/internal/stats"
 	"github.com/kompics/kompicsmessaging-go/internal/testnet"
 )
 
@@ -100,4 +104,35 @@ func TestInducedOutageNamesStuckChannel(t *testing.T) {
 		t.Fatalf("queue-drain violation names no dest of node1 (ports %d, %d): %s", base+2, base+3, line)
 	}
 	t.Fatalf("no queue-drain violation:\n%s", out)
+}
+
+// TestNoOutageWording pins what the outage gate says when it counted no
+// outage: a channel that never came up names its unreachable peer, and
+// only a run with no such channel blames the harness. Both fail the gate.
+func TestNoOutageWording(t *testing.T) {
+	never := newStatusWatcher(stats.NewRegistry())
+	never.last[key(core.UDT, "127.0.0.1:17003")] = core.ChannelStatus{Proto: core.UDT, Dest: "127.0.0.1:17003",
+		Kind: core.StatusRetry, At: time.Now(), Attempt: 3, Err: errors.New("connection refused")}
+	for _, tc := range []struct {
+		name   string
+		status *statusWatcher
+		want   []string
+	}{
+		{"peer never reachable", never, []string{"never came up", "node1 UDT 127.0.0.1:17003 retry", "connection refused"}},
+		{"nothing happened", newStatusWatcher(stats.NewRegistry()), []string{"harness wiring broken"}},
+	} {
+		c := &cluster{nodes: []*node{{index: 1, status: tc.status}}}
+		err := checkRecoveries(c, time.Second, true)
+		if err == nil {
+			t.Fatalf("%s: the gate passed with no outage observed", tc.name)
+		}
+		for _, w := range tc.want {
+			if !strings.Contains(err.Error(), w) {
+				t.Errorf("%s: %q does not say %q", tc.name, err, w)
+			}
+		}
+		if err := checkRecoveries(c, time.Second, false); err != nil {
+			t.Errorf("%s: with no outages expected the gate failed: %v", tc.name, err)
+		}
+	}
 }

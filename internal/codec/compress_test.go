@@ -209,3 +209,70 @@ func TestFlateDecompressAtTheLimit(t *testing.T) {
 		}
 	}
 }
+
+// wordText returns n bytes of Zipf-distributed pseudo-words (exponent 1.2
+// over 2048 words of 2 to 12 letters), the shape of text the end-to-end
+// benchmark compresses.
+func wordText(seed int64, n int) []byte {
+	rng := rand.New(rand.NewSource(seed))
+	const consonants, vowels = "bcdfghjklmnprstvw", "aeiou"
+	words := make([][]byte, 2048)
+	for i := range words {
+		for s := 1 + rng.Intn(4); s > 0; s-- {
+			words[i] = append(words[i], consonants[rng.Intn(len(consonants))], vowels[rng.Intn(len(vowels))])
+			if rng.Intn(3) == 0 {
+				words[i] = append(words[i], consonants[rng.Intn(len(consonants))])
+			}
+		}
+	}
+	zipf := rand.NewZipf(rng, 1.2, 1, uint64(len(words)-1))
+	b := make([]byte, 0, n+16)
+	for len(b) < n {
+		b = append(append(b, words[zipf.Uint64()]...), ' ')
+	}
+	return b[:n]
+}
+
+// TestFlateDefaultIsBestSpeed pins what the default level means: the
+// default, an out-of-range level and flate.BestSpeed write the same
+// stream.
+func TestFlateDefaultIsBestSpeed(t *testing.T) {
+	in := wordText(1, 64<<10)
+	want, err := NewFlate(flate.BestSpeed).Compress(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, level := range []int{flate.DefaultCompression, 1000, flate.HuffmanOnly - 1} {
+		got, err := NewFlate(level).Compress(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("NewFlate(%d) wrote %d B, unlike BestSpeed's %d B", level, len(got), len(want))
+		}
+	}
+	// An explicit level is still honoured.
+	six, err := NewFlate(6).Compress(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(six, want) {
+		t.Fatal("NewFlate(6) wrote BestSpeed's stream")
+	}
+}
+
+// TestFlateRatioOnWordText is a floor under the default's ratio on word
+// text, so a later default that gives the ratio up shows here.
+func TestFlateRatioOnWordText(t *testing.T) {
+	c := NewFlate(flate.DefaultCompression)
+	for seed := int64(1); seed <= 3; seed++ {
+		in := wordText(seed, 64<<10)
+		packed, err := c.Compress(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ratio := float64(len(in)) / float64(len(packed)); ratio < 2.5 {
+			t.Fatalf("seed %d: ratio %.2f:1 on 64 KiB of word text, want ≥ 2.5:1", seed, ratio)
+		}
+	}
+}

@@ -3,6 +3,7 @@ package codec
 import (
 	"bufio"
 	"bytes"
+	"compress/flate"
 	"encoding/binary"
 	"errors"
 	"io"
@@ -87,6 +88,38 @@ func FuzzReadFrame(f *testing.F) {
 			}
 		default:
 			t.Fatalf("unexpected error %v", err)
+		}
+	})
+}
+
+// FuzzFlateRoundTrip checks the compression surface from both sides.
+// Arbitrary input must come back byte-identical through the default
+// Flate, and arbitrary bytes — a peer controls every one of them — fed to
+// Decompress must not panic nor inflate past DefaultMaxFrame. The seed
+// corpus is in testdata/fuzz/FuzzFlateRoundTrip.
+func FuzzFlateRoundTrip(f *testing.F) {
+	c := NewFlate(flate.DefaultCompression)
+	f.Fuzz(func(t *testing.T, b []byte) {
+		if len(b) <= DefaultMaxFrame {
+			packed, err := c.Compress(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out, err := c.Decompress(packed)
+			if err != nil {
+				t.Fatalf("Decompress of a %d B payload's stream: %v", len(b), err)
+			}
+			if !bytes.Equal(out, b) {
+				t.Fatalf("round trip of %d B returned %d B, not the input", len(b), len(out))
+			}
+			bufpool.Put(out)
+		}
+		out, err := c.Decompress(b)
+		if len(out) > DefaultMaxFrame {
+			t.Fatalf("Decompress returned %d B, over the %d B limit (err %v)", len(out), DefaultMaxFrame, err)
+		}
+		if err == nil {
+			bufpool.Put(out)
 		}
 	})
 }

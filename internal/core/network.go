@@ -68,8 +68,9 @@ type NetworkConfig struct {
 	Protocols []Transport
 	// Registry supplies message serialisers (default NewRegistry()).
 	Registry *codec.Registry
-	// Compressor wraps wire payloads (default flate, mirroring the
-	// paper's default-on Snappy handler). Use codec.Noop to disable.
+	// Compressor wraps wire payloads (default flate at BestSpeed,
+	// mirroring the paper's default-on Snappy handler). Use codec.Noop
+	// to disable.
 	Compressor codec.Compressor
 	// Transport tunes the underlying endpoint (UDT config, frame limit).
 	Transport transport.Config
@@ -399,7 +400,7 @@ func (n *Network) encode(msg Msg) ([]byte, error) {
 		bufpool.PutBuffer(scratch)
 		return nil, fmt.Errorf("%w: %T serialises to %d bytes", transport.ErrTooLarge, msg, len(raw))
 	}
-	if _, isNoop := n.cfg.Compressor.(codec.Noop); !isNoop {
+	if _, isNoop := n.cfg.Compressor.(codec.Noop); !isNoop && !incompressible(raw[1:]) {
 		if packed, ok := n.compress(raw); ok {
 			bufpool.PutBuffer(scratch)
 			return packed, nil
@@ -410,6 +411,38 @@ func (n *Network) encode(msg Msg) ([]byte, error) {
 	copy(out, raw)
 	bufpool.PutBuffer(scratch)
 	return out, nil
+}
+
+// sampleSize is how much of a payload the compressibility probe reads; a
+// shorter payload always goes to the compressor.
+const sampleSize = 4 << 10
+
+// maxSampleBits is the order-0 entropy, in bits per byte, above which a
+// sample is judged incompressible. Random or already compressed bytes read
+// ≈ 7.95 over one sample, word text ≈ 4.
+const maxSampleBits = 7.5
+
+// incompressible reports whether the first sampleSize bytes of p carry so
+// much order-0 entropy that compressing p would not pay: one histogram
+// costs microseconds where the compressor costs a millisecond per 64 KiB.
+// A misjudged payload only goes out raw or compressed, never altered, and
+// compress keeps its own rule of shipping raw what did not shrink.
+func incompressible(p []byte) bool {
+	if len(p) < sampleSize {
+		return false
+	}
+	var hist [256]int
+	for _, b := range p[:sampleSize] {
+		hist[b]++
+	}
+	// H = log2(n) - Σ c·log2(c) / n over the byte counts c of n bytes.
+	var sum float64
+	for _, c := range hist {
+		if c > 0 {
+			sum += float64(c) * math.Log2(float64(c))
+		}
+	}
+	return math.Log2(sampleSize)-sum/sampleSize > maxSampleBits
 }
 
 // compress attempts to shrink an encoded payload (raw, including its

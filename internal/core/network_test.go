@@ -339,43 +339,108 @@ func TestEncodeSkipsUselessCompression(t *testing.T) {
 	}
 }
 
+// countingFlate counts the payloads that reach the compressor.
+type countingFlate struct {
+	*codec.Flate
+	calls int
+}
+
+func (c *countingFlate) AppendCompress(dst, src []byte) ([]byte, error) {
+	c.calls++
+	return c.Flate.AppendCompress(dst, src)
+}
+
 // TestWireRoundTrip takes messages through the path every remote message
 // crosses without sockets: encode, frame, unframe, decodeWire. The payload
 // must come back intact under both compressors, incompressible and
-// compressible, at a control and a bulk size.
+// compressible, at a control and a bulk size, at the edges of the
+// compressibility probe's sample, and with halves that the probe misjudges
+// or judges right. Under flate, each payload must reach the compressor or
+// skip it as the probe decides, and carry the wire flag it should.
 func TestWireRoundTrip(t *testing.T) {
 	self := MustParseAddress("10.0.0.1:1000")
+	dest := MustParseAddress("10.0.0.2:2000")
 	rnd := rand.New(rand.NewSource(1))
-	for _, comp := range []codec.Compressor{codec.Noop{}, codec.NewFlate(-1)} {
+	random := func(n int) []byte {
+		b := make([]byte, n)
+		rnd.Read(b)
+		return b
+	}
+	vocab := []string{"kompics", "messaging", "over", "tcp", "udt", "data", "notify", "channel", "frame", "peer"}
+	words := func(n int) []byte {
+		b := make([]byte, 0, n+16)
+		for len(b) < n {
+			b = append(append(b, vocab[rnd.Intn(len(vocab))]...), ' ')
+		}
+		return b[:n]
+	}
+	// edge is the payload size at which a DataMsg's encoding, flag byte
+	// excluded, fills exactly one sample.
+	plain, err := NewNetwork(NetworkConfig{Self: self, Compressor: codec.Noop{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe, err := plain.encode(&DataMsg{Hdr: NewHeader(self, dest, TCP), Payload: make([]byte, sampleSize)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	edge := 2*sampleSize - (len(probe) - 1)
+	bufpool.Put(probe)
+
+	cases := []struct {
+		name       string
+		payload    []byte
+		compressed bool // reaches the compressor, and ships compressed under flate
+		flag       byte
+	}{
+		{"random 1 KiB", random(1 << 10), true, wireRaw},
+		{"words 1 KiB", words(1 << 10), true, wireCompressed},
+		{"random 64 KiB", random(64 << 10), false, wireRaw},
+		{"words 64 KiB", words(64 << 10), true, wireCompressed},
+		{"random, one byte under a sample", random(edge - 1), true, wireRaw},
+		{"random, one byte over a sample", random(edge + 1), false, wireRaw},
+		{"random prefix, word tail", append(random(8<<10), words(56<<10)...), false, wireRaw},
+		{"word prefix, random tail", append(words(8<<10), random(56<<10)...), true, wireCompressed},
+	}
+	for _, comp := range []codec.Compressor{codec.Noop{}, &countingFlate{Flate: codec.NewFlate(-1)}} {
 		n, err := NewNetwork(NetworkConfig{Self: self, Compressor: comp})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, size := range []int{1 << 10, 64 << 10} {
-			random := make([]byte, size)
-			rnd.Read(random)
-			for _, payload := range [][]byte{random, bytes.Repeat([]byte("kompics "), size/8)} {
-				msg := &DataMsg{Hdr: NewHeader(self, MustParseAddress("10.0.0.2:2000"), TCP), Payload: payload}
-				wire, err := n.encode(msg)
-				if err != nil {
-					t.Fatal(err)
+		counter, _ := comp.(*countingFlate)
+		for _, c := range cases {
+			calls := 0
+			if counter != nil {
+				calls = counter.calls
+			}
+			msg := &DataMsg{Hdr: NewHeader(self, dest, TCP), Payload: c.payload}
+			wire, err := n.encode(msg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if counter != nil {
+				if ran := counter.calls > calls; ran != c.compressed {
+					t.Errorf("%s: compressor ran %v, want %v", c.name, ran, c.compressed)
 				}
-				var frame bytes.Buffer
-				if err := codec.WriteFrame(&frame, wire, 0); err != nil {
-					t.Fatal(err)
+				if wire[0] != c.flag {
+					t.Errorf("%s: wire flag %d, want %d", c.name, wire[0], c.flag)
 				}
-				bufpool.Put(wire)
-				inbound, err := codec.ReadFrame(&frame, 0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := n.decodeWire(inbound)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(got.(*DataMsg).Payload, payload) {
-					t.Fatalf("%s, %d B: payload corrupted in round trip", comp.Name(), size)
-				}
+			}
+			var frame bytes.Buffer
+			if err := codec.WriteFrame(&frame, wire, 0); err != nil {
+				t.Fatal(err)
+			}
+			bufpool.Put(wire)
+			inbound, err := codec.ReadFrame(&frame, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := n.decodeWire(inbound)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.(*DataMsg).Payload, c.payload) {
+				t.Fatalf("%s, %s: payload corrupted in round trip", comp.Name(), c.name)
 			}
 		}
 	}
