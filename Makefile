@@ -74,6 +74,8 @@ lint:
 FUZZTIME ?= 20s
 FUZZ_TARGETS = FuzzReadFrame:./internal/codec/ \
                FuzzFlateRoundTrip:./internal/codec/ \
+               FuzzInflateMatchesStdlib:./internal/codec/ \
+               FuzzDeflateStdlibDecodes:./internal/codec/ \
                FuzzDecodeWire:./internal/core/ \
                FuzzReadBasicHeader:./internal/core/ \
                FuzzHandlePacket:./internal/udt/ \

@@ -1,7 +1,8 @@
 package codec
 
-// Tests for the pooled compression stage: reader/writer pool reuse under
-// concurrency, the append-style compression path, and buffer hygiene.
+// Tests for the pooled compression stage: state pool reuse under
+// concurrency, the append-style compression path, buffer hygiene, the
+// inflation limit and the steady state's allocations.
 
 import (
 	"bytes"
@@ -233,31 +234,105 @@ func wordText(seed int64, n int) []byte {
 	return b[:n]
 }
 
-// TestFlateDefaultIsBestSpeed pins what the default level means: the
-// default, an out-of-range level and flate.BestSpeed write the same
-// stream.
-func TestFlateDefaultIsBestSpeed(t *testing.T) {
+// TestFlateInteropWithStdlib holds the codec to standard DEFLATE in both
+// directions on inputs that reach each of the encoder's cases: empty and
+// one-byte input, fixed and dynamic blocks, several blocks with matches
+// across their boundaries, matches cut at 258 bytes, and incompressible
+// input over more than one block. compress/flate must inflate
+// what Compress writes, and Decompress what compress/flate writes at
+// every level.
+func TestFlateInteropWithStdlib(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	random := make([]byte, 70<<10)
+	rng.Read(random)
+	inputs := map[string][]byte{
+		"empty":                {},
+		"one byte":             {'k'},
+		"short text":           []byte("ping ping ping ping"),
+		"words 1 KiB":          wordText(2, 1<<10),
+		"words 200 KiB":        wordText(3, 200<<10),
+		"zeros 300 KiB":        make([]byte, 300<<10),
+		"random 70 KiB":        random,
+		"words, random, words": append(append(wordText(4, 40<<10), random[:40<<10]...), wordText(4, 40<<10)...),
+	}
+	c := NewFlate(-1)
+	for name, in := range inputs {
+		packed, err := c.Compress(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out, ok := stdlibInflate(packed); !ok || !bytes.Equal(out, in) {
+			t.Errorf("%s: compress/flate did not inflate Compress's %d B back to the input", name, len(packed))
+		}
+		for _, level := range []int{flate.HuffmanOnly, flate.NoCompression, flate.BestSpeed, 6, flate.BestCompression} {
+			var std bytes.Buffer
+			fw, err := flate.NewWriter(&std, level)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := fw.Write(in); err != nil {
+				t.Fatal(err)
+			}
+			if err := fw.Close(); err != nil {
+				t.Fatal(err)
+			}
+			out, err := c.Decompress(std.Bytes())
+			if err != nil || !bytes.Equal(out, in) {
+				t.Errorf("%s: Decompress of compress/flate's level %d stream: %d B, %v", name, level, len(out), err)
+			}
+			bufpool.Put(out)
+		}
+	}
+}
+
+// TestFlateLevelSelectsNothing pins that NewFlate's level chooses no
+// encoder: the default, compress/flate's levels and an out-of-range value
+// all write the same stream.
+func TestFlateLevelSelectsNothing(t *testing.T) {
 	in := wordText(1, 64<<10)
-	want, err := NewFlate(flate.BestSpeed).Compress(in)
+	want, err := NewFlate(flate.DefaultCompression).Compress(in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, level := range []int{flate.DefaultCompression, 1000, flate.HuffmanOnly - 1} {
+	for _, level := range []int{flate.HuffmanOnly, flate.BestSpeed, 6, flate.BestCompression, 1000} {
 		got, err := NewFlate(level).Compress(in)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, want) {
-			t.Fatalf("NewFlate(%d) wrote %d B, unlike BestSpeed's %d B", level, len(got), len(want))
+			t.Fatalf("NewFlate(%d) wrote %d B, unlike the default's %d B", level, len(got), len(want))
 		}
 	}
-	// An explicit level is still honoured.
-	six, err := NewFlate(6).Compress(in)
-	if err != nil {
-		t.Fatal(err)
+}
+
+// TestFlateAllocationFree pins Flate's steady state: with its pools warm,
+// AppendCompress into a dst with room, and Decompress with its output
+// handed back to bufpool, allocate nothing, for a control-sized and a
+// bulk-sized message.
+func TestFlateAllocationFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under -race")
 	}
-	if bytes.Equal(six, want) {
-		t.Fatal("NewFlate(6) wrote BestSpeed's stream")
+	c := NewFlate(-1)
+	for _, n := range []int{64, 64 << 10} {
+		in := wordText(1, n)
+		dst := make([]byte, 0, 2*n+64)
+		packed, err := c.Compress(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a := testing.AllocsPerRun(50, func() { _, _ = c.AppendCompress(dst[:0], in) }); a != 0 {
+			t.Errorf("%d B: AppendCompress allocates %.1f times per call", n, a)
+		}
+		if a := testing.AllocsPerRun(50, func() {
+			out, err := c.Decompress(packed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bufpool.Put(out)
+		}); a != 0 {
+			t.Errorf("%d B: Decompress allocates %.1f times per call", n, a)
+		}
 	}
 }
 

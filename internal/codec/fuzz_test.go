@@ -123,3 +123,51 @@ func FuzzFlateRoundTrip(f *testing.F) {
 		}
 	})
 }
+
+// stdlibInflate is the oracle the package's inflater is held to:
+// compress/flate's reader behind a limit of one byte over the frame
+// limit, and any output over the frame limit refused.
+func stdlibInflate(b []byte) ([]byte, bool) {
+	out, err := io.ReadAll(io.LimitReader(flate.NewReader(bytes.NewReader(b)), DefaultMaxFrame+1))
+	return out, err == nil && len(out) <= DefaultMaxFrame
+}
+
+// FuzzInflateMatchesStdlib feeds arbitrary bytes to Decompress and to
+// compress/flate: both must accept or both refuse, and what both accept
+// must inflate to the same bytes. The seed corpus in
+// testdata/fuzz/FuzzInflateMatchesStdlib holds streams of every block
+// type and streams each of the decoder's checks refuses.
+func FuzzInflateMatchesStdlib(f *testing.F) {
+	c := NewFlate(-1)
+	f.Fuzz(func(t *testing.T, b []byte) {
+		want, wantOK := stdlibInflate(b)
+		got, err := c.Decompress(b)
+		if (err == nil) != wantOK {
+			t.Fatalf("Decompress err %v, compress/flate accepts it: %v", err, wantOK)
+		}
+		if err == nil {
+			if !bytes.Equal(got, want) {
+				t.Fatalf("Decompress gave %d B, compress/flate %d B, not the same bytes", len(got), len(want))
+			}
+			bufpool.Put(got)
+		}
+	})
+}
+
+// FuzzDeflateStdlibDecodes checks the encoder against compress/flate's
+// reader, which nodes built before this codec decode with: whatever the
+// encoder writes for arbitrary input must inflate back to that input
+// there. It drives one deflater rather than Flate's pool, whose misses
+// and hits would make coverage vary from run to run and the fuzzer's
+// minimizer spend its whole budget on each new input. The seed corpus is
+// in testdata/fuzz/FuzzDeflateStdlibDecodes.
+func FuzzDeflateStdlibDecodes(f *testing.F) {
+	e := &deflater{seqs: make([]seq, 0, maxBlock/4+2)}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		packed := e.deflate(nil, b)
+		out, ok := stdlibInflate(packed)
+		if !ok || !bytes.Equal(out, b) {
+			t.Fatalf("compress/flate inflated the %d B stream of %d B to %d B (ok %v), not the input", len(packed), len(b), len(out), ok)
+		}
+	})
+}

@@ -354,8 +354,8 @@ func (c *countingFlate) AppendCompress(dst, src []byte) ([]byte, error) {
 // crosses without sockets: encode, frame, unframe, decodeWire. The payload
 // must come back intact under both compressors, incompressible and
 // compressible, at a control and a bulk size, at the edges of the
-// compressibility probe's sample, and with halves that the probe misjudges
-// or judges right. Under flate, each payload must reach the compressor or
+// compression floor and of the compressibility probe's sample, and with
+// halves that the probe misjudges or judges right. Under flate, each payload must reach the compressor or
 // skip it as the probe decides, and carry the wire flag it should.
 func TestWireRoundTrip(t *testing.T) {
 	self := MustParseAddress("10.0.0.1:1000")
@@ -374,8 +374,10 @@ func TestWireRoundTrip(t *testing.T) {
 		}
 		return b[:n]
 	}
-	// edge is the payload size at which a DataMsg's encoding, flag byte
-	// excluded, fills exactly one sample.
+	// edge and floor are the payload sizes at which a DataMsg's encoding,
+	// flag byte excluded, fills exactly one sample and reaches exactly
+	// the compression floor. Both take a two-byte length prefix, so one
+	// probe measures the encoding's overhead for both.
 	plain, err := NewNetwork(NetworkConfig{Self: self, Compressor: codec.Noop{}})
 	if err != nil {
 		t.Fatal(err)
@@ -384,7 +386,8 @@ func TestWireRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	edge := 2*sampleSize - (len(probe) - 1)
+	overhead := len(probe) - 1 - sampleSize
+	edge, floor := sampleSize-overhead, minCompressSize-overhead
 	bufpool.Put(probe)
 
 	cases := []struct {
@@ -393,6 +396,8 @@ func TestWireRoundTrip(t *testing.T) {
 		compressed bool // reaches the compressor, and ships compressed under flate
 		flag       byte
 	}{
+		{"words, one byte under the floor", words(floor - 1), false, wireRaw},
+		{"words, at the floor", words(floor), true, wireCompressed},
 		{"random 1 KiB", random(1 << 10), true, wireRaw},
 		{"words 1 KiB", words(1 << 10), true, wireCompressed},
 		{"random 64 KiB", random(64 << 10), false, wireRaw},

@@ -29,11 +29,11 @@ func coreLeakCheck(t *testing.T) {
 	})
 }
 
-// decodePayload builds a compressible payload (so flate survives encode
-// and the receiving read loops actually decompress) carrying seq in its
-// first four bytes.
+// decodePayload builds a compressible payload over the compression floor
+// (so flate survives encode and the receiving read loops actually
+// decompress) carrying seq in its first four bytes.
 func decodePayload(seq uint32) []byte {
-	p := bytes.Repeat([]byte("inbound fan-in payload "), 12)[:256]
+	p := bytes.Repeat([]byte("inbound fan-in payload "), 45)[:1024]
 	binary.BigEndian.PutUint32(p, seq)
 	return p
 }
