@@ -3,8 +3,9 @@
 #   make check          vet + kmlint + build + race-enabled tests (the CI gate)
 #   make test           plain test run (tier-1 verify)
 #   make test-faults    fault-injection, supervision and shutdown suite (the
-#                       two-process kmtransfer transfer and the stopped or
-#                       killed Network answering every queued notify
+#                       two-process kmtransfer transfer, the stopped or
+#                       killed Network answering every queued notify, and
+#                       UDT's linger and bidirectional-loss tests
 #                       included),
 #                       race-enabled and repeated to shake out nondeterminism
 #   make test-startup   UDT slow-start suite (window rules, light ACKs, time
@@ -25,7 +26,7 @@
 GO ?= go
 
 FAULT_PKGS = ./internal/faults/ ./internal/transport/ ./internal/core/ ./internal/udt/ ./internal/kompics/ ./cmd/kmtransfer/
-FAULT_RUN  = 'Fault|Supervis|Fallback|Overflow|PeerDeath|Revival|Stall|Blackhole|Backoff|Status|StopThenRestart|Shutdown|WindDown'
+FAULT_RUN  = 'Fault|Supervis|Fallback|Overflow|PeerDeath|Revival|Stall|Blackhole|Backoff|Status|StopThenRestart|Shutdown|WindDown|Linger|Bidirectional'
 
 STARTUP_PKGS = ./internal/udt/
 STARTUP_RUN  = 'SlowStart'

@@ -93,33 +93,34 @@ func FuzzReadFrame(f *testing.F) {
 }
 
 // FuzzFlateRoundTrip checks the compression surface from both sides.
-// Arbitrary input must come back byte-identical through the default
-// Flate, and arbitrary bytes — a peer controls every one of them — fed to
-// Decompress must not panic nor inflate past DefaultMaxFrame. The seed
-// corpus is in testdata/fuzz/FuzzFlateRoundTrip.
+// Arbitrary input must come back byte-identical through the encoder and
+// the inflater, and arbitrary bytes — a peer controls every one of them —
+// fed to the inflater must not panic nor inflate past DefaultMaxFrame.
+// Like FuzzDeflateStdlibDecodes it drives one deflater and one inflater
+// into a fixed DefaultMaxFrame output rather than Flate's pools and
+// bufpool, so coverage does not vary between a pool hit and a miss;
+// TestFlateAllocationFree and TestFlateInteropWithStdlib cover the pooled
+// path. The seed corpus is in testdata/fuzz/FuzzFlateRoundTrip.
 func FuzzFlateRoundTrip(f *testing.F) {
-	c := NewFlate(flate.DefaultCompression)
+	e := &deflater{seqs: make([]seq, 0, maxBlock/4+2)}
+	d := new(inflater)
+	buf := make([]byte, DefaultMaxFrame)
 	f.Fuzz(func(t *testing.T, b []byte) {
 		if len(b) <= DefaultMaxFrame {
-			packed, err := c.Compress(b)
+			// A fresh dst each time: whether the encoder must grow it
+			// would otherwise depend on earlier inputs.
+			packed := e.deflate(nil, b)
+			out, err := d.inflate(buf, packed)
 			if err != nil {
-				t.Fatal(err)
-			}
-			out, err := c.Decompress(packed)
-			if err != nil {
-				t.Fatalf("Decompress of a %d B payload's stream: %v", len(b), err)
+				t.Fatalf("inflate of a %d B payload's stream: %v", len(b), err)
 			}
 			if !bytes.Equal(out, b) {
 				t.Fatalf("round trip of %d B returned %d B, not the input", len(b), len(out))
 			}
-			bufpool.Put(out)
 		}
-		out, err := c.Decompress(b)
+		out, err := d.inflate(buf, b)
 		if len(out) > DefaultMaxFrame {
-			t.Fatalf("Decompress returned %d B, over the %d B limit (err %v)", len(out), DefaultMaxFrame, err)
-		}
-		if err == nil {
-			bufpool.Put(out)
+			t.Fatalf("inflate returned %d B, over the %d B limit (err %v)", len(out), DefaultMaxFrame, err)
 		}
 	})
 }
@@ -132,24 +133,23 @@ func stdlibInflate(b []byte) ([]byte, bool) {
 	return out, err == nil && len(out) <= DefaultMaxFrame
 }
 
-// FuzzInflateMatchesStdlib feeds arbitrary bytes to Decompress and to
+// FuzzInflateMatchesStdlib feeds arbitrary bytes to the inflater and to
 // compress/flate: both must accept or both refuse, and what both accept
-// must inflate to the same bytes. The seed corpus in
+// must inflate to the same bytes. It drives one inflater into a fixed
+// DefaultMaxFrame output, as FuzzFlateRoundTrip does. The seed corpus in
 // testdata/fuzz/FuzzInflateMatchesStdlib holds streams of every block
 // type and streams each of the decoder's checks refuses.
 func FuzzInflateMatchesStdlib(f *testing.F) {
-	c := NewFlate(-1)
+	d := new(inflater)
+	buf := make([]byte, DefaultMaxFrame)
 	f.Fuzz(func(t *testing.T, b []byte) {
 		want, wantOK := stdlibInflate(b)
-		got, err := c.Decompress(b)
+		got, err := d.inflate(buf, b)
 		if (err == nil) != wantOK {
-			t.Fatalf("Decompress err %v, compress/flate accepts it: %v", err, wantOK)
+			t.Fatalf("inflate err %v, compress/flate accepts it: %v", err, wantOK)
 		}
-		if err == nil {
-			if !bytes.Equal(got, want) {
-				t.Fatalf("Decompress gave %d B, compress/flate %d B, not the same bytes", len(got), len(want))
-			}
-			bufpool.Put(got)
+		if err == nil && !bytes.Equal(got, want) {
+			t.Fatalf("inflate gave %d B, compress/flate %d B, not the same bytes", len(got), len(want))
 		}
 	})
 }

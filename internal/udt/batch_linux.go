@@ -86,7 +86,7 @@ func parseRawSockaddr(b []byte) netip.AddrPort {
 }
 
 // mmsgSender flushes a burst of encoded packets with one sendmmsg per
-// call. Used only by the connection's sender goroutine, so the scratch
+// call. Used only by the connection's control loop, so the scratch
 // arrays need no locking.
 type mmsgSender struct {
 	rc   syscall.RawConn

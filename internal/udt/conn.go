@@ -147,7 +147,7 @@ type Conn struct {
 	cfg     Config
 
 	// mmsg batches data-packet sends with sendmmsg where available; nil
-	// means one syscall per packet. Only the sender goroutine touches it
+	// means one syscall per packet. Only the control loop touches it
 	// after start.
 	mmsg *mmsgSender
 
@@ -208,9 +208,10 @@ type Conn struct {
 	readDeadline  time.Time
 	writeDeadline time.Time
 
-	// kick wakes the pacing loop when new data is queued.
+	// kick wakes the control loop to send when new data is queued or an
+	// ACK or NAK changed what is sendable.
 	kick chan struct{}
-	// heard is set by every arriving packet and cleared by each ackLoop
+	// heard is set by every arriving packet and cleared by each control
 	// tick, which so counts the ticks of silence.
 	heard atomic.Bool
 
@@ -250,12 +251,11 @@ func newConn(sock net.Conn, shared net.PacketConn, raddr netip.AddrPort, cfg Con
 	return c
 }
 
-// start launches the sender and ACK loops once the handshake completed.
+// start launches the control loop once the handshake completed.
 func (c *Conn) start() {
 	c.mmsg = newMmsgSender(c.udp, c.raddr, c.sock != nil)
-	c.wg.Add(2)
-	go c.senderLoop()
-	go c.ackLoop()
+	c.wg.Add(1)
+	go c.controlLoop()
 }
 
 // --- net.Conn surface ---------------------------------------------------------
@@ -299,11 +299,16 @@ func (c *Conn) Read(b []byte) (int, error) {
 }
 
 // wait blocks on cond, arranging a wake-up at deadline unless it is zero.
-// Caller holds mu.
+// Caller holds mu. The wake-up takes mu to broadcast, so a deadline that
+// falls due before cond.Wait has queued the caller still wakes it.
 func (c *Conn) wait(cond *sync.Cond, deadline time.Time) {
 	var t *time.Timer
 	if !deadline.IsZero() {
-		t = time.AfterFunc(time.Until(deadline), cond.Broadcast)
+		t = time.AfterFunc(time.Until(deadline), func() {
+			c.mu.Lock()
+			cond.Broadcast()
+			c.mu.Unlock()
+		})
 	}
 	cond.Wait()
 	if t != nil {
@@ -383,11 +388,11 @@ func (c *Conn) Close() error {
 func (c *Conn) teardown() error {
 	c.mu.Lock()
 	// Linger: wait for the sender to flush queue and retransmissions.
+	// Whatever ends the wait broadcasts writeCond: a burst that moves the
+	// queue, ACK progress, fail, the peer's shutdown, or the deadline.
 	deadline := time.Now().Add(c.cfg.LingerTimeout)
 	for !c.peerClosed && c.sendPendingLocked() && time.Now().Before(deadline) {
-		t := time.AfterFunc(50*time.Millisecond, c.writeCond.Broadcast)
-		c.writeCond.Wait()
-		t.Stop()
+		c.wait(c.writeCond, deadline)
 	}
 	expired := !c.peerClosed && c.sendPendingLocked()
 	c.closed = true
@@ -553,59 +558,11 @@ type sendBatch struct {
 	pkts [][]byte // per-flush packet views (loss-injected drops filtered)
 }
 
-// senderLoop sends data packets: each SYN interval grants a byte budget
-// (tickBudget), spent on loss-list retransmissions first and then fresh
-// data, respecting the send window. Packets go out in bursts of up to
-// maxBurstPackets per lock acquisition and (on Linux) per syscall, and
-// the loop yields the processor after every full burst.
-func (c *Conn) senderLoop() {
-	defer c.wg.Done()
-	ticker := time.NewTicker(synInterval)
-	defer ticker.Stop()
-	var batch sendBatch
-
-	c.mu.Lock()
-	budget := c.tickBudget()
-	c.mu.Unlock()
-	for {
-		select {
-		case <-c.done:
-			return
-		case <-ticker.C:
-			c.mu.Lock()
-			budget = c.tickBudget()
-			c.mu.Unlock()
-		case <-c.kick:
-			// Spend any remaining budget immediately; fresh budget
-			// arrives with the next tick. Slow start's unlimited budget
-			// ends with slow start, not at the next tick (see sendBurst).
-			if math.IsInf(budget, 1) {
-				c.mu.Lock()
-				budget = c.tickBudget()
-				c.mu.Unlock()
-			}
-		}
-		for budget > 0 {
-			n := c.sendBurst(&batch, budget)
-			if n == 0 {
-				break
-			}
-			budget -= float64(n)
-			if len(batch.ends) == maxBurstPackets {
-				// More is likely sendable at once, and sendmmsg on a
-				// socket with buffer room never blocks: give the
-				// processor back before the next burst (DESIGN.md §10).
-				runtime.Gosched()
-			}
-		}
-	}
-}
-
 // sendBurst encodes up to maxBurstPackets packets (retransmissions first)
 // into the batch slab under one lock acquisition, flushes them and reports
 // the bytes consumed; 0 means nothing was sendable. An unlimited budget is
 // slow start's: if a loss ended slow start since it was granted, nothing
-// is sendable until the loss handler's kick brings a paced one.
+// is sendable until a NAK's kick or the next tick brings a paced one.
 func (c *Conn) sendBurst(batch *sendBatch, budget float64) int {
 	batch.slab = batch.slab[:0]
 	batch.ends = batch.ends[:0]
@@ -740,27 +697,31 @@ func (c *Conn) fail(err error) {
 // arrives to reveal the gap).
 const expTicks = 10
 
-// ackLoop emits a cumulative ACK every SYN interval, re-NAKs stale gaps so
-// lost NAKs cannot stall the stream, and runs the sender's EXP timer.
-// With nothing in flight it runs UDT4's keep-alive instead: a keep-alive
-// packet every EXP interval, and death after PeerDeathEXPs intervals
-// without a packet from a peer that has not shut down — so a listener
-// does not keep a connection whose client vanished without a word.
-func (c *Conn) ackLoop() {
+// controlLoop is the connection's one timer goroutine. Each SYN interval
+// it emits a cumulative ACK, re-NAKs stale gaps so lost NAKs cannot stall
+// the stream, and runs the sender's EXP timer. With nothing in flight it
+// runs UDT4's keep-alive instead: a keep-alive packet every EXP interval,
+// and death after PeerDeathEXPs intervals without a packet from a peer
+// that has not shut down — so a listener does not keep a connection whose
+// client vanished without a word.
+//
+// The same tick grants the sender its byte budget (tickBudget), spent on
+// loss-list retransmissions first and then fresh data, respecting the
+// send window; a kick spends what is left of it at once. Packets go out
+// in bursts of up to maxBurstPackets per lock acquisition and (on Linux)
+// per syscall.
+func (c *Conn) controlLoop() {
 	defer c.wg.Done()
 	ticker := time.NewTicker(synInterval)
 	defer ticker.Stop()
-	ticks, silentTicks := 0, 0
-	staleTicks := 0
-	expCounter := 0
-	expEvents := 0
+	var batch sendBatch
+	ticks, silentTicks, staleTicks := 0, 0, 0
+	expCounter, expEvents := 0, 0
 	lastUnack := uint32(0)
-	for {
-		select {
-		case <-c.done:
-			return
-		case <-ticker.C:
-		}
+
+	// tick does one SYN interval's control work and returns the byte
+	// budget the interval grants.
+	tick := func() float64 {
 		c.mu.Lock()
 		ackSeq := c.rcvNextSeq
 		window := c.advertisedWindow()
@@ -786,8 +747,8 @@ func (c *Conn) ackLoop() {
 		if c.heard.Swap(false) || c.peerClosed {
 			silentTicks = 0
 		}
-		// EXP timer: no ACK progress while data is in flight.
-		kick := false
+		// EXP timer: no ACK progress while data is in flight. An expiry
+		// reschedules the window, which the budget below then spends.
 		died := false
 		keepalive := false
 		if c.sndUnacked.len() > 0 {
@@ -805,7 +766,6 @@ func (c *Conn) ackLoop() {
 					died = true
 				} else {
 					c.expireLocked()
-					kick = true
 				}
 				expCounter = 0
 			}
@@ -816,11 +776,12 @@ func (c *Conn) ackLoop() {
 			died = c.cfg.PeerDeathEXPs > 0 && silentTicks >= expTicks*c.cfg.PeerDeathEXPs
 		}
 		lastUnack = c.sndFirstUnack
+		budget := c.tickBudget()
 		c.mu.Unlock()
 
 		if died {
 			c.fail(ErrPeerDead)
-			continue // stay on duty for ACK/shutdown bookkeeping until Close
+			return 0 // stay on duty for ACK/shutdown bookkeeping until Close
 		}
 		if needAck {
 			c.send(encodeAck(ackSeq, uint32(window)))
@@ -831,8 +792,47 @@ func (c *Conn) ackLoop() {
 		if keepalive {
 			c.send([]byte{ctlKeepalive})
 		}
-		if kick {
-			c.kickSender()
+		return budget
+	}
+
+	c.mu.Lock()
+	budget := c.tickBudget()
+	c.mu.Unlock()
+	for {
+		select {
+		case <-c.done:
+			return
+		case <-ticker.C:
+			budget = tick()
+		case <-c.kick:
+			// Spend any remaining budget immediately; fresh budget
+			// arrives with the next tick. Slow start's unlimited budget
+			// ends with slow start, not at the next tick (see sendBurst).
+			if math.IsInf(budget, 1) {
+				c.mu.Lock()
+				budget = c.tickBudget()
+				c.mu.Unlock()
+			}
+		}
+		for budget > 0 {
+			n := c.sendBurst(&batch, budget)
+			if n == 0 {
+				break
+			}
+			budget -= float64(n)
+			if len(batch.ends) == maxBurstPackets {
+				// More is likely sendable at once, and sendmmsg on a
+				// socket with buffer room never blocks: give the
+				// processor back before the next burst (DESIGN.md §10),
+				// and run a tick that fell due meanwhile, so ACKs and
+				// the EXP timer wait behind at most one burst.
+				runtime.Gosched()
+				select {
+				case <-ticker.C:
+					budget = tick()
+				default:
+				}
+			}
 		}
 	}
 }

@@ -34,10 +34,11 @@
 // per-SYN step), timestamps are omitted from the packet header, and a
 // single UDT connection runs per UDP address pair on the listener side.
 //
-// Being userspace, the sender and the datagram read loop share Go's
-// processors with the rest of the process: each yields after every full
-// burst or batch instead of holding a processor for as long as a stream
-// flows.
+// Being userspace, each connection's control loop (one goroutine that
+// paces the sender and runs the ACK, NAK, EXP and keep-alive timers on
+// one ticker) and the datagram read loop share Go's processors with the
+// rest of the process: each yields after every full burst or batch
+// instead of holding a processor for as long as a stream flows.
 //
 // Conn implements net.Conn, so the transport layer can treat TCP and UDT
 // streams uniformly.

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math/rand"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -456,6 +457,47 @@ func TestMultipleConnectionsOneListener(t *testing.T) {
 	}
 	if len(seen) != n {
 		t.Fatalf("distinct messages = %d, want %d", len(seen), n)
+	}
+}
+
+// connGoroutines counts the live goroutines connections started: those
+// created by (*Conn).start or by Client. Unlike runtime.NumGoroutine it
+// does not count goroutines an earlier test left winding down.
+func connGoroutines() int {
+	buf := make([]byte, 1<<16)
+	for n := runtime.Stack(buf, true); n == len(buf); n = runtime.Stack(buf, true) {
+		buf = make([]byte, 2*len(buf))
+	}
+	const by = "created by github.com/kompics/kompicsmessaging-go/internal/udt."
+	return bytes.Count(buf, []byte(by+"(*Conn).start")) + bytes.Count(buf, []byte(by+"Client"))
+}
+
+// TestGoroutinesPerConnection pins the goroutines a connection costs: a
+// dialed Conn runs its socket's read loop and its control loop, an
+// accepted one only its control loop (the listener's read loop serves
+// every accepted Conn).
+func TestGoroutinesPerConnection(t *testing.T) {
+	l, err := Listen("127.0.0.1:0", Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	const n = 8
+	base := connGoroutines()
+	for i := 0; i < n; i++ {
+		c, err := Dial(l.Addr().String(), Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		s, err := l.Accept()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+	}
+	if got := connGoroutines() - base; got != 3*n {
+		t.Fatalf("%d connection pairs run %d goroutines, want %d (3 per pair)", n, got, 3*n)
 	}
 }
 

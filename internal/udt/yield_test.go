@@ -24,10 +24,10 @@ func (w *countingDiscard) Write(b []byte) (int, error) {
 }
 
 // TestBulkLoopsYieldProcessor runs a bulk stream on one processor and
-// measures how late a 200 µs timer wakes beside it. The sender and the
-// datagram read loop never block while the stream flows, so unless they
-// yield after every full burst and batch, a woken goroutine waits for
-// Go's ≈ 10 ms preemption.
+// measures how late a 200 µs timer wakes beside it. The control loop
+// and the datagram read loop never block while the stream flows, so
+// unless they yield after every full burst and batch, a woken goroutine
+// waits for Go's ≈ 10 ms preemption.
 func TestBulkLoopsYieldProcessor(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	client, server, cleanup := pair(t, Config{})
